@@ -178,54 +178,6 @@ fn bench_prefix_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The lane-kernel claim, measured: batching a sibling run's final DP rows
-/// [`privshape_distance::ScanStats::LANE_WIDTH`] candidates at a time must
-/// beat advancing them one by one. Compare this group between a scalar
-/// build and `--features simd` — the call sites are identical
-/// (`dist_batch_table` / `argmin_table` dispatch internally), and so are
-/// the results, bit for bit.
-fn bench_simd_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrate/simd_batch");
-    let own = SymbolSeq::parse("acbdcbadcbab").unwrap();
-    for depth in [3usize, 6] {
-        let table = sibling_table(depth);
-        for kind in [DistanceKind::Dtw, DistanceKind::Sed] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{kind}_table18"), depth),
-                &depth,
-                |bch, _| {
-                    let mut ws = DistanceWorkspace::new();
-                    bch.iter(|| {
-                        let scores = kind.dist_batch_table(&mut ws, own.symbols(), &table);
-                        black_box(scores.last().copied())
-                    });
-                },
-            );
-        }
-        group.bench_with_input(
-            BenchmarkId::new("dtw_argmin_lb", depth),
-            &depth,
-            |bch, _| {
-                let mut ws = DistanceWorkspace::new();
-                bch.iter(|| {
-                    black_box(DistanceKind::Dtw.argmin_table(&mut ws, own.symbols(), &table))
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("sed_argmin_lb", depth),
-            &depth,
-            |bch, _| {
-                let mut ws = DistanceWorkspace::new();
-                bch.iter(|| {
-                    black_box(DistanceKind::Sed.argmin_table(&mut ws, own.symbols(), &table))
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_ldp(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate/ldp");
     let eps = Epsilon::new(4.0).unwrap();
@@ -278,7 +230,6 @@ criterion_group!(
     bench_distances,
     bench_distance_workspace,
     bench_prefix_batch,
-    bench_simd_batch,
     bench_ldp,
     bench_trie
 );

@@ -28,15 +28,10 @@ use std::process::ExitCode;
 type Extractor = fn(&Json) -> Metrics;
 
 /// The gated trajectory files: extractor + improvement direction.
-const FILES: [(&str, Extractor, Direction); 7] = [
+const FILES: [(&str, Extractor, Direction); 6] = [
     (
         "BENCH_protocol.json",
         gate::protocol_metrics,
-        Direction::HigherIsBetter,
-    ),
-    (
-        "BENCH_scaling.json",
-        gate::scaling_metrics,
         Direction::HigherIsBetter,
     ),
     (

@@ -1,8 +1,7 @@
 //! Perf-regression gate over the `BENCH_*.json` trajectory files.
 //!
-//! CI has always *written* `results/BENCH_protocol.json` /
-//! `BENCH_scaling.json` (and now `BENCH_streaming.json`) — this module is
-//! the part that *reads* them: a minimal recursive-descent JSON parser
+//! CI *writes* the `results/BENCH_*.json` trajectory files — this module
+//! is the part that *reads* them: a minimal recursive-descent JSON parser
 //! (the workspace is offline, so no serde), throughput-metric extraction
 //! for each known file, and the compare step that fails the build when a
 //! metric regresses past the threshold against the committed baselines
@@ -240,37 +239,6 @@ pub fn protocol_metrics(doc: &Json) -> Metrics {
     doc.num("reports_per_sec")
         .map(|v| vec![("protocol.reports_per_sec".to_string(), v)])
         .unwrap_or_default()
-}
-
-/// Metrics of `BENCH_scaling.json`: per-sweep-point throughput, keyed by
-/// the point's coordinates so baselines match across runs.
-pub fn scaling_metrics(doc: &Json) -> Metrics {
-    let mut out = Vec::new();
-    for point in doc.get("sweeps").and_then(Json::as_arr).unwrap_or(&[]) {
-        let (Some(users), Some(k), Some(rps)) = (
-            point.num("users"),
-            point.num("k"),
-            point.num("reports_per_sec"),
-        ) else {
-            continue;
-        };
-        let deep = matches!(point.get("deep"), Some(Json::Bool(true)));
-        let labeled = matches!(point.get("labeled"), Some(Json::Bool(true)));
-        // `deep` and `labeled` are part of the metric identity: the deep
-        // labeled and unlabeled points share users/k, and duplicate names
-        // would pair both baselines against one fresh value.
-        let suffix = match (deep, labeled) {
-            (true, true) => ".deep.labeled",
-            (true, false) => ".deep",
-            (false, true) => ".labeled",
-            (false, false) => "",
-        };
-        out.push((
-            format!("scaling.u{users}.k{k}{suffix}.reports_per_sec"),
-            rps,
-        ));
-    }
-    out
 }
 
 /// Metrics of `BENCH_streaming.json`: serial and streaming absorb
@@ -556,18 +524,6 @@ mod tests {
             protocol_metrics(&protocol),
             vec![("protocol.reports_per_sec".to_string(), 1000.0)]
         );
-        let scaling = Json::parse(
-            r#"{"sweeps": [
-                {"users": 600, "k": 2, "deep": false, "reports_per_sec": 5.0},
-                {"users": 600, "k": 6, "deep": true, "reports_per_sec": 7.0},
-                {"users": 600, "k": 6, "deep": true, "labeled": true, "reports_per_sec": 9.0}
-            ]}"#,
-        )
-        .unwrap();
-        let m = scaling_metrics(&scaling);
-        assert_eq!(m[0].0, "scaling.u600.k2.reports_per_sec");
-        assert_eq!(m[1].0, "scaling.u600.k6.deep.reports_per_sec");
-        assert_eq!(m[2].0, "scaling.u600.k6.deep.labeled.reports_per_sec");
         let streaming = Json::parse(
             r#"{"points": [{"users": 600, "serial_reports_per_sec": 10.0,
                 "streaming_reports_per_sec": 25.0, "speedup": 2.5}]}"#,

@@ -116,23 +116,12 @@ impl SimulatedFleet {
     }
 
     /// Scan counters accumulated across every worker workspace since the
-    /// fleet was built (or since [`SimulatedFleet::take_scan_stats`]):
-    /// rows scored by the table scorers, lane-kernel usage, and
-    /// lower-bound prunes. Purely observational.
+    /// fleet was built: the rows scored by the table scorers. Purely
+    /// observational.
     pub fn scan_stats(&self) -> ScanStats {
         let mut total = ScanStats::default();
         for worker in &self.workers {
             total.merge(&worker.ws.stats());
-        }
-        total
-    }
-
-    /// Returns the merged scan counters and resets every worker's to zero,
-    /// so callers can attribute counters to a protocol stage or round.
-    pub fn take_scan_stats(&mut self) -> ScanStats {
-        let mut total = ScanStats::default();
-        for worker in &mut self.workers {
-            total.merge(&worker.ws.take_stats());
         }
         total
     }

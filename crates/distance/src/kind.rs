@@ -5,17 +5,6 @@ use crate::workspace::DistanceWorkspace;
 use crate::{euclidean_padded, hausdorff, sed};
 use privshape_timeseries::{CandidateTable, Symbol, SymbolSeq};
 
-/// A distance measure over [`SymbolSeq`]s.
-///
-/// Implemented by [`DistanceKind`]; a trait keeps the mechanisms generic so
-/// downstream users can plug in custom measures (the paper's framework only
-/// requires the relaxed subadditivity of §IV-B for the pruning lemma).
-pub trait SymbolDistance {
-    /// Distance between two symbol sequences; must be non-negative,
-    /// symmetric, and zero on identical inputs.
-    fn dist(&self, a: &SymbolSeq, b: &SymbolSeq) -> f64;
-}
-
 /// The distance measures evaluated in the paper (§V-H).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DistanceKind {
@@ -116,52 +105,23 @@ impl DistanceKind {
         match self {
             DistanceKind::Dtw => {
                 ws.load_own(own);
-                #[cfg(feature = "simd")]
-                {
-                    let DistanceWorkspace {
-                        stack,
-                        block,
-                        stats,
-                        ia,
-                        batch,
-                        ..
-                    } = ws;
-                    prefix::dtw_batch_lanes(stack, block, stats, ia, table, batch);
-                }
-                #[cfg(not(feature = "simd"))]
-                {
-                    let DistanceWorkspace {
-                        stack,
-                        stats,
-                        ia,
-                        batch,
-                        ..
-                    } = ws;
-                    prefix::dtw_batch(stack, stats, ia, table, batch);
-                }
+                let DistanceWorkspace {
+                    stack,
+                    stats,
+                    ia,
+                    batch,
+                    ..
+                } = ws;
+                prefix::dtw_batch(stack, stats, ia, table, batch);
             }
             DistanceKind::Sed => {
-                #[cfg(feature = "simd")]
-                {
-                    let DistanceWorkspace {
-                        stack,
-                        block,
-                        stats,
-                        batch,
-                        ..
-                    } = ws;
-                    prefix::sed_batch_lanes(stack, block, stats, own, table, batch);
-                }
-                #[cfg(not(feature = "simd"))]
-                {
-                    let DistanceWorkspace {
-                        stack,
-                        stats,
-                        batch,
-                        ..
-                    } = ws;
-                    prefix::sed_batch(stack, stats, own, table, batch);
-                }
+                let DistanceWorkspace {
+                    stack,
+                    stats,
+                    batch,
+                    ..
+                } = ws;
+                prefix::sed_batch(stack, stats, own, table, batch);
             }
             DistanceKind::Euclidean => {
                 ws.load_own(own);
@@ -183,12 +143,8 @@ impl DistanceKind {
     /// contract enables **early abandoning** on top of prefix reuse: DP
     /// values only grow with candidate depth, so once a shared row's
     /// minimum exceeds the running best, every candidate extending that
-    /// prefix is skipped without touching its suffix. DTW and SED rows are
-    /// additionally screened by O(1) admissible envelope lower bounds
-    /// ([`crate::DtwEnvelopeBound`], [`crate::SedEnvelopeBound`]) built
-    /// from the table's precomputed envelope columns, killing hopeless
-    /// rows before any DP work. Ties resolve to the earlier row, exactly
-    /// like the full scan.
+    /// prefix is skipped without touching its suffix. Ties resolve to the
+    /// earlier row, exactly like the full scan.
     pub fn argmin_table(
         &self,
         ws: &mut DistanceWorkspace,
@@ -244,12 +200,6 @@ impl DistanceKind {
             DistanceKind::Euclidean => "euclidean",
             DistanceKind::Hausdorff => "hausdorff",
         }
-    }
-}
-
-impl SymbolDistance for DistanceKind {
-    fn dist(&self, a: &SymbolSeq, b: &SymbolSeq) -> f64 {
-        DistanceKind::dist(self, a, b)
     }
 }
 
@@ -317,12 +267,6 @@ mod tests {
             "L2".parse::<DistanceKind>().unwrap(),
             DistanceKind::Euclidean
         );
-    }
-
-    #[test]
-    fn trait_object_dispatch_works() {
-        let d: &dyn SymbolDistance = &DistanceKind::Sed;
-        assert_eq!(d.dist(&seq("ab"), &seq("ba")), 2.0);
     }
 
     #[test]

@@ -38,26 +38,15 @@ mod dtw;
 mod euclidean;
 mod hausdorff;
 mod kind;
-mod lb;
 mod prefix;
 mod score;
 mod sed;
-#[cfg(feature = "simd")]
-pub mod simd;
 mod workspace;
 
 pub use dtw::{dtw, dtw_banded, Dtw};
 pub use euclidean::{euclidean, euclidean_padded};
 pub use hausdorff::hausdorff;
-pub use kind::{DistanceKind, SymbolDistance};
-pub use lb::{DtwEnvelopeBound, SedEnvelopeBound};
+pub use kind::DistanceKind;
 pub use score::{em_score, em_scores};
 pub use sed::sed;
 pub use workspace::{DistanceWorkspace, ScanStats};
-
-/// Whether this build of the crate scores sibling batches through the
-/// candidate-parallel lane kernels (`--features simd`). The scalar path is
-/// always compiled and stays the reference either way.
-pub const fn simd_enabled() -> bool {
-    cfg!(feature = "simd")
-}

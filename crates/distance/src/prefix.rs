@@ -35,7 +35,6 @@
 //! non-negatives is monotone), so a row whose minimum already exceeds the
 //! running best proves every candidate extending that prefix is worse.
 
-use crate::lb::{DtwEnvelopeBound, SedEnvelopeBound};
 use crate::workspace::ScanStats;
 use privshape_timeseries::{CandidateTable, Symbol};
 
@@ -67,7 +66,7 @@ fn record_min(mins: &mut Vec<f64>, d: usize, rmin: f64) {
 /// `i + 1`), returning the new row's minimum. `own` is the inner (column)
 /// dimension; `m = own.len()` must be non-zero.
 #[inline(always)]
-pub(crate) fn dtw_extend(stack: &mut Vec<f64>, own: &[f64], i: usize, sym: f64) -> f64 {
+fn dtw_extend(stack: &mut Vec<f64>, own: &[f64], i: usize, sym: f64) -> f64 {
     let m = own.len();
     let need = (i + 1) * m;
     if stack.len() < need {
@@ -107,7 +106,7 @@ pub(crate) fn dtw_extend(stack: &mut Vec<f64>, own: &[f64], i: usize, sym: f64) 
 /// depth-0 base row `0..=m` must already be present), returning the new
 /// row's minimum. Rows have width `own.len() + 1`.
 #[inline(always)]
-pub(crate) fn sed_extend(stack: &mut Vec<f64>, own: &[Symbol], d: usize, sym: Symbol) -> f64 {
+fn sed_extend(stack: &mut Vec<f64>, own: &[Symbol], d: usize, sym: Symbol) -> f64 {
     let w = own.len() + 1;
     let need = (d + 1) * w;
     if stack.len() < need {
@@ -132,7 +131,7 @@ pub(crate) fn sed_extend(stack: &mut Vec<f64>, own: &[Symbol], d: usize, sym: Sy
 }
 
 /// Writes the SED base row (`stack[j] = j` for the empty candidate prefix).
-pub(crate) fn sed_base(stack: &mut Vec<f64>, m: usize) {
+fn sed_base(stack: &mut Vec<f64>, m: usize) {
     let w = m + 1;
     if stack.len() < w {
         stack.resize(w, 0.0);
@@ -175,10 +174,6 @@ fn euc_finish(stack: &[f64], own: &[f64], cand: &[Symbol]) -> f64 {
 /// DTW distances from `own` (as alphabet indices) to every table row,
 /// resuming shared DP rows across candidates. Bit-identical to the flat
 /// path per row.
-///
-/// Always compiled: this is the scalar reference the lane kernels are
-/// pinned against (and the dispatch target without `--features simd`).
-#[cfg_attr(feature = "simd", allow(dead_code))]
 pub(crate) fn dtw_batch(
     stack: &mut Vec<f64>,
     stats: &mut ScanStats,
@@ -213,10 +208,6 @@ pub(crate) fn dtw_batch(
 
 /// SED distances from `own` to every table row via a resumable Levenshtein
 /// row stack. Exact (integer-valued) per row.
-///
-/// Always compiled: this is the scalar reference the lane kernels are
-/// pinned against (and the dispatch target without `--features simd`).
-#[cfg_attr(feature = "simd", allow(dead_code))]
 pub(crate) fn sed_batch(
     stack: &mut Vec<f64>,
     stats: &mut ScanStats,
@@ -237,163 +228,6 @@ pub(crate) fn sed_batch(
         }
         valid = cand.len();
         out.push(stack[cand.len() * w + w - 1]);
-    }
-}
-
-/// Reads the four-row lane window starting at row `ci` off the table's
-/// precomputed window index ([`CandidateTable::window`]): rows
-/// `ci..ci + LANES` must all have length `l`; returns the window's common
-/// prefix depth `p` (clamped to `l − 1` so at least one row is advanced)
-/// and the number of DP rows the scalar resume path would compute for the
-/// same four rows. `start` is the first row's resume depth.
-///
-/// The LCP index proves the common prefix transitively: every row's LCP
-/// with its predecessor is at least `p`, so all four share their first
-/// `p` symbols. The lookup is O(1) — the per-row length/LCP probe is paid
-/// once at table construction, not per user on the scoring hot path.
-#[cfg(feature = "simd")]
-#[inline(always)]
-fn lane_window(
-    table: &CandidateTable,
-    ci: usize,
-    l: usize,
-    start: usize,
-) -> Option<(usize, usize)> {
-    const _: () = assert!(CandidateTable::WINDOW == crate::simd::F64_LANES);
-    let (min_lcp, lcp_sum) = table.window(ci)?;
-    let scalar_rows = (l - start) + (CandidateTable::WINDOW - 1) * l - lcp_sum;
-    Some((min_lcp.min(l - 1), scalar_rows))
-}
-
-/// Lane-parallel [`dtw_batch`]: any four consecutive same-length rows
-/// advance their unshared suffix rows [`crate::simd::F64_LANES`]
-/// candidates at a time through the workspace's
-/// [`crate::simd::SiblingBlock`], starting from the window's common
-/// prefix depth — sibling runs advance one register-resident row, cousin
-/// (and deeper) windows ping-pong lane-major rows. A window engages only
-/// when its total lane cell work does not exceed the scalar resume work,
-/// so engagement is a strict win: no more cells than scalar, and the
-/// lanes' four independent dependency chains replace the serial `left`
-/// chain. Everything else takes the scalar path. Bit-identical to
-/// [`dtw_batch`] — each lane is the scalar op sequence.
-#[cfg(feature = "simd")]
-pub(crate) fn dtw_batch_lanes(
-    stack: &mut Vec<f64>,
-    block: &mut crate::simd::SiblingBlock,
-    stats: &mut ScanStats,
-    own: &[f64],
-    table: &CandidateTable,
-    out: &mut Vec<f64>,
-) {
-    use crate::simd::{dtw_rows_f64x4, F64_LANES};
-    out.clear();
-    let m = own.len();
-    if m == 0 {
-        out.resize(table.len(), f64::INFINITY);
-        return;
-    }
-    stats.rows += table.len() as u64;
-    let mut valid = 0usize;
-    let mut rows = table.rows().enumerate();
-    while let Some((ci, cand)) = rows.next() {
-        let l = cand.len();
-        if l == 0 {
-            out.push(f64::INFINITY);
-            valid = 0;
-            continue;
-        }
-        let start = table.lcp(ci).min(valid);
-        if let Some((p, scalar_rows)) = lane_window(table, ci, l, start) {
-            let steps = l - p;
-            if F64_LANES * steps <= scalar_rows {
-                // Advance the shared prefix rows (depths `start..p`)
-                // once, scalar; all four lanes restart from them.
-                for (d, &sym) in cand.iter().enumerate().take(p).skip(start) {
-                    dtw_extend(stack, own, d, sym.index() as f64);
-                }
-                let lanes: [&[Symbol]; F64_LANES] =
-                    std::array::from_fn(|lane| table.row(ci + lane));
-                block.syms_f64.clear();
-                block.syms_f64.extend(
-                    (p..l).map(|d| std::array::from_fn(|lane| lanes[lane][d].index() as f64)),
-                );
-                let prev = (p >= 1).then(|| &stack[(p - 1) * m..p * m]);
-                dtw_rows_f64x4(block, prev, own);
-                out.extend_from_slice(block.out());
-                stats.lane_rows += F64_LANES as u64;
-                stats.lane_batches += 1;
-                // The lanes never wrote the stack: rows `0..p` (the
-                // common prefix — also a prefix of the window's last
-                // row) are what a successor may resume from.
-                valid = p;
-                // The window consumed the three follower rows too.
-                rows.nth(F64_LANES - 2);
-                continue;
-            }
-        }
-        for (d, &sym) in cand.iter().enumerate().skip(start) {
-            dtw_extend(stack, own, d, sym.index() as f64);
-        }
-        valid = l;
-        out.push(stack[(l - 1) * m + m - 1]);
-    }
-}
-
-/// Lane-parallel [`sed_batch`] (see [`dtw_batch_lanes`]); exact
-/// integer-valued results per row.
-#[cfg(feature = "simd")]
-pub(crate) fn sed_batch_lanes(
-    stack: &mut Vec<f64>,
-    block: &mut crate::simd::SiblingBlock,
-    stats: &mut ScanStats,
-    own: &[Symbol],
-    table: &CandidateTable,
-    out: &mut Vec<f64>,
-) {
-    use crate::simd::{sed_rows_f64x4, F64_LANES};
-    out.clear();
-    let m = own.len();
-    let w = m + 1;
-    sed_base(stack, m);
-    stats.rows += table.len() as u64;
-    let mut valid = 0usize;
-    let mut rows = table.rows().enumerate();
-    while let Some((ci, cand)) = rows.next() {
-        let l = cand.len();
-        let start = table.lcp(ci).min(valid);
-        if l == 0 {
-            out.push(stack[w - 1]);
-            valid = 0;
-            continue;
-        }
-        if let Some((p, scalar_rows)) = lane_window(table, ci, l, start) {
-            let steps = l - p;
-            if F64_LANES * steps <= scalar_rows {
-                for (d, &sym) in cand.iter().enumerate().take(p).skip(start) {
-                    sed_extend(stack, own, d + 1, sym);
-                }
-                let lanes: [&[Symbol]; F64_LANES] =
-                    std::array::from_fn(|lane| table.row(ci + lane));
-                block.syms_sym.clear();
-                block
-                    .syms_sym
-                    .extend((p..l).map(|d| std::array::from_fn(|lane| lanes[lane][d])));
-                let prev = &stack[p * w..(p + 1) * w];
-                sed_rows_f64x4(block, prev, p, own);
-                out.extend_from_slice(block.out());
-                stats.lane_rows += F64_LANES as u64;
-                stats.lane_batches += 1;
-                valid = p;
-                // The window consumed the three follower rows too.
-                rows.nth(F64_LANES - 2);
-                continue;
-            }
-        }
-        for (d, &sym) in cand.iter().enumerate().skip(start) {
-            sed_extend(stack, own, d + 1, sym);
-        }
-        valid = l;
-        out.push(stack[l * w + w - 1]);
     }
 }
 
@@ -431,10 +265,8 @@ pub(crate) fn euc_batch(
 /// `(row, distance)` of the first row minimizing DTW distance to `own`,
 /// with prefix-stack reuse *and* early abandoning: once a DP row's minimum
 /// exceeds the running best, no candidate extending that prefix can win,
-/// so the whole subtree is skipped. Rows are additionally screened by the
-/// O(1) envelope lower bound ([`DtwEnvelopeBound`]) before any DP work.
-/// Both skips are strict (`> best`), so ties resolve to the earlier row,
-/// exactly like a full scan with `d < best`.
+/// so the whole subtree is skipped. The skip is strict (`> best`), so ties
+/// resolve to the earlier row, exactly like a full scan with `d < best`.
 pub(crate) fn dtw_argmin(
     stack: &mut Vec<f64>,
     mins: &mut Vec<f64>,
@@ -448,7 +280,6 @@ pub(crate) fn dtw_argmin(
         return best;
     }
     stats.rows += table.len() as u64;
-    let lb = DtwEnvelopeBound::new(own);
     let mut valid = 0usize;
     for (ci, cand) in table.rows().enumerate() {
         let l = cand.len();
@@ -460,16 +291,6 @@ pub(crate) fn dtw_argmin(
         if start > 0 && mins[start - 1] > best.1 {
             valid = start;
             continue;
-        }
-        stats.lb_checked += 1;
-        if let Some((lo, hi)) = table.envelope(ci) {
-            if lb.bound(lo, hi) > best.1 {
-                // The bound is admissible, so the true distance also
-                // exceeds `best` — skip without touching the DP stack.
-                stats.lb_pruned += 1;
-                valid = start;
-                continue;
-            }
         }
         let mut abandoned = false;
         for (d, &sym) in cand.iter().enumerate().skip(start) {
@@ -493,8 +314,7 @@ pub(crate) fn dtw_argmin(
     best
 }
 
-/// Early-abandoned SED argmin (see [`dtw_argmin`]), screened by the O(1)
-/// symbol-set lower bound ([`SedEnvelopeBound`]).
+/// Early-abandoned SED argmin (see [`dtw_argmin`]).
 pub(crate) fn sed_argmin(
     stack: &mut Vec<f64>,
     mins: &mut Vec<f64>,
@@ -506,7 +326,6 @@ pub(crate) fn sed_argmin(
     let w = m + 1;
     sed_base(stack, m);
     stats.rows += table.len() as u64;
-    let lb = SedEnvelopeBound::new(own);
     let mut best = (0usize, f64::INFINITY);
     let mut valid = 0usize;
     for (ci, cand) in table.rows().enumerate() {
@@ -523,12 +342,6 @@ pub(crate) fn sed_argmin(
         }
         let start = table.lcp(ci).min(valid);
         if start > 0 && mins[start - 1] > best.1 {
-            valid = start;
-            continue;
-        }
-        stats.lb_checked += 1;
-        if lb.bound(l, table.row_mask(ci)) > best.1 {
-            stats.lb_pruned += 1;
             valid = start;
             continue;
         }

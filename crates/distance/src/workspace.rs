@@ -49,76 +49,26 @@ pub struct DistanceWorkspace {
     pub(crate) stack: Vec<f64>,
     /// Per-depth row minima backing early-abandoned argmin scans.
     pub(crate) mins: Vec<f64>,
-    /// Counters for the table scorers (rows scored in lanes vs scalar,
-    /// lower-bound prunes); purely observational, never part of a result.
+    /// Counters for the table scorers; purely observational, never part
+    /// of a result.
     pub(crate) stats: ScanStats,
-    /// Lane-major scratch for candidate-parallel sibling batches.
-    #[cfg(feature = "simd")]
-    pub(crate) block: crate::simd::SiblingBlock,
 }
 
 /// Observational counters for the table scorers, accumulated on a
-/// [`DistanceWorkspace`] across calls.
-///
-/// * `rows` — candidate rows routed through `dist_batch_table` /
-///   `argmin_table` for DTW and SED (the engines with lane kernels and
-///   envelope bounds).
-/// * `lane_rows` / `lane_batches` — rows scored inside candidate-parallel
-///   lane kernels, and kernel invocations (0 without `--features simd`).
-///   `lane_rows / (lane_batches · lane width)` is the lane occupancy; a
-///   low value means sibling batches were too small to fill lanes and the
-///   scorer mostly ran scalar.
-/// * `lb_checked` / `lb_pruned` — argmin rows where an envelope lower
-///   bound was evaluated, and rows it skipped before any DP work.
-///
-/// Counters are observational only: they never influence scoring results.
+/// [`DistanceWorkspace`] across calls. They never influence scoring
+/// results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Candidate rows routed through the DTW/SED table scorers.
+    /// Candidate rows routed through `dist_batch_table` / `argmin_table`
+    /// for DTW and SED.
     pub rows: u64,
-    /// Rows scored inside lane kernels.
-    pub lane_rows: u64,
-    /// Lane-kernel invocations.
-    pub lane_batches: u64,
-    /// Argmin rows where an envelope lower bound was evaluated.
-    pub lb_checked: u64,
-    /// Argmin rows skipped by the lower bound before any DP work.
-    pub lb_pruned: u64,
 }
 
 impl ScanStats {
-    /// The lane width lane occupancy is measured against (fixed so
-    /// occupancy stays comparable between scalar and `simd` builds).
-    pub const LANE_WIDTH: u64 = 4;
-
     /// Adds another set of counters into this one (used to merge
     /// per-worker workspaces into fleet totals).
     pub fn merge(&mut self, other: &ScanStats) {
         self.rows += other.rows;
-        self.lane_rows += other.lane_rows;
-        self.lane_batches += other.lane_batches;
-        self.lb_checked += other.lb_checked;
-        self.lb_pruned += other.lb_pruned;
-    }
-
-    /// Fraction of lane slots that held a real candidate
-    /// (`lane_rows / (lane_batches · LANE_WIDTH)`), or `None` if no lane
-    /// kernel ran.
-    pub fn lane_occupancy(&self) -> Option<f64> {
-        (self.lane_batches > 0)
-            .then(|| self.lane_rows as f64 / (self.lane_batches * Self::LANE_WIDTH) as f64)
-    }
-
-    /// Fraction of rows scored in lanes rather than scalar
-    /// (`lane_rows / rows`), or `None` if nothing was scored.
-    pub fn lane_coverage(&self) -> Option<f64> {
-        (self.rows > 0).then(|| self.lane_rows as f64 / self.rows as f64)
-    }
-
-    /// Fraction of bound checks that pruned a row
-    /// (`lb_pruned / lb_checked`), or `None` if no bound was evaluated.
-    pub fn lb_hit_rate(&self) -> Option<f64> {
-        (self.lb_checked > 0).then(|| self.lb_pruned as f64 / self.lb_checked as f64)
     }
 }
 
@@ -131,12 +81,6 @@ impl DistanceWorkspace {
     /// The scan counters accumulated so far (see [`ScanStats`]).
     pub fn stats(&self) -> ScanStats {
         self.stats
-    }
-
-    /// Returns the accumulated scan counters and resets them to zero
-    /// (used to attribute counters to a protocol stage).
-    pub fn take_stats(&mut self) -> ScanStats {
-        std::mem::take(&mut self.stats)
     }
 
     /// Fills the two index buffers with the numeric view of `a` and `b`

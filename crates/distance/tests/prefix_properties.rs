@@ -1,16 +1,15 @@
 //! Property tests for the prefix-resumable table scorers: resuming shared
-//! DP state across candidates must be a pure optimization — bit-identical
-//! distances and identical argmins versus the flat per-candidate path, for
-//! every distance kind, on prefix-ordered *and* arbitrarily ordered tables.
+//! DP state across candidates, and abandoning a shared prefix early in an
+//! argmin scan, must be pure optimizations — bit-identical distances and
+//! identical argmins versus the flat per-candidate path, for every
+//! distance kind.
 //!
-//! Built with `--features simd`, `dist_batch_table` routes DTW/SED through
-//! the candidate-parallel lane kernels and `argmin_table` screens rows with
-//! the envelope lower bounds, so the same assertions below also pin
-//! lanes-vs-scalar bit-identity and bound admissibility. The sibling-run
-//! test targets the lane path specifically: explicit sibling groups of
-//! every size from 1 up past the lane width, trie-ordered and shuffled.
+//! Each property runs on two table shapes: free rows, and sibling runs
+//! (1–5 children under each shared parent, the shape of a trie level).
+//! Each shape is fed trie-ordered, in insertion order, and shuffled, with
+//! one workspace reused throughout.
 
-use privshape_distance::{DistanceKind, DistanceWorkspace, DtwEnvelopeBound, SedEnvelopeBound};
+use privshape_distance::{DistanceKind, DistanceWorkspace};
 use privshape_timeseries::{CandidateTable, Symbol, SymbolSeq};
 use proptest::prelude::*;
 
@@ -43,9 +42,7 @@ fn same(a: f64, b: f64) -> bool {
 }
 
 /// Sibling-group rows: each group is a shared prefix plus 1..=5 children
-/// differing only in their final symbol (duplicates allowed) — exactly the
-/// shape the lane kernels batch, with ragged tails at every size from a
-/// single row up past the 4-wide lanes.
+/// differing only in their final symbol (duplicates allowed).
 fn sibling_rows_strategy() -> impl Strategy<Value = Vec<SymbolSeq>> {
     prop::collection::vec(
         (
@@ -83,32 +80,65 @@ fn shuffled(rows: &[SymbolSeq], mut seed: u64) -> Vec<SymbolSeq> {
     v
 }
 
+/// `rows` trie-ordered, in insertion order, and shuffled by `seed`.
+fn orderings(rows: &[SymbolSeq], seed: u64) -> [Vec<SymbolSeq>; 3] {
+    [trie_ordered(rows), rows.to_vec(), shuffled(rows, seed)]
+}
+
+/// Every kind's table batch equals the flat allocating path bit for bit,
+/// row for row, on each ordering of `rows`, with `ws` reused throughout.
+fn check_batch_matches_flat(
+    ws: &mut DistanceWorkspace,
+    own: &SymbolSeq,
+    rows: &[SymbolSeq],
+    seed: u64,
+) {
+    for ordered in orderings(rows, seed) {
+        let table = table_of(&ordered);
+        for kind in DistanceKind::ALL {
+            let batch = kind.dist_batch_table(ws, own.symbols(), &table).to_vec();
+            prop_assert_eq!(batch.len(), ordered.len());
+            for (got, cand) in batch.iter().zip(&ordered) {
+                let want = kind.dist(own, cand);
+                prop_assert!(
+                    same(*got, want),
+                    "{} on {} vs {}: {} != {}",
+                    kind,
+                    own,
+                    cand,
+                    got,
+                    want
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The table batch scorer equals the flat allocating path bit for bit,
-    /// row for row — whether or not the rows arrive in prefix order, and
-    /// with one workspace reused across every kind and both orders.
+    /// row for row, on free rows — whether or not they arrive in prefix
+    /// order, and with one workspace reused across every kind and order.
     #[test]
     fn prefix_batch_is_bit_identical_to_flat(
         own in seq_strategy(),
         rows in prop::collection::vec(seq_strategy(), 0..14),
+        seed in 0u64..u64::MAX,
     ) {
-        let mut ws = DistanceWorkspace::new();
-        for ordered in [trie_ordered(&rows), rows.clone()] {
-            let table = table_of(&ordered);
-            for kind in DistanceKind::ALL {
-                let batch = kind.dist_batch_table(&mut ws, own.symbols(), &table).to_vec();
-                prop_assert_eq!(batch.len(), ordered.len());
-                for (got, cand) in batch.iter().zip(&ordered) {
-                    let want = kind.dist(&own, cand);
-                    prop_assert!(
-                        same(*got, want),
-                        "{} on {} vs {}: {} != {}", kind, own, cand, got, want
-                    );
-                }
-            }
-        }
+        check_batch_matches_flat(&mut DistanceWorkspace::new(), &own, &rows, seed);
+    }
+
+    /// The same bit-identity on sibling-run tables, the shape of a trie
+    /// level where runs of children share everything but their last
+    /// symbol: trie-ordered, in insertion order, and shuffled.
+    #[test]
+    fn lane_batches_are_bit_identical_on_sibling_runs(
+        own in seq_strategy(),
+        rows in sibling_rows_strategy(),
+        seed in 0u64..u64::MAX,
+    ) {
+        check_batch_matches_flat(&mut DistanceWorkspace::new(), &own, &rows, seed);
     }
 
     /// The LCP index survives arbitrary interleavings of pushes: it never
@@ -139,9 +169,11 @@ proptest! {
     fn early_abandon_argmin_equals_full_scan(
         own in seq_strategy(),
         rows in prop::collection::vec(seq_strategy(), 1..14),
+        siblings in sibling_rows_strategy(),
+        seed in 0u64..u64::MAX,
     ) {
         let mut ws = DistanceWorkspace::new();
-        for ordered in [trie_ordered(&rows), rows.clone()] {
+        for ordered in orderings(&rows, seed).into_iter().chain(orderings(&siblings, seed)) {
             let table = table_of(&ordered);
             for kind in DistanceKind::ALL {
                 let mut want = (0usize, f64::INFINITY);
@@ -160,58 +192,6 @@ proptest! {
                     "{} on {}: {} != {}", kind, own, got.1, want.1
                 );
             }
-        }
-    }
-
-    /// Sibling-run tables — the exact shape the lane kernels batch, with
-    /// run lengths straddling the lane width — score bit-identically to
-    /// the flat scalar path, trie-ordered and shuffled, with one workspace
-    /// reused throughout. Under `--features simd` every multi-row run in
-    /// the trie-ordered table goes through the f64x4 kernels (ragged tails
-    /// included); without the feature this pins the same scalar reference
-    /// the kernels are held to.
-    #[test]
-    fn lane_batches_are_bit_identical_on_sibling_runs(
-        own in seq_strategy(),
-        rows in sibling_rows_strategy(),
-        seed in 0u64..u64::MAX,
-    ) {
-        let mut ws = DistanceWorkspace::new();
-        for ordered in [trie_ordered(&rows), rows.clone(), shuffled(&rows, seed)] {
-            let table = table_of(&ordered);
-            for kind in [DistanceKind::Dtw, DistanceKind::Sed] {
-                let batch = kind.dist_batch_table(&mut ws, own.symbols(), &table).to_vec();
-                for (got, cand) in batch.iter().zip(&ordered) {
-                    let want = kind.dist(&own, cand);
-                    prop_assert!(
-                        same(*got, want),
-                        "{} on {} vs {}: {} != {}", kind, own, cand, got, want
-                    );
-                }
-            }
-        }
-    }
-
-    /// The envelope lower bounds are admissible: never above the true
-    /// distance, for every row of any table. (Admissibility is exactly
-    /// what makes the argmin's strict `bound > best` skip lossless.)
-    #[test]
-    fn envelope_bounds_never_exceed_true_distances(
-        own in seq_strategy(),
-        rows in prop::collection::vec(seq_strategy(), 1..14),
-    ) {
-        let table = table_of(&rows);
-        let dtw_lb = DtwEnvelopeBound::new(&own.as_indices());
-        let sed_lb = SedEnvelopeBound::new(own.symbols());
-        for (i, cand) in rows.iter().enumerate() {
-            if let Some((lo, hi)) = table.envelope(i) {
-                let d = DistanceKind::Dtw.dist(&own, cand);
-                let b = dtw_lb.bound(lo, hi);
-                prop_assert!(b <= d, "dtw {} vs {}: bound {} > {}", own, cand, b, d);
-            }
-            let d = DistanceKind::Sed.dist(&own, cand);
-            let b = sed_lb.bound(cand.len(), table.row_mask(i));
-            prop_assert!(b <= d, "sed {} vs {}: bound {} > {}", own, cand, b, d);
         }
     }
 }

@@ -6,7 +6,7 @@ pub type Result<T> = std::result::Result<T, LdpError>;
 /// Errors produced by the LDP substrate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LdpError {
-    /// ε must be finite and strictly positive.
+    /// ε must be strictly positive, with `e^ε` finite.
     InvalidEpsilon(f64),
     /// Frequency oracles need a domain of at least two items.
     InvalidDomain(usize),
@@ -46,7 +46,7 @@ impl fmt::Display for LdpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LdpError::InvalidEpsilon(e) => {
-                write!(f, "privacy budget must be finite and > 0, got {e}")
+                write!(f, "privacy budget must be > 0 with a finite e^ε, got {e}")
             }
             LdpError::InvalidDomain(d) => write!(f, "domain must have >= 2 items, got {d}"),
             LdpError::ValueOutOfDomain { value, domain } => {
@@ -81,9 +81,11 @@ impl std::error::Error for LdpError {}
 pub struct Epsilon(f64);
 
 impl Epsilon {
-    /// Creates a budget, rejecting non-finite and non-positive values.
+    /// Creates a budget, rejecting non-positive values and any ε whose
+    /// `e^ε` overflows `f64` (ε ≳ 709.78), where the mechanisms'
+    /// probabilities would turn into NaN.
     pub fn new(eps: f64) -> Result<Self> {
-        if eps.is_finite() && eps > 0.0 {
+        if eps > 0.0 && eps.exp().is_finite() {
             Ok(Epsilon(eps))
         } else {
             Err(LdpError::InvalidEpsilon(eps))
@@ -168,6 +170,8 @@ mod tests {
         assert!(Epsilon::new(-2.0).is_err());
         assert!(Epsilon::new(f64::NAN).is_err());
         assert!(Epsilon::new(f64::INFINITY).is_err());
+        assert!(Epsilon::new(709.0).is_ok());
+        assert!(Epsilon::new(710.0).is_err());
     }
 
     #[test]

@@ -166,8 +166,9 @@ mod tests {
 
     #[test]
     fn huge_scores_do_not_overflow() {
-        // The max-subtraction keeps exp() finite even for wild score scales.
-        let em = ExpMech::with_sensitivity(eps(1000.0), 1.0).unwrap();
+        // The max-subtraction keeps exp() finite even for wild score scales
+        // (ε / 2Δ = 500 here).
+        let em = ExpMech::with_sensitivity(eps(1.0), 1e-3).unwrap();
         let p = em.probabilities(&[1.0, 0.0]);
         assert!(p[0] > 0.999 && p[0].is_finite());
     }

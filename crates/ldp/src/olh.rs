@@ -33,9 +33,9 @@ pub struct Olh {
 
 impl Olh {
     /// Creates the mechanism with the variance-optimal hash range
-    /// `g = ⌈e^ε⌉ + 1` (at least 2).
+    /// `g = ⌈e^ε⌉ + 1` (at least 2, at most `usize::MAX`).
     pub fn new(eps: Epsilon) -> Self {
-        let g = ((eps.exp().round() as usize) + 1).max(2);
+        let g = (eps.exp().round() as usize).saturating_add(1).max(2);
         let p = eps.exp() / (eps.exp() + g as f64 - 1.0);
         Self { eps, g, p }
     }

@@ -95,6 +95,39 @@ proptest! {
         }
     }
 
+    /// Any ε, log-uniform over [1e-9, 1e6], is either refused by
+    /// `Epsilon::new` (only where `e^ε` overflows) or yields GRR, OUE, OLH
+    /// and piecewise mechanisms whose probabilities lie in [0, 1] and whose
+    /// perturbations return instead of panicking.
+    #[test]
+    fn any_epsilon_is_refused_or_yields_sound_mechanisms(
+        log10_eps in -9.0f64..6.0,
+        seed in 0u64..500,
+    ) {
+        let eps = 10f64.powf(log10_eps);
+        match Epsilon::new(eps) {
+            Err(_) => prop_assert!(!eps.exp().is_finite(), "refused ε = {}", eps),
+            Ok(e) => {
+                let grr = Grr::new(4, e).unwrap();
+                let oue = Oue::new(4, e).unwrap();
+                let olh = Olh::new(e);
+                let pm = PiecewiseMechanism::new(e);
+                // The piecewise plateau mass e^{ε/2} / (e^{ε/2} + 1), written
+                // through the public bound C = (e^{ε/2} + 1) / (e^{ε/2} − 1).
+                let c = pm.output_bound();
+                let plateau = (c + 1.0) / (2.0 * c);
+                for p in [grr.p(), grr.q(), Oue::P, oue.q(), olh.p(), plateau] {
+                    prop_assert!((0.0..=1.0).contains(&p), "ε = {}: p = {}", eps, p);
+                }
+                let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                prop_assert!(grr.try_perturb(&mut rng, 1).unwrap() < 4);
+                prop_assert!(oue.try_perturb(&mut rng, 1).is_ok());
+                prop_assert!(olh.perturb(&mut rng, 1).value < olh.g());
+                prop_assert!(pm.try_perturb(&mut rng, 0.5).unwrap().abs() <= c);
+            }
+        }
+    }
+
     #[test]
     fn epsilon_composition_laws(a in 0.01f64..10.0, b in 0.01f64..10.0) {
         let ea = Epsilon::new(a).unwrap();

@@ -6,7 +6,7 @@
 //! list each time a broadcast is copied. A [`CandidateTable`] packs all
 //! shapes into one flat symbol buffer plus a row-offset vector, so
 //!
-//! * the whole table is **two** allocations regardless of row count,
+//! * the whole table is **three** allocations regardless of row count,
 //! * rows come back as borrowed `&[Symbol]` slices (no per-row rebuild),
 //! * wrapping the table in `Arc` makes broadcasting it to millions of
 //!   simulated clients a pointer copy.
@@ -49,39 +49,6 @@ pub struct CandidateTable {
     /// let batch scorers resume shared DP state; arbitrary orders merely
     /// yield small values, never wrong ones.
     lcp: Vec<usize>,
-    /// Per-row envelope: `row_lo[i]`/`row_hi[i]` are the smallest/largest
-    /// symbol index in row `i` (`lo > hi` encodes an empty row), and
-    /// `row_mask[i]` is the row's symbol-set bitmask (bit `s` ⇔ the row
-    /// contains symbol index `s`). Like `lcp`, all three are pure
-    /// functions of the row contents maintained by
-    /// [`CandidateTable::push`], so the derived `PartialEq`/`Hash` stay
-    /// canonical. Distance scorers use them for O(1) admissible
-    /// lower bounds that skip rows (and therefore whole shared-prefix
-    /// subtrees) before any dynamic-programming work.
-    row_lo: Vec<u8>,
-    /// See `row_lo`.
-    row_hi: Vec<u8>,
-    /// See `row_lo`.
-    row_mask: Vec<u32>,
-    /// Per-depth (per trie level) envelope across *all* rows:
-    /// `env_lo[d]`/`env_hi[d]` bound the symbol at position `d` of every
-    /// row long enough to have one — the LB_Keogh-style envelope of the
-    /// whole candidate set, precomputed once at construction.
-    env_lo: Vec<u8>,
-    /// See `env_lo`.
-    env_hi: Vec<u8>,
-    /// Four-row window index: `win_min_lcp[i]` / `win_lcp_sum[i]` are the
-    /// minimum and sum of `lcp[i + 1..i + WINDOW]` when rows
-    /// `i..i + WINDOW` all exist and have the same non-zero length, and
-    /// `usize::MAX` / `0` otherwise. Like `lcp`, a pure function of the
-    /// row contents maintained by [`CandidateTable::push`] (each push
-    /// finalizes the entry four rows back in O(1)), so the derived
-    /// `PartialEq`/`Hash` stay canonical. Lane-batched scorers read one
-    /// precomputed entry instead of probing four rows' lengths and LCPs
-    /// per candidate on the per-user hot path.
-    win_min_lcp: Vec<usize>,
-    /// See `win_min_lcp`.
-    win_lcp_sum: Vec<usize>,
 }
 
 impl CandidateTable {
@@ -97,13 +64,6 @@ impl CandidateTable {
             symbols: Vec::with_capacity(symbols),
             offsets: Vec::with_capacity(rows),
             lcp: Vec::with_capacity(rows),
-            row_lo: Vec::with_capacity(rows),
-            row_hi: Vec::with_capacity(rows),
-            row_mask: Vec::with_capacity(rows),
-            env_lo: Vec::new(),
-            env_hi: Vec::new(),
-            win_min_lcp: Vec::with_capacity(rows),
-            win_lcp_sum: Vec::with_capacity(rows),
         }
     }
 
@@ -149,43 +109,6 @@ impl CandidateTable {
         self.symbols.extend_from_slice(row);
         self.offsets.push(self.symbols.len());
         self.lcp.push(lcp);
-        // Envelope columns: one O(|row|) pass keeps every derived column a
-        // pure function of the row contents (empty rows: lo > hi, mask 0).
-        let (mut lo, mut hi, mut mask) = (u8::MAX, 0u8, 0u32);
-        if self.env_lo.len() < row.len() {
-            self.env_lo.resize(row.len(), u8::MAX);
-            self.env_hi.resize(row.len(), 0);
-        }
-        for (d, &sym) in row.iter().enumerate() {
-            let s = sym.index() as u8;
-            lo = lo.min(s);
-            hi = hi.max(s);
-            mask |= 1 << s;
-            self.env_lo[d] = self.env_lo[d].min(s);
-            self.env_hi[d] = self.env_hi[d].max(s);
-        }
-        self.row_lo.push(lo);
-        self.row_hi.push(hi);
-        self.row_mask.push(mask);
-        // Window index: this row's own entry starts empty (it has no
-        // followers yet); the entry WINDOW − 1 rows back is now complete.
-        self.win_min_lcp.push(usize::MAX);
-        self.win_lcp_sum.push(0);
-        let rows = self.offsets.len();
-        if rows >= Self::WINDOW {
-            let i = rows - Self::WINDOW;
-            let l = self.row_len(i);
-            if l > 0 && (i + 1..rows).all(|r| self.row_len(r) == l) {
-                let followers = &self.lcp[i + 1..rows];
-                self.win_min_lcp[i] = followers.iter().copied().min().unwrap_or(usize::MAX);
-                self.win_lcp_sum[i] = followers.iter().sum();
-            }
-        }
-    }
-
-    /// Length of row `i` without materializing the slice.
-    fn row_len(&self, i: usize) -> usize {
-        self.offsets[i] - if i == 0 { 0 } else { self.offsets[i - 1] }
     }
 
     /// Appends one row from an owned sequence.
@@ -223,70 +146,6 @@ impl CandidateTable {
     /// The whole LCP index (`lcps().len() == len()`).
     pub fn lcps(&self) -> &[usize] {
         &self.lcp
-    }
-
-    /// The width of the precomputed row-window index
-    /// ([`CandidateTable::window`]), matching the lane width of the
-    /// candidate-parallel scorers.
-    pub const WINDOW: usize = 4;
-
-    /// The precomputed [`CandidateTable::WINDOW`]-row window starting at
-    /// row `i`: `Some((min_lcp, lcp_sum))` — the minimum and sum of
-    /// `lcp(i + 1..i + WINDOW)` — when rows `i..i + WINDOW` all exist and
-    /// share the same non-zero length, `None` otherwise.
-    ///
-    /// Because the window's rows all have length `l`, every follower LCP
-    /// is at most `l`, and `min_lcp` is the depth of the prefix all
-    /// `WINDOW` rows provably share (the LCP chain is transitive).
-    /// Lane-batched scorers consume this as one O(1) lookup per window
-    /// instead of re-deriving it per user.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn window(&self, i: usize) -> Option<(usize, usize)> {
-        (self.win_min_lcp[i] != usize::MAX).then(|| (self.win_min_lcp[i], self.win_lcp_sum[i]))
-    }
-
-    /// The symbol envelope of row `i`: `(lowest, highest)` symbol in the
-    /// row, or `None` for an empty row.
-    ///
-    /// Admissible-lower-bound scorers use this to prove a row (and with
-    /// prefix sharing, a whole subtree of siblings) cannot beat a running
-    /// best distance without touching its dynamic program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn envelope(&self, i: usize) -> Option<(Symbol, Symbol)> {
-        let (lo, hi) = (self.row_lo[i], self.row_hi[i]);
-        (lo <= hi).then(|| (Symbol::from_index(lo), Symbol::from_index(hi)))
-    }
-
-    /// The symbol-set bitmask of row `i` (bit `s` set ⇔ the row contains
-    /// the symbol with index `s`; 0 for an empty row).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn row_mask(&self, i: usize) -> u32 {
-        self.row_mask[i]
-    }
-
-    /// The per-depth envelope of the whole table: the `(lowest, highest)`
-    /// symbol appearing at position `d` of any row, or `None` when no row
-    /// is longer than `d`. This is the LB_Keogh-style envelope of the
-    /// candidate set on the symbol domain, precomputed once at
-    /// construction.
-    pub fn depth_envelope(&self, d: usize) -> Option<(Symbol, Symbol)> {
-        let (&lo, &hi) = (self.env_lo.get(d)?, self.env_hi.get(d)?);
-        (lo <= hi).then(|| (Symbol::from_index(lo), Symbol::from_index(hi)))
-    }
-
-    /// The length of the longest row (the extent of the per-depth
-    /// envelope).
-    pub fn max_row_len(&self) -> usize {
-        self.env_lo.len()
     }
 
     /// A 64-bit fingerprint of the table contents (FNV-1a over every row's
@@ -502,61 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn envelope_columns_track_row_contents() {
-        let t = table(&["acb", "bd", "a"]);
-        let env = |i: usize| {
-            t.envelope(i)
-                .map(|(lo, hi)| (lo.as_char(), hi.as_char()))
-                .unwrap()
-        };
-        assert_eq!(env(0), ('a', 'c'));
-        assert_eq!(env(1), ('b', 'd'));
-        assert_eq!(env(2), ('a', 'a'));
-        assert_eq!(t.row_mask(0), 0b111); // a, b, c
-        assert_eq!(t.row_mask(1), 0b1010); // b, d
-        assert_eq!(t.row_mask(2), 0b1);
-        // Empty rows have no envelope and an empty mask.
-        let mut t2 = CandidateTable::new();
-        t2.push(&[]);
-        assert!(t2.envelope(0).is_none());
-        assert_eq!(t2.row_mask(0), 0);
-    }
-
-    #[test]
-    fn depth_envelope_bounds_every_row() {
-        let t = table(&["acb", "bd", "a", "abcd"]);
-        assert_eq!(t.max_row_len(), 4);
-        for d in 0..t.max_row_len() {
-            let (lo, hi) = t.depth_envelope(d).expect("some row reaches depth");
-            for row in t.rows() {
-                if let Some(&sym) = row.get(d) {
-                    assert!(lo <= sym && sym <= hi, "depth {d}");
-                }
-            }
-        }
-        assert!(t.depth_envelope(4).is_none());
-        assert!(CandidateTable::new().depth_envelope(0).is_none());
-        // Depth 0 of this table spans 'a'..='b'.
-        let (lo, hi) = t.depth_envelope(0).unwrap();
-        assert_eq!((lo.as_char(), hi.as_char()), ('a', 'b'));
-    }
-
-    #[test]
-    fn envelope_columns_are_pure_functions_of_contents() {
-        let rows = ["ab", "abc", "ba"];
-        let a = table(&rows);
-        let seqs: Vec<SymbolSeq> = rows.iter().map(|s| SymbolSeq::parse(s).unwrap()).collect();
-        let b = CandidateTable::from_seqs(&seqs);
-        // Derived Eq covers the envelope columns, so equality across
-        // construction paths proves the columns are canonical.
-        assert_eq!(a, b);
-        for i in 0..a.len() {
-            assert_eq!(a.envelope(i), b.envelope(i));
-            assert_eq!(a.row_mask(i), b.row_mask(i));
-        }
-    }
-
-    #[test]
     fn parse_rows_propagates_errors() {
         assert!(CandidateTable::parse_rows(&["ab", "A!"]).is_err());
     }
@@ -568,41 +372,6 @@ mod tests {
         for i in 0..t.len() {
             assert_eq!(t.lcp(i), t.lcps()[i]);
         }
-    }
-
-    #[test]
-    fn window_index_matches_direct_probe() {
-        // Sibling runs, a length change, an empty row, and a tail shorter
-        // than the window — every entry must equal what a direct probe of
-        // lengths and LCPs computes.
-        let t = table(&[
-            "aba", "abb", "abc", "abd", "abe", "ba", "bab", "bac", "bad", "", "cc", "cd", "ce",
-            "cf",
-        ]);
-        for i in 0..t.len() {
-            let l = t.row(i).len();
-            let direct = (l > 0
-                && i + CandidateTable::WINDOW <= t.len()
-                && (i + 1..i + CandidateTable::WINDOW).all(|r| t.row(r).len() == l))
-            .then(|| {
-                let followers: Vec<usize> = (i + 1..i + CandidateTable::WINDOW)
-                    .map(|r| t.lcp(r))
-                    .collect();
-                (
-                    followers.iter().copied().min().unwrap(),
-                    followers.iter().sum::<usize>(),
-                )
-            });
-            assert_eq!(t.window(i), direct, "row {i}");
-        }
-        // Spot checks: the run of five length-3 rows has two live windows…
-        assert_eq!(t.window(0), Some((2, 6)));
-        assert_eq!(t.window(1), Some((2, 6)));
-        // …the length change at row 5 kills the next ones…
-        assert_eq!(t.window(2), None);
-        assert_eq!(t.window(5), None);
-        // …and the final length-2 run is live again.
-        assert_eq!(t.window(10), Some((1, 3)));
     }
 
     #[test]
