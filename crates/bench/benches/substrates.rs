@@ -8,7 +8,7 @@ use privshape_distance::{dtw, euclidean_padded, sed, DistanceKind, DistanceWorks
 use privshape_ldp::{Epsilon, ExpMech, Grr, Oue, PiecewiseMechanism};
 use privshape_timeseries::{compressive_sax, sax, CandidateTable, SaxParams, SymbolSeq};
 use privshape_trie::ShapeTrie;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use std::hint::black_box;
 
@@ -116,12 +116,14 @@ fn bench_distance_workspace(c: &mut Criterion) {
 
 /// An 18-row table of depth-`depth` trie siblings (6 live parents × 3
 /// children), the candidate shape a deep expand round broadcasts at k = 6.
-fn sibling_table(depth: usize) -> CandidateTable {
+/// `shift` rotates the node frequencies, so different shifts keep
+/// different survivors.
+fn sibling_table(depth: usize, shift: usize) -> CandidateTable {
     let mut trie = ShapeTrie::new(4).expect("valid alphabet");
     for level in 1..=depth {
         let created = trie.expand_next_level(None);
         for (i, &id) in created.iter().enumerate() {
-            trie.set_freq(id, (i % 7) as f64);
+            trie.set_freq(id, ((i + shift) % 7) as f64);
         }
         trie.prune_top_m(level, if level < depth { 6 } else { 18 })
             .expect("level exists");
@@ -134,12 +136,22 @@ fn sibling_table(depth: usize) -> CandidateTable {
 /// table from row zero (`dist_batch_with` over the same rows), and the
 /// early-abandoned argmin must beat both when only the nearest row is
 /// needed.
+///
+/// The workspace remembers each own sequence's result per table, so the
+/// table-scorer cases alternate between two tables with different
+/// content: every call misses the memo and pays for the scan plus the
+/// memo's upkeep, the cost on a population whose sequences are all
+/// distinct. `memo_hit` times a repeated own sequence against one table.
 fn bench_prefix_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate/prefix_batch");
     let own = SymbolSeq::parse("acbdcbadcbab").unwrap();
     for depth in [3usize, 6] {
-        let table = sibling_table(depth);
-        assert_eq!(table.len(), 18, "sibling batch should be 18 rows");
+        let tables = [sibling_table(depth, 0), sibling_table(depth, 3)];
+        assert!(
+            tables.iter().all(|t| t.len() == 18),
+            "sibling batches should be 18 rows"
+        );
+        assert_ne!(tables[0], tables[1], "alternating tables must differ");
         for kind in [DistanceKind::Dtw, DistanceKind::Sed] {
             group.bench_with_input(
                 BenchmarkId::new(format!("{kind}_flat"), depth),
@@ -147,7 +159,7 @@ fn bench_prefix_batch(c: &mut Criterion) {
                 |bch, _| {
                     let mut ws = DistanceWorkspace::new();
                     bch.iter(|| {
-                        let scores = kind.dist_batch_with(&mut ws, own.symbols(), table.rows());
+                        let scores = kind.dist_batch_with(&mut ws, own.symbols(), tables[0].rows());
                         black_box(scores.last().copied())
                     });
                 },
@@ -157,8 +169,10 @@ fn bench_prefix_batch(c: &mut Criterion) {
                 &depth,
                 |bch, _| {
                     let mut ws = DistanceWorkspace::new();
+                    let mut flip = 0;
                     bch.iter(|| {
-                        let scores = kind.dist_batch_table(&mut ws, own.symbols(), &table);
+                        flip ^= 1;
+                        let scores = kind.dist_batch_table(&mut ws, own.symbols(), &tables[flip]);
                         black_box(scores.last().copied())
                     });
                 },
@@ -169,11 +183,20 @@ fn bench_prefix_batch(c: &mut Criterion) {
             &depth,
             |bch, _| {
                 let mut ws = DistanceWorkspace::new();
+                let mut flip = 0;
                 bch.iter(|| {
-                    black_box(DistanceKind::Dtw.argmin_table(&mut ws, own.symbols(), &table))
+                    flip ^= 1;
+                    black_box(DistanceKind::Dtw.argmin_table(&mut ws, own.symbols(), &tables[flip]))
                 });
             },
         );
+        group.bench_with_input(BenchmarkId::new("memo_hit", depth), &depth, |bch, _| {
+            let mut ws = DistanceWorkspace::new();
+            bch.iter(|| {
+                let scores = DistanceKind::Dtw.dist_batch_table(&mut ws, own.symbols(), &tables[0]);
+                black_box(scores.last().copied())
+            });
+        });
     }
     group.finish();
 }
@@ -193,10 +216,19 @@ fn bench_ldp(c: &mut Criterion) {
         b.iter(|| black_box(oue.perturb(&mut rng, 13)));
     });
 
+    // EM selection over the table sizes devices score: 6 and 18
+    // candidates, 55 (a deep facade-deep level) and 324 (the widest
+    // service-mix level).
     let em = ExpMech::new(eps);
-    let scores: Vec<f64> = (0..18).map(|i| 1.0 / (1.0 + i as f64)).collect();
-    group.bench_function("em_select_18_candidates", |b| {
-        b.iter(|| black_box(em.select(&mut rng, &scores).unwrap()));
+    for n in [6usize, 18, 55, 324] {
+        let scores: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + (i % 18) as f64)).collect();
+        group.bench_function(format!("em_select_{n}_candidates").as_str(), |b| {
+            b.iter(|| black_box(em.select(&mut rng, &scores).unwrap()));
+        });
+    }
+
+    group.bench_function("chacha12_next_u64", |b| {
+        b.iter(|| black_box(rng.next_u64()));
     });
 
     let pm = PiecewiseMechanism::new(eps);

@@ -95,33 +95,43 @@ impl DistanceKind {
     /// consecutive rows instead of recomputing it: a prefix-ordered trie
     /// level costs O(#distinct trie symbols · n) rather than
     /// O(Σ|cᵢ| · n). Hausdorff has no prefix decomposition and takes the
-    /// flat path. Zero allocation in steady state.
+    /// flat path.
+    ///
+    /// A repeat of an own sequence already scored against the same
+    /// (kind, table content) is answered from the workspace's memo: the
+    /// batch buffer receives a copy, so callers may still overwrite it.
+    /// Only remembering a new own sequence allocates.
     pub fn dist_batch_table<'w>(
         &self,
         ws: &'w mut DistanceWorkspace,
         own: &[Symbol],
         table: &CandidateTable,
     ) -> &'w mut [f64] {
+        ws.count_rows(*self, own, table.len());
+        ws.memo.retarget(*self, table);
+        if let Some(scores) = ws.memo.batch(own) {
+            ws.batch.clear();
+            ws.batch.extend_from_slice(scores);
+        } else {
+            self.score_table(ws, own, table);
+            ws.memo.insert_batch(own, &ws.batch);
+        }
+        &mut ws.batch
+    }
+
+    /// Scores every table row afresh into the workspace's batch buffer.
+    fn score_table(&self, ws: &mut DistanceWorkspace, own: &[Symbol], table: &CandidateTable) {
         match self {
             DistanceKind::Dtw => {
                 ws.load_own(own);
                 let DistanceWorkspace {
-                    stack,
-                    stats,
-                    ia,
-                    batch,
-                    ..
+                    stack, ia, batch, ..
                 } = ws;
-                prefix::dtw_batch(stack, stats, ia, table, batch);
+                prefix::dtw_batch(stack, ia, table, batch);
             }
             DistanceKind::Sed => {
-                let DistanceWorkspace {
-                    stack,
-                    stats,
-                    batch,
-                    ..
-                } = ws;
-                prefix::sed_batch(stack, stats, own, table, batch);
+                let DistanceWorkspace { stack, batch, .. } = ws;
+                prefix::sed_batch(stack, own, table, batch);
             }
             DistanceKind::Euclidean => {
                 ws.load_own(own);
@@ -130,9 +140,10 @@ impl DistanceKind {
                 } = ws;
                 prefix::euc_batch(stack, ia, table, batch);
             }
-            DistanceKind::Hausdorff => return self.dist_batch_with(ws, own, table.rows()),
+            DistanceKind::Hausdorff => {
+                self.dist_batch_with(ws, own, table.rows());
+            }
         }
-        &mut ws.batch
     }
 
     /// `(row, distance)` of the first table row nearest to `own` under
@@ -144,7 +155,8 @@ impl DistanceKind {
     /// values only grow with candidate depth, so once a shared row's
     /// minimum exceeds the running best, every candidate extending that
     /// prefix is skipped without touching its suffix. Ties resolve to the
-    /// earlier row, exactly like the full scan.
+    /// earlier row, exactly like the full scan. Repeats are answered from
+    /// the workspace's memo, like [`DistanceKind::dist_batch_table`].
     pub fn argmin_table(
         &self,
         ws: &mut DistanceWorkspace,
@@ -154,23 +166,34 @@ impl DistanceKind {
         if table.is_empty() {
             return None;
         }
-        Some(match self {
+        ws.count_rows(*self, own, table.len());
+        ws.memo.retarget(*self, table);
+        if let Some(best) = ws.memo.argmin(own) {
+            return Some(best);
+        }
+        let best = self.scan_argmin(ws, own, table);
+        ws.memo.insert_argmin(own, best);
+        Some(best)
+    }
+
+    /// Finds the first nearest row of a non-empty table afresh.
+    fn scan_argmin(
+        &self,
+        ws: &mut DistanceWorkspace,
+        own: &[Symbol],
+        table: &CandidateTable,
+    ) -> (usize, f64) {
+        match self {
             DistanceKind::Dtw => {
                 ws.load_own(own);
                 let DistanceWorkspace {
-                    stack,
-                    mins,
-                    stats,
-                    ia,
-                    ..
+                    stack, mins, ia, ..
                 } = ws;
-                prefix::dtw_argmin(stack, mins, stats, ia, table)
+                prefix::dtw_argmin(stack, mins, ia, table)
             }
             DistanceKind::Sed => {
-                let DistanceWorkspace {
-                    stack, mins, stats, ..
-                } = ws;
-                prefix::sed_argmin(stack, mins, stats, own, table)
+                let DistanceWorkspace { stack, mins, .. } = ws;
+                prefix::sed_argmin(stack, mins, own, table)
             }
             DistanceKind::Euclidean => {
                 ws.load_own(own);
@@ -189,7 +212,7 @@ impl DistanceKind {
                 }
                 best
             }
-        })
+        }
     }
 
     /// Short lowercase name used in experiment output (`dtw`, `sed`, …).

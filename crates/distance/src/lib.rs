@@ -20,7 +20,9 @@
 //! [`DistanceKind::argmin_table`], which exploit the packed table's LCP
 //! index to resume dynamic-programming state shared between
 //! prefix-ordered candidates (one trie walk instead of one DP table per
-//! sibling) — still bit-identical to the flat path.
+//! sibling) — still bit-identical to the flat path. The workspace also
+//! remembers each own sequence's table result, so a sequence many users
+//! share is scored once per table.
 //!
 //! # Example
 //!

@@ -35,7 +35,6 @@
 //! non-negatives is monotone), so a row whose minimum already exceeds the
 //! running best proves every candidate extending that prefix is worse.
 
-use crate::workspace::ScanStats;
 use privshape_timeseries::{CandidateTable, Symbol};
 
 /// Branchless minimum: identical in value to `f64::min` for non-NaN
@@ -176,7 +175,6 @@ fn euc_finish(stack: &[f64], own: &[f64], cand: &[Symbol]) -> f64 {
 /// path per row.
 pub(crate) fn dtw_batch(
     stack: &mut Vec<f64>,
-    stats: &mut ScanStats,
     own: &[f64],
     table: &CandidateTable,
     out: &mut Vec<f64>,
@@ -188,7 +186,6 @@ pub(crate) fn dtw_batch(
         out.resize(table.len(), f64::INFINITY);
         return;
     }
-    stats.rows += table.len() as u64;
     let mut valid = 0usize;
     for (ci, cand) in table.rows().enumerate() {
         let l = cand.len();
@@ -210,7 +207,6 @@ pub(crate) fn dtw_batch(
 /// row stack. Exact (integer-valued) per row.
 pub(crate) fn sed_batch(
     stack: &mut Vec<f64>,
-    stats: &mut ScanStats,
     own: &[Symbol],
     table: &CandidateTable,
     out: &mut Vec<f64>,
@@ -219,7 +215,6 @@ pub(crate) fn sed_batch(
     let m = own.len();
     let w = m + 1;
     sed_base(stack, m);
-    stats.rows += table.len() as u64;
     let mut valid = 0usize;
     for (ci, cand) in table.rows().enumerate() {
         let start = table.lcp(ci).min(valid);
@@ -270,7 +265,6 @@ pub(crate) fn euc_batch(
 pub(crate) fn dtw_argmin(
     stack: &mut Vec<f64>,
     mins: &mut Vec<f64>,
-    stats: &mut ScanStats,
     own: &[f64],
     table: &CandidateTable,
 ) -> (usize, f64) {
@@ -279,7 +273,6 @@ pub(crate) fn dtw_argmin(
     if m == 0 {
         return best;
     }
-    stats.rows += table.len() as u64;
     let mut valid = 0usize;
     for (ci, cand) in table.rows().enumerate() {
         let l = cand.len();
@@ -318,14 +311,12 @@ pub(crate) fn dtw_argmin(
 pub(crate) fn sed_argmin(
     stack: &mut Vec<f64>,
     mins: &mut Vec<f64>,
-    stats: &mut ScanStats,
     own: &[Symbol],
     table: &CandidateTable,
 ) -> (usize, f64) {
     let m = own.len();
     let w = m + 1;
     sed_base(stack, m);
-    stats.rows += table.len() as u64;
     let mut best = (0usize, f64::INFINITY);
     let mut valid = 0usize;
     for (ci, cand) in table.rows().enumerate() {

@@ -7,7 +7,9 @@
 //! Each property runs on two table shapes: free rows, and sibling runs
 //! (1–5 children under each shared parent, the shape of a trie level).
 //! Each shape is fed trie-ordered, in insertion order, and shuffled, with
-//! one workspace reused throughout.
+//! one workspace reused throughout. The workspace's memo of earlier
+//! results must be invisible too: a workspace fed repeated owns and
+//! revisited tables answers and counts exactly like fresh ones.
 
 use privshape_distance::{DistanceKind, DistanceWorkspace};
 use privshape_timeseries::{CandidateTable, Symbol, SymbolSeq};
@@ -86,32 +88,83 @@ fn orderings(rows: &[SymbolSeq], seed: u64) -> [Vec<SymbolSeq>; 3] {
 }
 
 /// Every kind's table batch equals the flat allocating path bit for bit,
-/// row for row, on each ordering of `rows`, with `ws` reused throughout.
+/// row for row, for each own in turn against each table, with `ws` reused
+/// throughout. Kinds are the outer loop, so a table that repeats under
+/// one kind (even rebuilt in a new allocation) can be answered from the
+/// memo. Returns the rows fresh workspaces count for the same calls.
 fn check_batch_matches_flat(
     ws: &mut DistanceWorkspace,
-    own: &SymbolSeq,
-    rows: &[SymbolSeq],
-    seed: u64,
-) {
-    for ordered in orderings(rows, seed) {
-        let table = table_of(&ordered);
-        for kind in DistanceKind::ALL {
-            let batch = kind.dist_batch_table(ws, own.symbols(), &table).to_vec();
-            prop_assert_eq!(batch.len(), ordered.len());
-            for (got, cand) in batch.iter().zip(&ordered) {
-                let want = kind.dist(own, cand);
+    owns: &[SymbolSeq],
+    tables: &[Vec<SymbolSeq>],
+) -> u64 {
+    let mut fresh_rows = 0;
+    for kind in DistanceKind::ALL {
+        for rows in tables {
+            let table = table_of(rows);
+            for own in owns {
+                let batch = kind.dist_batch_table(ws, own.symbols(), &table).to_vec();
+                let mut fresh = DistanceWorkspace::new();
+                kind.dist_batch_table(&mut fresh, own.symbols(), &table);
+                fresh_rows += fresh.stats().rows;
+                prop_assert_eq!(batch.len(), rows.len());
+                for (got, cand) in batch.iter().zip(rows) {
+                    let want = kind.dist(own, cand);
+                    prop_assert!(
+                        same(*got, want),
+                        "{} on {} vs {}: {} != {}",
+                        kind,
+                        own,
+                        cand,
+                        got,
+                        want
+                    );
+                }
+            }
+        }
+    }
+    fresh_rows
+}
+
+/// Early-abandoned argmin returns exactly what a full scan folded with
+/// first-strict-minimum returns (same row index, same distance), for each
+/// own against each non-empty table, in the loop order of
+/// [`check_batch_matches_flat`]. Returns the rows fresh workspaces count.
+fn check_argmin_matches_full_scan(
+    ws: &mut DistanceWorkspace,
+    owns: &[SymbolSeq],
+    tables: &[Vec<SymbolSeq>],
+) -> u64 {
+    let mut fresh_rows = 0;
+    for kind in DistanceKind::ALL {
+        for rows in tables {
+            let table = table_of(rows);
+            for own in owns {
+                let mut want = (0usize, f64::INFINITY);
+                for (i, cand) in rows.iter().enumerate() {
+                    let d = kind.dist(own, cand);
+                    if d < want.1 {
+                        want = (i, d);
+                    }
+                }
+                let got = kind
+                    .argmin_table(ws, own.symbols(), &table)
+                    .expect("non-empty table");
+                let mut fresh = DistanceWorkspace::new();
+                kind.argmin_table(&mut fresh, own.symbols(), &table);
+                fresh_rows += fresh.stats().rows;
+                prop_assert_eq!(got.0, want.0, "{} on {}", kind, own);
                 prop_assert!(
-                    same(*got, want),
-                    "{} on {} vs {}: {} != {}",
+                    same(got.1, want.1),
+                    "{} on {}: {} != {}",
                     kind,
                     own,
-                    cand,
-                    got,
-                    want
+                    got.1,
+                    want.1
                 );
             }
         }
     }
+    fresh_rows
 }
 
 proptest! {
@@ -126,7 +179,7 @@ proptest! {
         rows in prop::collection::vec(seq_strategy(), 0..14),
         seed in 0u64..u64::MAX,
     ) {
-        check_batch_matches_flat(&mut DistanceWorkspace::new(), &own, &rows, seed);
+        check_batch_matches_flat(&mut DistanceWorkspace::new(), &[own], &orderings(&rows, seed));
     }
 
     /// The same bit-identity on sibling-run tables, the shape of a trie
@@ -138,7 +191,7 @@ proptest! {
         rows in sibling_rows_strategy(),
         seed in 0u64..u64::MAX,
     ) {
-        check_batch_matches_flat(&mut DistanceWorkspace::new(), &own, &rows, seed);
+        check_batch_matches_flat(&mut DistanceWorkspace::new(), &[own], &orderings(&rows, seed));
     }
 
     /// The LCP index survives arbitrary interleavings of pushes: it never
@@ -172,26 +225,42 @@ proptest! {
         siblings in sibling_rows_strategy(),
         seed in 0u64..u64::MAX,
     ) {
+        let tables: Vec<Vec<SymbolSeq>> =
+            orderings(&rows, seed).into_iter().chain(orderings(&siblings, seed)).collect();
+        check_argmin_matches_full_scan(&mut DistanceWorkspace::new(), &[own], &tables);
+    }
+
+    /// One workspace fed repeated and interleaved owns (the empty one
+    /// among them) and tables answers every batch and argmin like a fresh
+    /// workspace and counts the same rows. The table schedule returns to
+    /// an earlier table, rebuilds a table with equal content in a new
+    /// allocation, and runs under every kind in turn.
+    #[test]
+    fn memoized_scores_equal_fresh_workspaces(
+        owns in prop::collection::vec(seq_strategy(), 1..4),
+        picks in prop::collection::vec(0usize..8, 4..16),
+        rows in prop::collection::vec(seq_strategy(), 1..14),
+        siblings in sibling_rows_strategy(),
+        seed in 0u64..u64::MAX,
+    ) {
+        let empty = SymbolSeq::from_symbols(Vec::new());
+        let mut pool = owns;
+        pool.push(empty.clone());
+        let mut sequence: Vec<SymbolSeq> =
+            picks.iter().map(|&i| pool[i % pool.len()].clone()).collect();
+        sequence.push(empty);
+        let [trie, _, shuffled_rows] = orderings(&rows, seed);
+        let tables = [
+            trie.clone(),
+            siblings.clone(),
+            trie.clone(),
+            trie,
+            shuffled_rows,
+            siblings,
+        ];
         let mut ws = DistanceWorkspace::new();
-        for ordered in orderings(&rows, seed).into_iter().chain(orderings(&siblings, seed)) {
-            let table = table_of(&ordered);
-            for kind in DistanceKind::ALL {
-                let mut want = (0usize, f64::INFINITY);
-                for (i, cand) in ordered.iter().enumerate() {
-                    let d = kind.dist(&own, cand);
-                    if d < want.1 {
-                        want = (i, d);
-                    }
-                }
-                let got = kind
-                    .argmin_table(&mut ws, own.symbols(), &table)
-                    .expect("non-empty table");
-                prop_assert_eq!(got.0, want.0, "{} on {}", kind, own);
-                prop_assert!(
-                    same(got.1, want.1),
-                    "{} on {}: {} != {}", kind, own, got.1, want.1
-                );
-            }
-        }
+        let batch_rows = check_batch_matches_flat(&mut ws, &sequence, &tables);
+        let argmin_rows = check_argmin_matches_full_scan(&mut ws, &sequence, &tables);
+        prop_assert_eq!(ws.stats().rows, batch_rows + argmin_rows);
     }
 }

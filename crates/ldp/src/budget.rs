@@ -103,9 +103,10 @@ impl Epsilon {
     }
 
     /// Sequential composition: running `self` then `other` on the same data
-    /// consumes `ε₁ + ε₂`.
-    pub fn sequential(self, other: Epsilon) -> Epsilon {
-        Epsilon(self.0 + other.0)
+    /// consumes `ε₁ + ε₂`. Refused, like [`Epsilon::new`], when the sum's
+    /// `e^ε` overflows.
+    pub fn sequential(self, other: Epsilon) -> Result<Epsilon> {
+        Epsilon::new(self.0 + other.0)
     }
 
     /// Parallel composition: mechanisms on disjoint data consume
@@ -178,7 +179,10 @@ mod tests {
     fn composition_rules() {
         let a = Epsilon::new(1.0).unwrap();
         let b = Epsilon::new(2.5).unwrap();
-        assert_eq!(a.sequential(b).value(), 3.5);
+        assert_eq!(a.sequential(b).unwrap().value(), 3.5);
+        // Two valid budgets whose sum has an infinite e^ε.
+        let big = Epsilon::new(400.0).unwrap();
+        assert_eq!(big.sequential(big), Err(LdpError::InvalidEpsilon(800.0)));
         assert_eq!(a.parallel(b).value(), 2.5);
         assert_eq!(b.fraction(0.4).unwrap().value(), 1.0);
         assert!(b.fraction(0.0).is_err());

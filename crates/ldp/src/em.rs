@@ -56,13 +56,28 @@ impl ExpMech {
     /// `argmax_j (scale · s_j + G_j)` with i.i.d. standard Gumbel `G_j` is
     /// distributed exactly as the EM softmax, without computing the
     /// normalizer.
+    ///
+    /// One uniform `u` is drawn per candidate, in order, but the two
+    /// logarithms of `G = −ln(−ln u)` are skipped for any `u` below a
+    /// floor that provably cannot beat the running best: the floor is
+    /// `exp(−exp(−t))·(1 − 1e-9)` with `t = best_key − scale·max(s) −
+    /// 1e-6`, and since `G` grows with `u`, every skipped draw has an
+    /// exact Gumbel value below `t`. For `u ∈ [2^-53, 1)` the computed
+    /// Gumbel value is within about 1e-14 of exact, well inside the 1e-6
+    /// margin, so a skipped key would have been computed at most
+    /// `best_key` and lost the strict comparison anyway. The result, ties
+    /// included, and the stream position after the call are those of
+    /// evaluating every key.
     pub fn select<R: Rng + ?Sized>(&self, rng: &mut R, scores: &[f64]) -> Result<usize> {
         if scores.is_empty() {
             return Err(LdpError::NoCandidates);
         }
         let scale = self.eps.value() / (2.0 * self.sensitivity);
+        // No candidate's scaled score exceeds this one.
+        let top = scale * scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let mut best = 0usize;
         let mut best_key = f64::NEG_INFINITY;
+        let mut floor = 0.0;
         for (j, &s) in scores.iter().enumerate() {
             // Standard Gumbel via inverse CDF; u ∈ (0, 1) is guaranteed by
             // sampling the open interval.
@@ -72,11 +87,15 @@ impl ExpMech {
                     break u;
                 }
             };
+            if u < floor {
+                continue;
+            }
             let gumbel = -(-u.ln()).ln();
             let key = scale * s + gumbel;
             if key > best_key {
                 best_key = key;
                 best = j;
+                floor = (-(-(best_key - top - 1e-6)).exp()).exp() * (1.0 - 1e-9);
             }
         }
         Ok(best)

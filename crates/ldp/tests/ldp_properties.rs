@@ -7,8 +7,29 @@ use privshape_ldp::{
     PiecewiseMechanism,
 };
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
+
+/// The EM sampler written out with both logarithms on every draw, for
+/// sensitivity 1: what `ExpMech::select` must match, index for index and
+/// draw for draw.
+fn select_full_log(eps: f64, rng: &mut ChaCha12Rng, scores: &[f64]) -> usize {
+    let scale = eps / 2.0;
+    let mut best = (0, f64::NEG_INFINITY);
+    for (j, &s) in scores.iter().enumerate() {
+        let u: f64 = loop {
+            let u = rng.random::<f64>();
+            if u > 0.0 {
+                break u;
+            }
+        };
+        let key = scale * s + -(-u.ln()).ln();
+        if key > best.1 {
+            best = (j, key);
+        }
+    }
+    best.0
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -128,14 +149,58 @@ proptest! {
         }
     }
 
+    /// Budgets log-uniform over [0.01, 1000]: each is valid exactly when
+    /// its `e^ε` is finite, and sequential composition of two valid ones
+    /// is refused exactly when `e^(a + b)` overflows.
     #[test]
-    fn epsilon_composition_laws(a in 0.01f64..10.0, b in 0.01f64..10.0) {
-        let ea = Epsilon::new(a).unwrap();
-        let eb = Epsilon::new(b).unwrap();
-        prop_assert!((ea.sequential(eb).value() - (a + b)).abs() < 1e-12);
-        prop_assert!((ea.parallel(eb).value() - a.max(b)).abs() < 1e-12);
-        // Parallel never exceeds sequential.
-        prop_assert!(ea.parallel(eb).value() <= ea.sequential(eb).value());
+    fn epsilon_composition_laws(log10_a in -2.0f64..3.0, log10_b in -2.0f64..3.0) {
+        let (a, b) = (10f64.powf(log10_a), 10f64.powf(log10_b));
+        match (Epsilon::new(a), Epsilon::new(b)) {
+            (Ok(ea), Ok(eb)) => {
+                prop_assert!((ea.parallel(eb).value() - a.max(b)).abs() < 1e-12);
+                match ea.sequential(eb) {
+                    Err(_) => prop_assert!(!(a + b).exp().is_finite(), "refused {} + {}", a, b),
+                    Ok(sum) => {
+                        prop_assert!((sum.value() - (a + b)).abs() < 1e-12);
+                        // Parallel never exceeds sequential.
+                        prop_assert!(ea.parallel(eb).value() <= sum.value());
+                    }
+                }
+            }
+            _ => prop_assert!(!a.exp().is_finite() || !b.exp().is_finite()),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `select`, which skips the logarithms of draws that cannot win,
+    /// picks what the full-log loop picks and leaves the stream at the
+    /// same draw: for the table sizes devices score, random, all-equal and
+    /// {0, 1}-valued scores, and ε log-uniform over [0.01, 100].
+    #[test]
+    fn em_select_equals_full_log_reference(
+        n in prop_oneof![Just(1usize), Just(2), Just(6), Just(18), Just(55), Just(324)],
+        shape in 0u8..3,
+        raw in prop::collection::vec(0.0f64..1.0, 324),
+        log10_eps in -2.0f64..2.0,
+        seed in any::<u64>(),
+    ) {
+        let scores: Vec<f64> = match shape {
+            0 => raw[..n].to_vec(),
+            1 => vec![raw[0]; n],
+            _ => raw[..n].iter().map(|&x| if x < 0.5 { 0.0 } else { 1.0 }).collect(),
+        };
+        let eps = 10f64.powf(log10_eps);
+        let em = ExpMech::new(Epsilon::new(eps).unwrap());
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let mut reference = rng.clone();
+        prop_assert_eq!(
+            em.select(&mut rng, &scores).unwrap(),
+            select_full_log(eps, &mut reference, &scores)
+        );
+        prop_assert_eq!(rng.next_u64(), reference.next_u64());
     }
 }
 

@@ -23,7 +23,7 @@ use crate::round::{Audience, GroupId, Report, RoundSpec};
 use crate::transform::transform_series;
 use privshape_distance::{em_score, DistanceKind, DistanceWorkspace};
 use privshape_ldp::{Epsilon, ExpMech, Grr, Olh, Oue, PiecewiseMechanism};
-use privshape_timeseries::{CandidateTable, Symbol, SymbolSeq, TimeSeries};
+use privshape_timeseries::{CandidateTable, Symbol, SymbolSeq, TimeSeries, MAX_ALPHABET};
 use privshape_trie::BigramSet;
 use rand::{Rng, RngExt};
 
@@ -229,9 +229,10 @@ impl UserClient {
 
     /// [`UserClient::answer`] scoring through a caller-provided workspace.
     ///
-    /// All candidates of a selection round are scored through `ws` with
-    /// zero steady-state allocation; the workspace never influences the
-    /// report (results are bit-identical for any sharing pattern).
+    /// All candidates of a selection round are scored through `ws`, which
+    /// allocates only to remember a sequence it has not scored against
+    /// the round's table; the workspace never influences the report
+    /// (results are bit-identical for any sharing pattern).
     pub fn answer_with(
         &mut self,
         spec: &RoundSpec,
@@ -333,11 +334,24 @@ impl UserClient {
 
     /// GRR report of the bigram at a uniformly self-sampled level (§IV-B).
     /// The level choice is data-independent, so only the GRR report
-    /// consumes budget.
+    /// consumes budget. A broadcast alphabet outside `2..=MAX_ALPHABET`,
+    /// or one the device's own symbols do not fit in, is refused before
+    /// any draw.
     fn answer_subshape(&self, ell_s: usize, alphabet: usize) -> Result<Report> {
         if ell_s <= 1 {
             return Err(Error::Protocol(format!(
                 "sub-shape round with ell_s = {ell_s} has no levels to sample"
+            )));
+        }
+        if !(2..=MAX_ALPHABET).contains(&alphabet) {
+            return Err(Error::Protocol(format!(
+                "sub-shape round over an alphabet of {alphabet} symbols (must be 2..={MAX_ALPHABET})"
+            )));
+        }
+        if let Some(s) = self.seq.symbols().iter().find(|s| s.index() >= alphabet) {
+            return Err(Error::Protocol(format!(
+                "user {} holds symbol {s}, outside the broadcast alphabet of {alphabet} symbols",
+                self.user
             )));
         }
         let levels = ell_s - 1;
@@ -359,8 +373,9 @@ impl UserClient {
     /// batch scorer — trie-level candidates are prefix-ordered siblings,
     /// so shared DP rows are computed once per distinct trie symbol
     /// instead of once per candidate, and the distances land in the
-    /// workspace's batch buffer: a warmed-up client allocates nothing
-    /// here.
+    /// workspace's batch buffer. A sequence the workspace has already
+    /// scored against this table is answered from its memo, allocating
+    /// nothing.
     fn em_select(
         &self,
         ws: &mut DistanceWorkspace,
@@ -596,6 +611,27 @@ mod tests {
             group_len: 4,
         };
         assert!(!a.addressed_by(Audience::chunk(GroupId::Pc, 0, 0)));
+        // Sub-shape alphabets whose bigram domain `t(t − 1)` underflows
+        // (0) or overflows (2^33), and an own symbol outside the alphabet:
+        // refused, and the device can still answer a well-formed round.
+        let subshape = |seq: &str, alphabet: usize| {
+            let mut c = seq_client(0, seq, &p);
+            let spec = RoundSpec::SubShape {
+                audience: Audience::group(GroupId::Pa),
+                ell_s: 3,
+                alphabet,
+            };
+            (c.answer(&spec), c.has_answered())
+        };
+        for (seq, alphabet) in [("ab", 0), ("ab", 1), ("ab", 1 << 33), ("ce", 2), ("ab", 27)] {
+            let (got, answered) = subshape(seq, alphabet);
+            assert!(
+                matches!(got, Err(Error::Protocol(_))),
+                "{seq:?} over {alphabet}: {got:?}"
+            );
+            assert!(!answered, "{seq:?} over {alphabet}");
+        }
+        assert!(subshape("ce", 5).0.unwrap().is_some());
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   simulated clients a pointer copy.
 
 use crate::error::Result;
-use crate::symbol::{Symbol, SymbolSeq};
+use crate::symbol::{same_symbols, Symbol, SymbolSeq};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A packed table of symbol sequences: one flat symbol buffer (a `u8`
 /// buffer in memory — [`Symbol`] is a `u8` newtype) plus row offsets.
@@ -32,7 +33,7 @@ use std::fmt;
 /// assert_eq!(table.row(0), seqs[0].symbols());
 /// assert_eq!(table.total_symbols(), 5);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Eq, Default)]
 pub struct CandidateTable {
     /// All rows' symbols, concatenated.
     symbols: Vec<Symbol>,
@@ -214,6 +215,26 @@ impl CandidateTable {
     }
 }
 
+/// Field-by-field equality, as a derive would give, with the symbol
+/// buffers compared by the vectorized `same_symbols`: the table
+/// scorers' memo compares a whole table on every call.
+impl PartialEq for CandidateTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets
+            && self.lcp == other.lcp
+            && same_symbols(&self.symbols, &other.symbols)
+    }
+}
+
+/// Hashes the same fields `eq` compares, as a derive would.
+impl Hash for CandidateTable {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.symbols.hash(state);
+        self.offsets.hash(state);
+        self.lcp.hash(state);
+    }
+}
+
 impl fmt::Debug for CandidateTable {
     /// Renders rows in compact letter form, e.g. `CandidateTable["acb", "ca"]`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -304,6 +325,15 @@ mod tests {
         assert_eq!(CandidateTable::new(), CandidateTable::default());
         let roundtrip = CandidateTable::from_seqs(&CandidateTable::new().to_seqs());
         assert_eq!(roundtrip, CandidateTable::new());
+    }
+
+    #[test]
+    fn tables_differing_in_one_symbol_or_a_boundary_are_unequal() {
+        let base = table(&["acb", "ca", "bab"]);
+        assert_eq!(base, table(&["acb", "ca", "bab"]));
+        assert_ne!(base, table(&["acb", "ca", "bac"]));
+        assert_ne!(base, table(&["acb", "cab", "ab"]));
+        assert_ne!(base, table(&["acb", "ca"]));
     }
 
     #[test]
