@@ -231,6 +231,34 @@ fn bench_ldp(c: &mut Criterion) {
         b.iter(|| black_box(rng.next_u64()));
     });
 
+    // Every device report draws from a fresh stream, which the cases above
+    // (one long stream) amortize away: a length or sub-shape report reads
+    // 8 words, a level-6 facade-deep expansion report 61 and a labeled
+    // refinement report 108 (an OUE one-hot over 18 rows × 6 classes).
+    for words in [8usize, 61, 108] {
+        group.bench_with_input(
+            BenchmarkId::new("chacha12_fresh_stream", words),
+            &words,
+            |b, &words| {
+                let mut seed = 0u64;
+                b.iter(|| {
+                    seed += 1;
+                    let mut fresh = ChaCha12Rng::seed_from_u64(seed);
+                    black_box((0..words).fold(0, |acc, _| acc ^ fresh.next_u64()))
+                });
+            },
+        );
+    }
+    let oue_refine = Oue::new(108, eps).unwrap();
+    group.bench_function("oue_perturb_d108", |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let mut fresh = ChaCha12Rng::seed_from_u64(seed);
+            black_box(oue_refine.perturb(&mut fresh, 13))
+        });
+    });
+
     let pm = PiecewiseMechanism::new(eps);
     group.bench_function("piecewise_perturb", |b| {
         b.iter(|| black_box(pm.perturb(&mut rng, 0.37)));

@@ -253,12 +253,7 @@ fn share_counts(total: usize, mixture: &[(usize, f64, Vec<f64>)]) -> Vec<usize> 
         assigned -= 1;
     }
     let mut order: Vec<usize> = (0..mixture.len()).collect();
-    order.sort_by(|&a, &b| {
-        mixture[b]
-            .1
-            .partial_cmp(&mixture[a].1)
-            .expect("finite shares")
-    });
+    order.sort_by(|&a, &b| mixture[b].1.total_cmp(&mixture[a].1));
     for slot in order.into_iter().cycle() {
         if assigned == total {
             break;

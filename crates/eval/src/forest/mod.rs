@@ -116,7 +116,7 @@ impl RandomForest {
         proba
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(b.0.cmp(&a.0)))
+            .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
             .map(|(c, _)| c)
             .expect("at least one class")
     }
@@ -240,6 +240,26 @@ mod tests {
         assert_eq!(rf.n_classes(), 3);
         let acc = crate::metrics::accuracy(&rf.predict_batch(&x), &y);
         assert!(acc > 0.95, "acc={acc}");
+    }
+
+    #[test]
+    fn nan_features_do_not_panic() {
+        // Every third row loses its noise feature; the two clean features
+        // still separate the classes.
+        let (mut x, y) = toy(120);
+        for row in x.iter_mut().step_by(3) {
+            row[2] = f64::NAN;
+        }
+        let rf = RandomForest::fit(
+            &RandomForestConfig {
+                n_trees: 10,
+                ..Default::default()
+            },
+            &x,
+            &y,
+        );
+        let acc = crate::metrics::accuracy(&rf.predict_batch(&x), &y);
+        assert!(acc > 0.95, "train accuracy {acc}");
     }
 
     #[test]

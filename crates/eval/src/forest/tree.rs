@@ -155,11 +155,7 @@ impl Builder<'_> {
         for &feature in &features {
             order.clear();
             order.extend_from_slice(indices);
-            order.sort_by(|&a, &b| {
-                self.x[a][feature]
-                    .partial_cmp(&self.x[b][feature])
-                    .expect("finite features")
-            });
+            order.sort_by(|&a, &b| self.x[a][feature].total_cmp(&self.x[b][feature]));
 
             let mut left_counts = vec![0usize; self.n_classes];
             let mut left_n = 0usize;

@@ -116,7 +116,7 @@ impl KMeans {
                         .iter()
                         .enumerate()
                         .map(|(i, row)| (i, nearest_center(row, &centers).1))
-                        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+                        .max_by(|a, b| a.1.total_cmp(&b.1))
                         .expect("data non-empty");
                     sums[c] = data[far_idx].clone();
                     counts[c] = 1;

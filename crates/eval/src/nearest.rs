@@ -108,11 +108,7 @@ pub fn match_centers(extracted: &[Vec<f64>], truth: &[Vec<f64>]) -> Vec<Option<u
             pairs.push((engine.dist(e, t), i, j));
         }
     }
-    pairs.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .unwrap()
-            .then((a.1, a.2).cmp(&(b.1, b.2)))
-    });
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
     let mut matches = vec![None; extracted.len()];
     let mut used_truth = vec![false; truth.len()];
     for (_, i, j) in pairs {
@@ -187,6 +183,15 @@ mod tests {
         let m = match_centers(&extracted, &truth);
         assert_eq!(m[0], Some(0));
         assert_eq!(m[1], None);
+    }
+
+    #[test]
+    fn nan_centers_do_not_panic() {
+        // A NaN center is at NaN distance from every truth shape; ordering
+        // those distances must not panic.
+        let m = match_centers(&[vec![f64::NAN]], &[vec![0.0], vec![1.0]]);
+        assert_eq!(m.len(), 1);
+        assert!(m[0].is_some_and(|j| j < 2));
     }
 
     #[test]

@@ -58,16 +58,34 @@ impl ExpMech {
     /// normalizer.
     ///
     /// One uniform `u` is drawn per candidate, in order, but the two
-    /// logarithms of `G = −ln(−ln u)` are skipped for any `u` below a
-    /// floor that provably cannot beat the running best: the floor is
-    /// `exp(−exp(−t))·(1 − 1e-9)` with `t = best_key − scale·max(s) −
-    /// 1e-6`, and since `G` grows with `u`, every skipped draw has an
-    /// exact Gumbel value below `t`. For `u ∈ [2^-53, 1)` the computed
-    /// Gumbel value is within about 1e-14 of exact, well inside the 1e-6
-    /// margin, so a skipped key would have been computed at most
-    /// `best_key` and lost the strict comparison anyway. The result, ties
-    /// included, and the stream position after the call are those of
-    /// evaluating every key.
+    /// logarithms of `G = −ln(−ln u)` are skipped for any draw that
+    /// provably cannot beat the running best. With `a_j = scale · s_j`,
+    /// `top = max_j a_j` and `K = exp(top − best_key + 1e-6)`, recomputed
+    /// only when the best changes, draw `j` is skipped when
+    /// `(1 − u) · p(top − a_j) > K · (1 + 1e-9)`, where
+    /// `p(y) = 1 + y + y²/2 + y³/6 + y⁴/24`. No transcendental call is
+    /// made for a skipped draw, and the test is exact:
+    ///
+    /// - The key `a_j + G` beats `best_key − 1e-6` only if
+    ///   `E = −ln u < exp(a_j − best_key + 1e-6) = K · e^{−(top − a_j)}`.
+    /// - `E ≥ 1 − u` on (0, 1), `1 − u` is exact for every 53-bit sample,
+    ///   and `e^{−y} ≤ 1/p(y)` for `y ≥ 0` (rounding keeps every `a_j` at
+    ///   most `top`). So a skip certifies that the exact key is at most
+    ///   `best_key − 1e-6`. The factor `1 + 1e-9` covers the rounding of
+    ///   `p`, of `top − a_j`, of the product and of `K` for `y` up to about
+    ///   1e7; beyond that `e^{−y}` is far below the smallest possible
+    ///   `(1 − u)/K`, about 1e-324.
+    /// - For `u ∈ [2^-53, 1)` the computed Gumbel value is within about
+    ///   1e-14 of exact, far inside the 1e-6 margin, so a skipped key would
+    ///   have been computed at most `best_key` and lost the strict
+    ///   comparison anyway.
+    /// - Before a finite best exists `K` is infinite, and a `K` that
+    ///   overflows is too, so nothing is skipped then; a NaN left side
+    ///   (NaN or infinite scores) never skips either. Such draws are
+    ///   evaluated exactly as the full loop evaluates them.
+    ///
+    /// The result, ties included, and the stream position after the call
+    /// are those of evaluating every key.
     pub fn select<R: Rng + ?Sized>(&self, rng: &mut R, scores: &[f64]) -> Result<usize> {
         if scores.is_empty() {
             return Err(LdpError::NoCandidates);
@@ -77,7 +95,8 @@ impl ExpMech {
         let top = scale * scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let mut best = 0usize;
         let mut best_key = f64::NEG_INFINITY;
-        let mut floor = 0.0;
+        // `K · (1 + 1e-9)`, infinite until a finite key is in.
+        let mut cut = f64::INFINITY;
         for (j, &s) in scores.iter().enumerate() {
             // Standard Gumbel via inverse CDF; u ∈ (0, 1) is guaranteed by
             // sampling the open interval.
@@ -87,19 +106,26 @@ impl ExpMech {
                     break u;
                 }
             };
-            if u < floor {
+            let a = scale * s;
+            if (1.0 - u) * exp_lower_bound(top - a) > cut {
                 continue;
             }
-            let gumbel = -(-u.ln()).ln();
-            let key = scale * s + gumbel;
+            let key = a + -(-u.ln()).ln();
             if key > best_key {
                 best_key = key;
                 best = j;
-                floor = (-(-(best_key - top - 1e-6)).exp()).exp() * (1.0 - 1e-9);
+                cut = (top - best_key + 1e-6).exp() * (1.0 + 1e-9);
             }
         }
         Ok(best)
     }
+}
+
+/// `p(y) = 1 + y + y²/2 + y³/6 + y⁴/24`, the degree-4 Taylor polynomial of
+/// `e^y`: every term is non-negative for `y ≥ 0`, so `p(y) ≤ e^y` there.
+#[inline]
+fn exp_lower_bound(y: f64) -> f64 {
+    1.0 + y * (1.0 + y * 0.5 * (1.0 + y * (1.0 / 3.0) * (1.0 + y * 0.25)))
 }
 
 #[cfg(test)]

@@ -177,20 +177,31 @@ proptest! {
 
     /// `select`, which skips the logarithms of draws that cannot win,
     /// picks what the full-log loop picks and leaves the stream at the
-    /// same draw: for the table sizes devices score, random, all-equal and
-    /// {0, 1}-valued scores, and ε log-uniform over [0.01, 100].
+    /// same draw: for the table sizes devices score, random, all-equal,
+    /// {0, 1}-valued, device-shaped and all-zero scores, and ε
+    /// log-uniform over [0.01, 100].
     #[test]
     fn em_select_equals_full_log_reference(
         n in prop_oneof![Just(1usize), Just(2), Just(6), Just(18), Just(55), Just(324)],
-        shape in 0u8..3,
+        shape in 0u8..5,
         raw in prop::collection::vec(0.0f64..1.0, 324),
         log10_eps in -2.0f64..2.0,
         seed in any::<u64>(),
+        dists in prop::collection::vec(0u32..40, 324),
     ) {
         let scores: Vec<f64> = match shape {
             0 => raw[..n].to_vec(),
             1 => vec![raw[0]; n],
-            _ => raw[..n].iter().map(|&x| if x < 0.5 { 0.0 } else { 1.0 }).collect(),
+            2 => raw[..n].iter().map(|&x| if x < 0.5 { 0.0 } else { 1.0 }).collect(),
+            // What devices score: `em_score(d) = 1/(1 + d)` of an integer
+            // distance, about a quarter of them exact matches (`d = 0`).
+            3 => raw[..n]
+                .iter()
+                .zip(&dists)
+                .map(|(&x, &d)| if x < 0.25 { 1.0 } else { 1.0 / (1.0 + d as f64) })
+                .collect(),
+            // Every distance infinite, so every `em_score` is 0.
+            _ => vec![0.0; n],
         };
         let eps = 10f64.powf(log10_eps);
         let em = ExpMech::new(Epsilon::new(eps).unwrap());
@@ -201,6 +212,56 @@ proptest! {
             select_full_log(eps, &mut reference, &scores)
         );
         prop_assert_eq!(rng.next_u64(), reference.next_u64());
+    }
+}
+
+/// `select` matches the full-log loop, index and stream position, on score
+/// vectors holding NaN, ±∞ and ±1e300, alone and scattered through a
+/// device-sized table.
+#[test]
+fn em_select_equals_full_log_reference_on_nan_infinite_and_huge_scores() {
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let mut vectors: Vec<Vec<f64>> = vec![
+        vec![nan],
+        vec![nan; 6],
+        vec![0.5, nan, 1.0, nan],
+        vec![inf],
+        vec![1.0, 0.5, inf, 0.2, inf],
+        vec![-inf; 4],
+        vec![-inf, 0.3, -inf, 1.0],
+        vec![inf, -inf, nan, 0.0],
+        vec![1e300, -1e300],
+        vec![-1e300, 0.0, 1e300, 1e300],
+        vec![1e300; 5],
+        vec![-1e300, -inf, -1e300],
+    ];
+    for special in [nan, inf, -inf, 1e300, -1e300] {
+        vectors.push(
+            (0..55)
+                .map(|i| {
+                    if i % 7 == 3 {
+                        special
+                    } else {
+                        1.0 / (1.0 + (i % 11) as f64)
+                    }
+                })
+                .collect(),
+        );
+    }
+    for eps in [0.01, 1.0, 4.0, 100.0] {
+        let em = ExpMech::new(Epsilon::new(eps).unwrap());
+        for scores in &vectors {
+            for seed in 0..64 {
+                let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                let mut reference = rng.clone();
+                assert_eq!(
+                    em.select(&mut rng, scores).unwrap(),
+                    select_full_log(eps, &mut reference, scores),
+                    "ε {eps}, seed {seed}, scores {scores:?}"
+                );
+                assert_eq!(rng.next_u64(), reference.next_u64());
+            }
+        }
     }
 }
 
