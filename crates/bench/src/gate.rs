@@ -1,19 +1,16 @@
-//! Perf-regression gate over the `BENCH_*.json` trajectory files.
+//! Quality-regression gate over `BENCH_quality.json`.
 //!
-//! CI *writes* the `results/BENCH_*.json` trajectory files — this module
-//! is the part that *reads* them: a minimal recursive-descent JSON parser
-//! (the workspace is offline, so no serde), throughput-metric extraction
-//! for each known file, and the compare step that fails the build when a
-//! metric regresses past the threshold against the committed baselines
-//! under `results/baselines/`.
+//! `quality_smoke` *writes* `results/BENCH_quality.json`; this module is
+//! the part that *reads* it: a minimal recursive-descent JSON parser (the
+//! workspace is offline, so no serde), the per-cell metric extraction, and
+//! the compare step that fails the build when a metric regresses past the
+//! threshold against the committed baseline under `results/baselines/`.
 //!
-//! Throughput metrics are "higher is better"; a *current* value below
-//! `baseline × (1 − threshold)` is a failure. Quality metrics (the
-//! distance-to-ground-truth columns of `BENCH_quality.json`) are the
-//! opposite direction — *lower* is better, and a current value above
-//! `baseline × (1 + threshold)` fails. New metrics (present in the
-//! fresh run but not the baseline) pass with a note — they gate once the
-//! baselines are refreshed (see the `bench_gate` binary's `--bless`).
+//! The metrics are distances to the generator's ground truth, so lower is
+//! better: a *current* value above `baseline × (1 + threshold)`, plus a
+//! small absolute slack, fails. New metrics (present in the fresh run but
+//! not the baseline) pass with a note — they gate once the baseline is
+//! refreshed (see the `bench_gate` binary's `--bless`).
 
 use std::fmt;
 
@@ -230,82 +227,9 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 
 // ---- metric extraction --------------------------------------------------
 
-/// The throughput metrics of one trajectory file, as `(name, value)` pairs
-/// with stable, human-readable names.
+/// The metrics of one trajectory file, as `(name, value)` pairs with
+/// stable, human-readable names.
 pub type Metrics = Vec<(String, f64)>;
-
-/// Metrics of `BENCH_protocol.json`: the overall round-loop throughput.
-pub fn protocol_metrics(doc: &Json) -> Metrics {
-    doc.num("reports_per_sec")
-        .map(|v| vec![("protocol.reports_per_sec".to_string(), v)])
-        .unwrap_or_default()
-}
-
-/// Metrics of `BENCH_streaming.json`: serial and streaming absorb
-/// throughput per fleet size. The file's `speedup` ratio is deliberately
-/// *not* gated — it is derivable from the two gated throughputs, and a
-/// pure improvement to the serial path would shrink it, failing the build
-/// on good news.
-pub fn streaming_metrics(doc: &Json) -> Metrics {
-    let mut out = Vec::new();
-    for point in doc.get("points").and_then(Json::as_arr).unwrap_or(&[]) {
-        let Some(users) = point.num("users") else {
-            continue;
-        };
-        for (key, name) in [
-            ("serial_reports_per_sec", "serial_rps"),
-            ("streaming_reports_per_sec", "streaming_rps"),
-        ] {
-            if let Some(v) = point.num(key) {
-                out.push((format!("streaming.u{users}.{name}"), v));
-            }
-        }
-    }
-    out
-}
-
-/// Metrics of `BENCH_service.json`: the multi-session service drive's
-/// end-to-end throughput. Per-session validation counters (duplicates,
-/// rejections, queue depth) are asserted by `service_smoke` itself and
-/// stay informational here — they measure the probes, not the service.
-pub fn service_metrics(doc: &Json) -> Metrics {
-    doc.num("reports_per_sec")
-        .map(|v| vec![("service.reports_per_sec".to_string(), v)])
-        .unwrap_or_default()
-}
-
-/// Metrics of `BENCH_chaos.json`: how many faulted sessions recovered,
-/// and the end-to-end throughput of the recovered sessions. The fault
-/// matrix is fixed, so `recovered_sessions` is an exact count — any drop
-/// means a recovery path stopped working. Retry/quarantine counters stay
-/// informational: `chaos_smoke` asserts their exact values itself.
-pub fn chaos_metrics(doc: &Json) -> Metrics {
-    let mut out = Vec::new();
-    if let Some(v) = doc.num("recovered_sessions") {
-        out.push(("chaos.recovered_sessions".to_string(), v));
-    }
-    if let Some(v) = doc.num("recovered_reports_per_sec") {
-        out.push(("chaos.recovered_reports_per_sec".to_string(), v));
-    }
-    out
-}
-
-/// Metrics of `BENCH_continual.json`: the continual mode's mean epoch
-/// throughput and the final epoch's shape-level F-measure (the window is
-/// all-new-regime by then, so 1.0 is achievable and the run asserts it
-/// at the calibrated scale — the gate holds it against silent decay).
-/// Per-epoch ledger arithmetic and tracking lag are asserted exactly by
-/// `continual_smoke` itself and stay informational here.
-pub fn continual_metrics(doc: &Json) -> Metrics {
-    let mut out = Vec::new();
-    if let Some(v) = doc.num("mean_reports_per_sec") {
-        out.push(("continual.reports_per_sec".to_string(), v));
-    }
-    if let Some(v) = doc.num("final_f_measure") {
-        out.push(("continual.final_f_measure".to_string(), v));
-    }
-    out
-}
 
 /// Metrics of `BENCH_quality.json`: per-cell DTW and SED distance to the
 /// generator's ground truth, keyed by the cell's matrix coordinates.
@@ -340,15 +264,6 @@ pub fn quality_metrics(doc: &Json) -> Metrics {
 }
 
 // ---- comparison ---------------------------------------------------------
-
-/// Which way a metric improves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Throughput-style: regression = falling below baseline.
-    HigherIsBetter,
-    /// Distance/error-style: regression = rising above baseline.
-    LowerIsBetter,
-}
 
 /// The gate's verdict on one metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -424,27 +339,11 @@ impl fmt::Display for GateRow {
 const LOWER_IS_BETTER_SLACK: f64 = 0.5;
 
 /// Compares fresh metrics against a baseline. `threshold` is the allowed
-/// fractional throughput drop (0.25 ⇒ fail below 75% of baseline).
-/// Returns the table rows (baseline order, then new metrics) and whether
-/// the gate passes.
+/// fractional rise (0.20 ⇒ fail above 120% of baseline, plus a small
+/// absolute slack for near-zero baselines). Returns the table rows
+/// (baseline order, then new metrics) and whether the gate passes.
 pub fn compare(baseline: &Metrics, current: &Metrics, threshold: f64) -> (Vec<GateRow>, bool) {
-    compare_directed(baseline, current, threshold, Direction::HigherIsBetter)
-}
-
-/// [`compare`] with an explicit improvement direction. For
-/// [`Direction::LowerIsBetter`], `threshold` is the allowed fractional
-/// *rise* (0.20 ⇒ fail above 120% of baseline, plus a small absolute
-/// slack for near-zero baselines).
-pub fn compare_directed(
-    baseline: &Metrics,
-    current: &Metrics,
-    threshold: f64,
-    direction: Direction,
-) -> (Vec<GateRow>, bool) {
-    let regressed = |v: f64, base: f64| match direction {
-        Direction::HigherIsBetter => v < base * (1.0 - threshold),
-        Direction::LowerIsBetter => v > base * (1.0 + threshold) + LOWER_IS_BETTER_SLACK,
-    };
+    let regressed = |v: f64, base: f64| v > base * (1.0 + threshold) + LOWER_IS_BETTER_SLACK;
     let mut rows = Vec::new();
     let mut pass = true;
     for (name, base) in baseline {
@@ -518,67 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn extracts_metrics_by_file_shape() {
-        let protocol = Json::parse(r#"{"reports_per_sec": 1000.0}"#).unwrap();
-        assert_eq!(
-            protocol_metrics(&protocol),
-            vec![("protocol.reports_per_sec".to_string(), 1000.0)]
-        );
-        let streaming = Json::parse(
-            r#"{"points": [{"users": 600, "serial_reports_per_sec": 10.0,
-                "streaming_reports_per_sec": 25.0, "speedup": 2.5}]}"#,
-        )
-        .unwrap();
-        let m = streaming_metrics(&streaming);
-        // speedup stays informational (a faster serial path would shrink
-        // it): only the two absolute throughputs gate.
-        assert_eq!(
-            m,
-            vec![
-                ("streaming.u600.serial_rps".to_string(), 10.0),
-                ("streaming.u600.streaming_rps".to_string(), 25.0),
-            ]
-        );
-        let service = Json::parse(
-            r#"{"sessions": 8, "reports_per_sec": 800000.0,
-                "duplicate_reports": 512, "rejected_frames": 2}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            service_metrics(&service),
-            vec![("service.reports_per_sec".to_string(), 800000.0)]
-        );
-        let continual = Json::parse(
-            r#"{"epochs": 12, "mean_reports_per_sec": 250000.5,
-                "final_f_measure": 1.0, "new_class_entered_epoch": 7}"#,
-        )
-        .unwrap();
-        // Lag and ledger numbers are asserted by the smoke itself; the
-        // gate holds throughput and final tracking quality.
-        assert_eq!(
-            continual_metrics(&continual),
-            vec![
-                ("continual.reports_per_sec".to_string(), 250000.5),
-                ("continual.final_f_measure".to_string(), 1.0),
-            ]
-        );
-        let chaos = Json::parse(
-            r#"{"sessions": 9, "recovered_sessions": 3, "quarantined_sessions": 1,
-                "retries": 4, "recovered_reports_per_sec": 61000.5}"#,
-        )
-        .unwrap();
-        // Retry/quarantine counters are asserted by the smoke itself and
-        // stay informational; only recovery coverage and throughput gate.
-        assert_eq!(
-            chaos_metrics(&chaos),
-            vec![
-                ("chaos.recovered_sessions".to_string(), 3.0),
-                ("chaos.recovered_reports_per_sec".to_string(), 61000.5),
-            ]
-        );
-    }
-
-    #[test]
     fn gate_passes_within_threshold_and_fails_past_it() {
         let baseline = vec![
             ("a".to_string(), 100.0),
@@ -586,8 +424,8 @@ mod tests {
             ("gone".to_string(), 9.0),
         ];
         let current = vec![
-            ("a".to_string(), 76.0),  // −24%: within a 25% threshold
-            ("b".to_string(), 74.0),  // −26%: regression
+            ("a".to_string(), 125.0), // +25%: within 25% plus the slack
+            ("b".to_string(), 126.0), // +26%: regression
             ("new".to_string(), 1.0), // informational
         ];
         let (rows, pass) = compare(&baseline, &current, 0.25);
@@ -600,12 +438,12 @@ mod tests {
         // Improvements always pass.
         let (rows, pass) = compare(
             &vec![("a".to_string(), 100.0)],
-            &vec![("a".to_string(), 300.0)],
+            &vec![("a".to_string(), 25.0)],
             0.25,
         );
         assert!(pass);
         assert_eq!(rows[0].verdict, Verdict::Ok);
-        assert_eq!(rows[0].ratio(), Some(3.0));
+        assert_eq!(rows[0].ratio(), Some(0.25));
     }
 
     #[test]
@@ -620,27 +458,25 @@ mod tests {
             ("q.b".to_string(), 13.0),   // +30%: regression
             ("q.zero".to_string(), 0.3), // within the absolute slack
         ];
-        let (rows, pass) = compare_directed(&baseline, &current, 0.20, Direction::LowerIsBetter);
+        let (rows, pass) = compare(&baseline, &current, 0.20);
         assert!(!pass);
         let by_name = |n: &str| rows.iter().find(|r| r.name == n).unwrap().verdict;
         assert_eq!(by_name("q.a"), Verdict::Ok);
         assert_eq!(by_name("q.b"), Verdict::Regressed);
         assert_eq!(by_name("q.zero"), Verdict::Ok);
-        // A drop (improvement) always passes under LowerIsBetter.
-        let (rows, pass) = compare_directed(
+        // A drop (improvement) always passes.
+        let (rows, pass) = compare(
             &vec![("q".to_string(), 10.0)],
             &vec![("q".to_string(), 1.0)],
             0.20,
-            Direction::LowerIsBetter,
         );
         assert!(pass);
         assert_eq!(rows[0].verdict, Verdict::Ok);
         // Past the slack, a zero baseline still gates.
-        let (_, pass) = compare_directed(
+        let (_, pass) = compare(
             &vec![("q".to_string(), 0.0)],
             &vec![("q".to_string(), 0.6)],
             0.20,
-            Direction::LowerIsBetter,
         );
         assert!(!pass);
     }

@@ -21,11 +21,6 @@ pub mod scenario;
 pub use args::ExpCtx;
 pub use output::{write_csv, Table};
 
-/// The paper's Symbols clustering parameters (§V-D): w = 25, t = 6, k = 6.
-pub fn symbols_settings() -> (usize, usize, usize) {
-    (25, 6, 6)
-}
-
 /// The paper's Trace classification parameters (§V-E): w = 10, t = 4, k = 3.
 pub fn trace_settings() -> (usize, usize, usize) {
     (10, 4, 3)

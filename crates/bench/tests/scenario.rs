@@ -2,10 +2,10 @@
 //! suite stays fast in dev profile): the transport adversary is shed
 //! without touching the extraction, the planted minority shape never
 //! surfaces at small ε, and the JSON → gate-metric round trip regresses
-//! the right way.
+//! when distances rise.
 
 use privshape::protocol::LengthOracle;
-use privshape_bench::gate::{self, Direction, Json};
+use privshape_bench::gate::{self, Json};
 use privshape_bench::scenario::{
     self, cells_to_json, run_cell, Scenario, ScenarioKind, EPSILONS, KINDS, ORACLES,
 };
@@ -94,11 +94,9 @@ fn unassigned_cells_report_idle_users() {
     assert!(out.quality.is_some());
 }
 
-/// JSON → `quality_metrics` → `compare_directed` round trip: a run gates
-/// cleanly against itself, leak rows stay out of the metric set, and an
-/// inflated distance regresses (while an inflated *throughput*-style
-/// comparison of the same numbers would pass) — i.e. the gate direction
-/// actually matters.
+/// JSON → `quality_metrics` → `compare` round trip: a run gates cleanly
+/// against itself, leak rows stay out of the metric set, and an inflated
+/// distance regresses.
 #[test]
 fn quality_json_gates_lower_is_better() {
     let outcomes = [
@@ -117,20 +115,15 @@ fn quality_json_gates_lower_is_better() {
         "leak rows must stay informational"
     );
 
-    let (_, pass) = gate::compare_directed(&metrics, &metrics, 0.20, Direction::LowerIsBetter);
+    let (_, pass) = gate::compare(&metrics, &metrics, 0.20);
     assert!(pass, "a run must gate cleanly against itself");
 
     let inflated: Vec<(String, f64)> = metrics
         .iter()
         .map(|(n, v)| (n.clone(), v * 2.0 + 2.0))
         .collect();
-    let (_, pass) = gate::compare_directed(&metrics, &inflated, 0.20, Direction::LowerIsBetter);
-    assert!(!pass, "doubled distances must fail the quality gate");
     let (_, pass) = gate::compare(&metrics, &inflated, 0.20);
-    assert!(
-        pass,
-        "the same numbers pass a higher-is-better gate — direction is load-bearing"
-    );
+    assert!(!pass, "doubled distances must fail the quality gate");
 }
 
 /// The committed matrix shape: every (oracle, ε, kind) combination present

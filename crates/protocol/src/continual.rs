@@ -32,7 +32,7 @@
 //! number of times (each materialization is deterministic), so the same
 //! plan can be driven serially in-process, through a `ServiceRegistry`
 //! as a routed service session, or both — the bit-identity harness the
-//! smoke binaries rely on.
+//! differential test relies on.
 
 use crate::client::{GroupAssignment, UserClient};
 use crate::config::PrivShapeConfig;

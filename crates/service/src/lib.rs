@@ -31,7 +31,8 @@
 //! protocol crate's associative shard merges and deterministic session
 //! transitions, so any interleaving of sessions, any frame chunking, and
 //! any snapshot/restore point yields the same extraction as driving each
-//! session serially ([`service_smoke`'s] CI-gated claim).
+//! session serially (the bench crate's `differential` test checks this
+//! bit for bit).
 //!
 //! On top of the registry sits the fault-tolerance tier:
 //!
@@ -43,7 +44,7 @@
 //! * **Graceful degradation** — sessions that exhaust their budget are
 //!   [quarantined](ServiceError::Quarantined) with a typed error while
 //!   every other session keeps progressing; recovered extractions stay
-//!   bit-identical to fault-free twins (the CI-gated `chaos_smoke` claim).
+//!   bit-identical to fault-free twins (checked by the same test).
 //!
 //! The continual extraction mode rides on the same registry:
 //! [`drive_epoch`] turns one planned epoch
@@ -54,7 +55,6 @@
 //!
 //! [`Session`]: privshape_protocol::Session
 //! [`IngestPipeline`]: privshape_protocol::IngestPipeline
-//! [`service_smoke`'s]: https://example.invalid/privshape-repro
 
 // Redundant with the workspace-level lint, but explicit: operators read
 // these docs (see docs/OPERATIONS.md), so gaps are operational debt.

@@ -47,7 +47,8 @@
 //! pre-round checkpoint; aggregates are integer counts merged
 //! associatively and dedup replays identically, so the closed round — and
 //! therefore the final extraction — is bit-identical to a fault-free run.
-//! The chaos smoke and the supervisor property test pin this.
+//! The bench crate's fault matrix and the supervisor property test pin
+//! this.
 
 use crate::error::{Result, ServiceError};
 use crate::policy::RetryPolicy;
