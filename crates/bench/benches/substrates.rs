@@ -4,13 +4,23 @@
 //! analysis of §IV-F.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use privshape::{transform_batch, transform_series, Preprocessing};
 use privshape_distance::{dtw, euclidean_padded, sed, DistanceKind, DistanceWorkspace};
 use privshape_ldp::{Epsilon, ExpMech, Grr, Oue, PiecewiseMechanism};
-use privshape_timeseries::{compressive_sax, sax, CandidateTable, SaxParams, SymbolSeq};
+use privshape_timeseries::{
+    compressive_sax, sax, CandidateTable, SaxParams, SymbolSeq, TimeSeries,
+};
 use privshape_trie::ShapeTrie;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
+use std::cell::OnceCell;
 use std::hint::black_box;
+
+/// Series in the enrollment population: perfbench's facade-deep fleet,
+/// 199,998 series of 128 samples (about 195 MiB), so the per-series loop
+/// and the batch kernel are timed on the population one enrollment of
+/// that fleet reads.
+const POPULATION: usize = 199_998;
 
 fn series(len: usize) -> Vec<f64> {
     (0..len)
@@ -34,6 +44,40 @@ fn bench_sax(c: &mut Criterion) {
             },
         );
     }
+    // Enrollment at facade-deep's parameters: one device's transform, then
+    // a population through the per-series loop and through the batch
+    // kernel, which runs four series in lockstep and prefetches the next
+    // four.
+    let params = SaxParams::new(25, 6).unwrap();
+    let mode = Preprocessing::default();
+    let one = TimeSeries::new(series(128)).unwrap();
+    group.bench_with_input(BenchmarkId::new("transform_series", 128), &one, |b, s| {
+        b.iter(|| black_box(transform_series(s, &params, &mode)));
+    });
+    let population = OnceCell::new();
+    let make = || -> Vec<TimeSeries> {
+        (0..POPULATION)
+            .map(|i| {
+                let rate = 0.05 + (i % 13) as f64 * 0.01;
+                let v = (0..128).map(|t| (t as f64 * rate).sin()).collect();
+                TimeSeries::new(v).unwrap()
+            })
+            .collect()
+    };
+    group.bench_function(BenchmarkId::new("transform_series_loop", POPULATION), |b| {
+        let population = population.get_or_init(make);
+        b.iter(|| {
+            let seqs: Vec<SymbolSeq> = population
+                .iter()
+                .map(|s| transform_series(s, &params, &mode))
+                .collect();
+            black_box(seqs)
+        });
+    });
+    group.bench_function(BenchmarkId::new("transform_batch", POPULATION), |b| {
+        let population = population.get_or_init(make);
+        b.iter(|| black_box(transform_batch(population, &params, &mode)));
+    });
     group.finish();
 }
 

@@ -10,8 +10,8 @@
 use crate::par;
 use privshape_distance::{DistanceWorkspace, ScanStats};
 use privshape_protocol::{
-    chunk_of_rank, Audience, Chunk, Error, GroupAssignment, GroupId, ProtocolParams, Report,
-    Result, RoundSpec, Session, ShardAggregator, UserClient,
+    chunk_of_rank, transform_batch, Audience, Chunk, Error, GroupAssignment, GroupId,
+    ProtocolParams, Report, Result, RoundSpec, Session, ShardAggregator, UserClient,
 };
 use privshape_timeseries::TimeSeries;
 use std::ops::Range;
@@ -51,30 +51,39 @@ impl SimulatedFleet {
     /// Enrolls one client per series (with optional per-user labels),
     /// deriving all group assignments once and transforming every series
     /// on its own "device", in parallel.
+    ///
+    /// `threads` of 0 means the available parallelism, capped at 16; the
+    /// fleet enrolls and answers on that many threads. A series past the
+    /// session's population (`user >= params.n`) enrolls unassigned, so no
+    /// round addresses it, and a user without a label (`labels` shorter
+    /// than `series`) enrolls with none, so a labeled round it is
+    /// addressed by fails with [`Error::BadLabels`].
     pub fn new(
         series: &[TimeSeries],
         labels: Option<&[usize]>,
         params: &ProtocolParams,
         threads: usize,
     ) -> Self {
-        let assignments = GroupAssignment::derive_all(params);
-        // Enroll in user order, then move the devices into roster order.
-        // Transforming the series in roster order instead reads them in
-        // scattered order: on a 2-vCPU host that made a 200k-user fleet's
-        // setup about 60% slower than enrolling in user order and
-        // permuting.
-        let mut clients = par::map_indexed(series.len(), threads, |user| {
-            UserClient::with_assignment(
-                user,
-                &series[user],
-                labels.map(|l| l[user]),
-                params,
-                assignments[user],
-            )
+        let threads = par::resolve_threads(threads);
+        let mut assignments = GroupAssignment::derive_all(params);
+        assignments.resize(series.len(), GroupAssignment::default());
+        // Enroll in user order, one contiguous run per thread, then move
+        // the devices into roster order. Transforming the series in roster
+        // order instead reads them in scattered order: on a 2-vCPU host
+        // that made a 200k-user fleet's setup about 60% slower than
+        // enrolling in user order and permuting.
+        let mut clients = par::map_runs(series.len(), threads, |run| {
+            let seqs = transform_batch(&series[run.clone()], &params.sax, &params.preprocessing);
+            run.zip(seqs)
+                .map(|(user, seq)| {
+                    let label = labels.and_then(|l| l.get(user).copied());
+                    UserClient::from_sequence(user, seq, label, params, assignments[user])
+                })
+                .collect()
         });
-        let (places, groups) = roster(&assignments[..series.len()]);
+        let (places, groups) = roster(&assignments);
         permute(&mut clients, places);
-        let n_workers = par::resolve_threads(threads).min(clients.len().max(1));
+        let n_workers = threads.min(clients.len().max(1));
         let workers = (0..n_workers)
             .map(|_| FleetWorker {
                 ws: DistanceWorkspace::new(),
@@ -330,10 +339,11 @@ mod tests {
             .collect()
     }
 
-    /// Drives `session` to the end with fleets of 1, 2 and 5 threads
-    /// answering into shards and one fleet collecting reports, against
-    /// every device visited in user order and absorbed serially. Returns
-    /// the chunked rounds whose group does not divide evenly.
+    /// Drives `session` to the end with fleets of 1, 2, 5 and 0 (the
+    /// available parallelism) threads answering into shards and one fleet
+    /// collecting reports, against every device visited in user order and
+    /// absorbed serially. Returns the chunked rounds whose group does not
+    /// divide evenly.
     fn assert_addressed_slices_match_every_device(
         mut session: Session,
         data: &[TimeSeries],
@@ -349,7 +359,7 @@ mod tests {
                 UserClient::with_assignment(user, s, label, &params, assignments[user])
             })
             .collect();
-        let mut fleets: Vec<SimulatedFleet> = [1, 2, 5, 3]
+        let mut fleets: Vec<SimulatedFleet> = [1, 2, 5, 0, 3]
             .into_iter()
             .map(|threads| SimulatedFleet::new(data, labels, &params, threads))
             .collect();
@@ -422,6 +432,46 @@ mod tests {
         let session = Session::baseline_labeled(cfg, data.len(), 3).unwrap();
         let uneven = assert_addressed_slices_match_every_device(session, &data, Some(&labels));
         assert!(uneven > 0, "no chunked round split its group unevenly");
+    }
+
+    #[test]
+    fn series_past_the_population_enroll_unassigned() {
+        let mut cfg = PrivShapeConfig::new(
+            Epsilon::new(4.0).unwrap(),
+            1,
+            SaxParams::new(10, 3).unwrap(),
+        );
+        cfg.length_range = (1, 4);
+        let data = series(40);
+        let mut session = Session::privshape(cfg, 30).unwrap();
+        let mut fleet = SimulatedFleet::new(&data, None, session.params(), 2);
+        let mut enrolled = SimulatedFleet::new(&data[..30], None, session.params(), 2);
+        assert_eq!(fleet.len(), 40);
+        while let Some(spec) = session.next_round().unwrap() {
+            let shard = fleet.answer_into_shard(&spec, &session).unwrap();
+            let want = enrolled.answer_into_shard(&spec, &session).unwrap();
+            assert_eq!(shard, want, "round {}", spec.name());
+            session.submit_shard(&shard).unwrap();
+        }
+        session.finish().unwrap();
+    }
+
+    #[test]
+    fn missing_labels_fail_the_labeled_round() {
+        let mut cfg = PrivShapeConfig::new(
+            Epsilon::new(4.0).unwrap(),
+            1,
+            SaxParams::new(10, 3).unwrap(),
+        );
+        cfg.length_range = (1, 4);
+        let data = series(40);
+        let labels = vec![0; 10];
+        let mut session = Session::privshape_labeled(cfg, data.len(), 2).unwrap();
+        let mut fleet = SimulatedFleet::new(&data, Some(&labels), session.params(), 2);
+        assert!(matches!(
+            fleet.drive(&mut session),
+            Err(Error::BadLabels(_))
+        ));
     }
 
     #[test]

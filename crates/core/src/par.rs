@@ -1,6 +1,8 @@
 //! Deterministic fork/join over user populations (crossbeam scoped
-//! threads). Outputs land in per-index slots, so results are identical for
-//! any thread count.
+//! threads). Outputs land in per-run vectors joined in run order, or in
+//! per-item slots, so results are identical for any thread count.
+
+use std::ops::Range;
 
 /// Applies `f` to each index in `0..n` using up to `threads` workers.
 pub(crate) fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
@@ -8,27 +10,41 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    map_runs(n, threads, |run| run.map(&f).collect())
+}
+
+/// Splits `0..n` into one contiguous run per worker (up to `threads`),
+/// maps every run with `f` on its own thread and concatenates the outputs
+/// in run order, so results are identical for any thread count.
+pub(crate) fn map_runs<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(Range<usize>) -> Vec<T> + Sync,
+{
     let threads = threads.max(1).min(n.max(1));
     if threads == 1 || n < 64 {
-        return (0..n).map(f).collect();
+        return f(0..n);
     }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        for (chunk_idx, slots) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move |_| {
-                let base = chunk_idx * chunk;
-                for (offset, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(f(base + offset));
-                }
-            });
-        }
+    let run = n.div_ceil(threads);
+    let parts: Vec<Vec<T>> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .step_by(run)
+            .map(|lo| {
+                let f = &f;
+                scope.spawn(move |_| f(lo..n.min(lo + run)))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("worker panicked"))
+            .collect()
     })
     .expect("worker panicked");
-    out.into_iter()
-        .map(|slot| slot.expect("all slots filled"))
-        .collect()
+    let mut out = Vec::with_capacity(n);
+    for part in parts {
+        out.extend(part);
+    }
+    out
 }
 
 /// The mutable-access counterpart of [`map_indexed`], used to drive
@@ -83,7 +99,8 @@ pub(crate) fn default_threads() -> usize {
         .min(16)
 }
 
-/// Resolves a configured thread count (0 ⇒ auto).
+/// Resolves a configured thread count: 0 means the available
+/// parallelism, capped at 16.
 pub(crate) fn resolve_threads(configured: usize) -> usize {
     if configured == 0 {
         default_threads()
@@ -101,6 +118,15 @@ mod tests {
         let a = map_indexed(500, 4, |i| i * 3);
         let b: Vec<usize> = (0..500).map(|i| i * 3).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn runs_concatenate_in_order_for_any_thread_count() {
+        for (n, threads) in [(0, 2), (63, 4), (500, 1), (500, 3), (701, 16)] {
+            let got = map_runs(n, threads, |run| run.map(|i| i * 3).collect());
+            let want: Vec<usize> = (0..n).map(|i| i * 3).collect();
+            assert_eq!(got, want, "n={n} threads={threads}");
+        }
     }
 
     #[test]

@@ -7,24 +7,27 @@
 //! single-process simulation drivers.
 
 use crate::par;
-use privshape_protocol::{transform_series, Preprocessing};
+use privshape_protocol::{transform_batch, Preprocessing};
 use privshape_timeseries::{SaxParams, SymbolSeq, TimeSeries};
 
-/// Transforms a whole population in parallel.
+/// Transforms a whole population in parallel: one contiguous run of users
+/// per thread, each through [`transform_batch`]. A `threads` of 0 means
+/// the available parallelism, capped at 16.
 pub fn transform_population(
     series: &[TimeSeries],
     sax_params: &SaxParams,
     mode: &Preprocessing,
     threads: usize,
 ) -> Vec<SymbolSeq> {
-    par::map_indexed(series.len(), threads, |i| {
-        transform_series(&series[i], sax_params, mode)
+    par::map_runs(series.len(), par::resolve_threads(threads), |run| {
+        transform_batch(&series[run], sax_params, mode)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privshape_protocol::transform_series;
 
     fn step_series() -> TimeSeries {
         let mut v = vec![-1.0; 40];

@@ -28,7 +28,9 @@ use privshape_trie::BigramSet;
 use rand::{Rng, RngExt};
 
 /// A user's place in the population partition, derived locally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// The default is the unassigned user's: in no group, so never addressed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupAssignment {
     /// The group this user reports in; `None` if the split fractions left
     /// the user unassigned (they stay silent for the whole session).
@@ -47,14 +49,7 @@ impl GroupAssignment {
     /// pure function of the broadcast parameters: any client (or shard)
     /// computes the identical partition without communication.
     pub fn derive_all(params: &ProtocolParams) -> Vec<GroupAssignment> {
-        let mut out = vec![
-            GroupAssignment {
-                group: None,
-                rank: 0,
-                group_len: 0,
-            };
-            params.n
-        ];
+        let mut out = vec![GroupAssignment::default(); params.n];
         let mut place = |users: &[usize], group: GroupId| {
             for (rank, &user) in users.iter().enumerate() {
                 out[user] = GroupAssignment {
@@ -83,9 +78,13 @@ impl GroupAssignment {
 
     /// Derives one user's assignment (O(n): replays the full shuffle).
     /// Simulated fleets should call [`GroupAssignment::derive_all`] once
-    /// and share the result.
+    /// and share the result. A user id outside the session's population
+    /// (`user >= params.n`) is unassigned, like the split's leftovers.
     pub fn derive(params: &ProtocolParams, user: usize) -> GroupAssignment {
-        Self::derive_all(params)[user]
+        Self::derive_all(params)
+            .get(user)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Whether a round addressed to `audience` is addressed to this user.
@@ -566,6 +565,31 @@ mod tests {
             group_len: 0,
         };
         assert!(!unassigned.addressed_by(Audience::group(GroupId::Pa)));
+    }
+
+    #[test]
+    fn users_outside_the_session_enroll_unassigned() {
+        let p = params(30);
+        let series =
+            TimeSeries::new((0..40).map(|i| (f64::from(i) * 0.3).sin()).collect()).unwrap();
+        assert_eq!(
+            GroupAssignment::derive(&p, 29),
+            GroupAssignment::derive_all(&p)[29]
+        );
+        for mut device in [
+            UserClient::new(35, &series, &p),
+            UserClient::labeled(35, &series, 1, &p),
+        ] {
+            assert_eq!(device.assignment(), GroupAssignment::default());
+            for group in [GroupId::Pa, GroupId::Pb, GroupId::Pc, GroupId::Pd] {
+                let spec = RoundSpec::Length {
+                    audience: Audience::group(group),
+                    range: (1, 6),
+                    oracle: LengthOracle::Grr,
+                };
+                assert!(device.answer(&spec).unwrap().is_none());
+            }
+        }
     }
 
     #[test]

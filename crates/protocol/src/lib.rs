@@ -112,5 +112,5 @@ pub use report::{ClassShapes, Diagnostics, ExtractedShape, Extraction, LabeledEx
 pub use round::{Audience, Chunk, GroupId, Report, RoundSpec};
 pub use session::{Session, SNAPSHOT_VERSION};
 pub use shard::ShardAggregator;
-pub use transform::transform_series;
+pub use transform::{transform_batch, transform_series};
 pub use wire::{route_frame, seal_frame, unseal_frame, RoutedFrame, ROUTED_VERSION};

@@ -7,42 +7,52 @@
 //! protocol boundary.
 
 use crate::config::Preprocessing;
-use privshape_timeseries::{compress, sax, SaxParams, Symbol, SymbolSeq, TimeSeries};
+use privshape_timeseries::{
+    compress, normalized_sax, normalized_sax_batch, SaxParams, Symbol, SymbolSeq, TimeSeries,
+};
 
 /// Transforms one series according to the preprocessing mode.
 ///
 /// The series is z-normalized first (the paper's datasets are already
 /// z-scored; re-normalizing is idempotent for them and makes the API safe
-/// for raw inputs).
+/// for raw inputs). The SAX modes run the fused kernel
+/// [`normalized_sax`], which builds no normalized copy.
 pub fn transform_series(
     series: &TimeSeries,
     sax_params: &SaxParams,
     mode: &Preprocessing,
 ) -> SymbolSeq {
-    let z = series.z_normalized();
     match mode {
-        Preprocessing::Sax {
-            compress: do_compress,
-        } => {
-            let seq = sax(z.values(), sax_params);
-            if *do_compress {
-                compress(&seq)
-            } else {
-                seq
-            }
-        }
+        Preprocessing::Sax { compress } => normalized_sax(series, sax_params, *compress),
         Preprocessing::UniformGrid {
             step,
             bound,
             compress: do_compress,
         } => {
-            let seq = uniform_grid(z.values(), *step, *bound);
+            let seq = uniform_grid(series.z_normalized().values(), *step, *bound);
             if *do_compress {
                 compress(&seq)
             } else {
                 seq
             }
         }
+    }
+}
+
+/// [`transform_series`] of every series, in order. The SAX modes run the
+/// batch kernel [`normalized_sax_batch`], which advances four series in
+/// lockstep and prefetches the next four.
+pub fn transform_batch(
+    series: &[TimeSeries],
+    sax_params: &SaxParams,
+    mode: &Preprocessing,
+) -> Vec<SymbolSeq> {
+    match mode {
+        Preprocessing::Sax { compress } => normalized_sax_batch(series, sax_params, *compress),
+        Preprocessing::UniformGrid { .. } => series
+            .iter()
+            .map(|s| transform_series(s, sax_params, mode))
+            .collect(),
     }
 }
 
@@ -82,6 +92,37 @@ mod tests {
             transform_series(&step_series(), &p, &Preprocessing::Sax { compress: false });
         assert_eq!(compressed.to_string(), "ac");
         assert_eq!(uncompressed.to_string(), "aaaacccc");
+    }
+
+    #[test]
+    fn batch_equals_one_series_at_a_time_in_every_mode() {
+        // Two lockstep groups, one of them with unequal lengths, and a tail.
+        let batch: Vec<TimeSeries> = (0..11)
+            .map(|i| {
+                let len = if i == 5 { 61 } else { 80 };
+                let v = (0..len)
+                    .map(|t| (f64::from(t) * 0.07 * f64::from(i + 1)).sin())
+                    .collect();
+                TimeSeries::new(v).unwrap()
+            })
+            .collect();
+        let p = SaxParams::new(10, 3).unwrap();
+        for mode in [
+            Preprocessing::Sax { compress: true },
+            Preprocessing::Sax { compress: false },
+            Preprocessing::paper_uniform_grid(),
+            Preprocessing::UniformGrid {
+                step: 0.33,
+                bound: 0.99,
+                compress: false,
+            },
+        ] {
+            let want: Vec<SymbolSeq> = batch
+                .iter()
+                .map(|s| transform_series(s, &p, &mode))
+                .collect();
+            assert_eq!(transform_batch(&batch, &p, &mode), want, "{mode:?}");
+        }
     }
 
     #[test]

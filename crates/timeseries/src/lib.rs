@@ -10,6 +10,11 @@
 //!   alphabet size via the inverse normal CDF;
 //! * [`sax`] / [`compressive_sax`] — the SAX transform and the paper's
 //!   Compressive SAX (run-length removal of repeated symbols);
+//! * [`normalized_sax`] / [`normalized_sax_batch`] — the enrollment
+//!   kernel: z-normalization, PAA, symbolization and compression fused
+//!   into one pass structure with no intermediate buffer, bit-identical to
+//!   the composed chain above, with the batch form advancing four series
+//!   in lockstep and prefetching the next four;
 //! * [`SymbolSeq`] — compact symbol sequences with parsing/formatting;
 //! * [`CandidateTable`] — packed columnar batches of candidate shapes
 //!   (one flat symbol buffer + offsets), the broadcast currency of the
@@ -58,7 +63,7 @@ pub use compress::{compress, is_compressed};
 pub use dataset::Dataset;
 pub use error::{Result, TsError};
 pub use paa::{num_segments, paa, paa_into};
-pub use sax::{compressive_sax, sax, symbolize, SaxParams};
+pub use sax::{compressive_sax, normalized_sax, normalized_sax_batch, sax, symbolize, SaxParams};
 pub use series::TimeSeries;
 pub use symbol::{Symbol, SymbolSeq, MAX_ALPHABET};
 pub use table::CandidateTable;

@@ -53,7 +53,11 @@ impl TimeSeries {
     /// Population standard deviation (the convention used by z-score
     /// normalization in the SAX literature).
     pub fn std(&self) -> f64 {
-        let mean = self.mean();
+        self.std_about(self.mean())
+    }
+
+    /// [`TimeSeries::std`] about a mean the caller already holds.
+    fn std_about(&self, mean: f64) -> f64 {
         let var = self
             .values
             .iter()
@@ -85,7 +89,7 @@ impl TimeSeries {
     /// all zeros rather than dividing by a vanishing σ.
     pub fn z_normalized(&self) -> TimeSeries {
         let mean = self.mean();
-        let std = self.std();
+        let std = self.std_about(mean);
         let values = if std < 1e-12 {
             vec![0.0; self.values.len()]
         } else {

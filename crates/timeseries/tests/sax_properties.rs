@@ -2,13 +2,59 @@
 //! on, checked for arbitrary series and parameters.
 
 use privshape_timeseries::{
-    compress, compressive_sax, gaussian_breakpoints, num_segments, paa, sax, symbolize, SaxParams,
-    Symbol, SymbolSeq, TimeSeries,
+    compress, compressive_sax, gaussian_breakpoints, normalized_sax, normalized_sax_batch,
+    num_segments, paa, sax, symbolize, SaxParams, Symbol, SymbolSeq, TimeSeries,
 };
 use proptest::prelude::*;
 
 fn series_strategy() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-100.0f64..100.0, 1..300)
+}
+
+/// One series of a kernel batch: `(own_len, len, exponent, (shape, seed))`.
+/// It takes the batch's shared length unless `own_len` is 0 (one in four),
+/// so batches hold runs of four equal lengths and runs broken by a
+/// different one.
+type SeriesSpec = (u32, usize, i32, (u32, u64));
+
+fn series_spec() -> impl Strategy<Value = SeriesSpec> {
+    (
+        0u32..4,
+        1usize..=400,
+        -150i32..=150,
+        (0u32..5, any::<u64>()),
+    )
+}
+
+/// Builds a finite series of `len` samples at magnitude `10^exponent`:
+/// a constant, noise, a noisy sine, a near-constant whose σ straddles the
+/// kernel's 1e-12 cut-off, or a mix of `0.0` and `-0.0`.
+fn kernel_series(len: usize, exponent: i32, shape: u32, seed: u64) -> TimeSeries {
+    let scale = 10f64.powi(exponent);
+    let mut state = seed | 1;
+    let mut unit = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    };
+    let level = unit();
+    let values = (0..len)
+        .map(|i| match shape {
+            0 => scale * level,
+            1 => scale * unit(),
+            2 => scale * ((i as f64 * 0.2).sin() + 0.1 * unit()),
+            3 => scale * (1.0 + 1e-13 * unit()),
+            _ => {
+                if unit() < 0.0 {
+                    -0.0
+                } else {
+                    0.0
+                }
+            }
+        })
+        .collect();
+    TimeSeries::new(values).unwrap()
 }
 
 proptest! {
@@ -100,6 +146,36 @@ proptest! {
             compressive_sax(a.values(), &params_a),
             compressive_sax(b.values(), &params_b)
         );
+    }
+
+    #[test]
+    fn fused_kernel_equals_the_composed_chain(
+        w in 1usize..=40,
+        alphabet in 2usize..=26,
+        shared_len in 1usize..=400,
+        specs in prop::collection::vec(series_spec(), 1..=11),
+    ) {
+        let params = SaxParams::new(w, alphabet).unwrap();
+        let batch: Vec<TimeSeries> = specs
+            .iter()
+            .map(|&(own, len, exponent, (shape, seed))| {
+                let len = if own == 0 { len } else { shared_len };
+                kernel_series(len, exponent, shape, seed)
+            })
+            .collect();
+        for do_compress in [true, false] {
+            let want: Vec<SymbolSeq> = batch
+                .iter()
+                .map(|s| {
+                    let seq = sax(s.z_normalized().values(), &params);
+                    if do_compress { compress(&seq) } else { seq }
+                })
+                .collect();
+            for (s, want) in batch.iter().zip(&want) {
+                prop_assert_eq!(&normalized_sax(s, &params, do_compress), want);
+            }
+            prop_assert_eq!(normalized_sax_batch(&batch, &params, do_compress), want);
+        }
     }
 
     #[test]
