@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use privshape::{transform_batch, transform_series, Preprocessing};
-use privshape_distance::{dtw, euclidean_padded, sed, DistanceKind, DistanceWorkspace};
+use privshape_distance::{dtw, em_score, euclidean_padded, sed, DistanceKind, DistanceWorkspace};
 use privshape_ldp::{Epsilon, ExpMech, Grr, Oue, PiecewiseMechanism};
 use privshape_timeseries::{
     compressive_sax, sax, CandidateTable, SaxParams, SymbolSeq, TimeSeries,
@@ -15,6 +15,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use std::cell::OnceCell;
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// Series in the enrollment population: perfbench's facade-deep fleet,
 /// 199,998 series of 128 samples (about 195 MiB), so the per-series loop
@@ -185,12 +186,17 @@ fn sibling_table(depth: usize, shift: usize) -> CandidateTable {
 /// table-scorer cases alternate between two tables with different
 /// content: every call misses the memo and pays for the scan plus the
 /// memo's upkeep, the cost on a population whose sequences are all
-/// distinct. `memo_hit` times a repeated own sequence against one table.
+/// distinct. `memo_hit` times a repeated own sequence against one table,
+/// through the selection row a device draws from.
 fn bench_prefix_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate/prefix_batch");
     let own = SymbolSeq::parse("acbdcbadcbab").unwrap();
+    let em = ExpMech::new(Epsilon::new(4.0).unwrap());
     for depth in [3usize, 6] {
-        let tables = [sibling_table(depth, 0), sibling_table(depth, 3)];
+        let tables = [
+            Arc::new(sibling_table(depth, 0)),
+            Arc::new(sibling_table(depth, 3)),
+        ];
         assert!(
             tables.iter().all(|t| t.len() == 18),
             "sibling batches should be 18 rows"
@@ -236,9 +242,21 @@ fn bench_prefix_batch(c: &mut Criterion) {
         );
         group.bench_with_input(BenchmarkId::new("memo_hit", depth), &depth, |bch, _| {
             let mut ws = DistanceWorkspace::new();
+            let salt = em.epsilon().value().to_bits();
             bch.iter(|| {
-                let scores = DistanceKind::Dtw.dist_batch_table(&mut ws, own.symbols(), &tables[0]);
-                black_box(scores.last().copied())
+                let row = DistanceKind::Dtw.table_row(
+                    &mut ws,
+                    own.symbols(),
+                    &tables[0],
+                    salt,
+                    |d, row| {
+                        for s in d.iter_mut() {
+                            *s = em_score(*s);
+                        }
+                        em.prepare(d, row);
+                    },
+                );
+                black_box(row.last().copied())
             });
         });
     }
@@ -262,12 +280,24 @@ fn bench_ldp(c: &mut Criterion) {
 
     // EM selection over the table sizes devices score: 6 and 18
     // candidates, 55 (a deep facade-deep level) and 324 (the widest
-    // service-mix level).
+    // service-mix level). `em_select_prepared_*` draws from a row prepared
+    // once, each time on a fresh stream: what a device whose sequence the
+    // workspace has seen pays.
     let em = ExpMech::new(eps);
     for n in [6usize, 18, 55, 324] {
         let scores: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + (i % 18) as f64)).collect();
         group.bench_function(format!("em_select_{n}_candidates").as_str(), |b| {
             b.iter(|| black_box(em.select(&mut rng, &scores).unwrap()));
+        });
+        let mut row = Vec::new();
+        em.prepare(&scores, &mut row);
+        group.bench_function(format!("em_select_prepared_{n}").as_str(), |b| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                let mut fresh = ChaCha12Rng::seed_from_u64(seed);
+                black_box(em.select_prepared(&mut fresh, &row).unwrap())
+            });
         });
     }
 

@@ -52,8 +52,9 @@ impl SimulatedFleet {
     /// deriving all group assignments once and transforming every series
     /// on its own "device", in parallel.
     ///
-    /// `threads` of 0 means the available parallelism, capped at 16; the
-    /// fleet enrolls and answers on that many threads. A series past the
+    /// `threads` of 0 means the available parallelism, capped at 16, and
+    /// an explicit count is clamped to [`privshape_protocol::MAX_THREADS`];
+    /// the fleet enrolls and answers on that many threads. A series past the
     /// session's population (`user >= params.n`) enrolls unassigned, so no
     /// round addresses it, and a user without a label (`labels` shorter
     /// than `series`) enrolls with none, so a labeled round it is
@@ -454,6 +455,18 @@ mod tests {
             session.submit_shard(&shard).unwrap();
         }
         session.finish().unwrap();
+    }
+
+    #[test]
+    fn an_unbounded_thread_count_starts_at_most_the_ceiling() {
+        let cfg = PrivShapeConfig::new(
+            Epsilon::new(4.0).unwrap(),
+            1,
+            SaxParams::new(10, 3).unwrap(),
+        );
+        let session = Session::privshape(cfg, 100).unwrap();
+        let fleet = SimulatedFleet::new(&series(100), None, session.params(), usize::MAX);
+        assert_eq!(fleet.workers.len(), privshape_protocol::MAX_THREADS);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! threads). Outputs land in per-run vectors joined in run order, or in
 //! per-item slots, so results are identical for any thread count.
 
+use privshape_protocol::MAX_THREADS;
 use std::ops::Range;
 
 /// Applies `f` to each index in `0..n` using up to `threads` workers.
@@ -100,12 +101,13 @@ pub(crate) fn default_threads() -> usize {
 }
 
 /// Resolves a configured thread count: 0 means the available
-/// parallelism, capped at 16.
+/// parallelism, capped at 16, and an explicit count is clamped to
+/// [`MAX_THREADS`].
 pub(crate) fn resolve_threads(configured: usize) -> usize {
     if configured == 0 {
         default_threads()
     } else {
-        configured
+        configured.min(MAX_THREADS)
     }
 }
 
@@ -147,6 +149,15 @@ mod tests {
     fn resolve_zero_is_auto() {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(3), 3);
+    }
+
+    #[test]
+    fn explicit_thread_counts_are_clamped() {
+        assert!(resolve_threads(0) <= 16);
+        assert_eq!(resolve_threads(MAX_THREADS), MAX_THREADS);
+        for configured in [MAX_THREADS + 1, 50_000, usize::MAX] {
+            assert_eq!(resolve_threads(configured), MAX_THREADS, "{configured}");
+        }
     }
 
     #[test]

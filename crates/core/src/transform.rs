@@ -12,7 +12,8 @@ use privshape_timeseries::{SaxParams, SymbolSeq, TimeSeries};
 
 /// Transforms a whole population in parallel: one contiguous run of users
 /// per thread, each through [`transform_batch`]. A `threads` of 0 means
-/// the available parallelism, capped at 16.
+/// the available parallelism, capped at 16; an explicit count is clamped
+/// to [`privshape_protocol::MAX_THREADS`].
 pub fn transform_population(
     series: &[TimeSeries],
     sax_params: &SaxParams,

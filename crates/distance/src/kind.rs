@@ -4,6 +4,7 @@ use crate::prefix;
 use crate::workspace::DistanceWorkspace;
 use crate::{euclidean_padded, hausdorff, sed};
 use privshape_timeseries::{CandidateTable, Symbol, SymbolSeq};
+use std::sync::Arc;
 
 /// The distance measures evaluated in the paper (§V-H).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -85,8 +86,7 @@ impl DistanceKind {
         &mut ws.batch
     }
 
-    /// Distances from `own` to every row of a packed [`CandidateTable`],
-    /// written into the workspace's batch buffer.
+    /// Distances from `own` to every row of a packed [`CandidateTable`].
     ///
     /// Same results as [`DistanceKind::dist_batch_with`] over
     /// `table.rows()` — bit-identical, row for row — but the table's
@@ -97,26 +97,54 @@ impl DistanceKind {
     /// O(Σ|cᵢ| · n). Hausdorff has no prefix decomposition and takes the
     /// flat path.
     ///
-    /// A repeat of an own sequence already scored against the same
-    /// (kind, table content) is answered from the workspace's memo: the
-    /// batch buffer receives a copy, so callers may still overwrite it.
-    /// Only remembering a new own sequence allocates.
+    /// This is [`DistanceKind::table_row`] with the identity derivation,
+    /// under a salt no `f64` bit pattern of a valid ε produces (it is a
+    /// NaN's), so a repeat is answered from the workspace's memo.
     pub fn dist_batch_table<'w>(
         &self,
         ws: &'w mut DistanceWorkspace,
         own: &[Symbol],
-        table: &CandidateTable,
-    ) -> &'w mut [f64] {
+        table: &Arc<CandidateTable>,
+    ) -> &'w [f64] {
+        self.table_row(ws, own, table, u64::MAX, |dists, row| {
+            row.extend_from_slice(dists)
+        })
+    }
+
+    /// A row derived from the distances of `own` to every table row: the
+    /// distances, as [`DistanceKind::dist_batch_table`] computes them,
+    /// pass through `derive(distances, row)`, which writes the derived row
+    /// into `row` (empty on entry; the distances are scratch it may
+    /// overwrite).
+    ///
+    /// The workspace remembers the derived row against the current
+    /// (kind, table, salt), so a repeat of `own` returns a slice borrowed
+    /// from the memo, with no scoring, no derivation and no copy. `salt`
+    /// names the derivation: every call under one salt must derive the
+    /// same row from the same distances. The memo forgets its rows when
+    /// the salt, the kind or the table changes; tables are told apart by
+    /// pointer, which is exact because the memo holds a clone of the
+    /// `Arc` (see [`DistanceWorkspace`]). Only remembering a new own
+    /// sequence allocates.
+    pub fn table_row<'w>(
+        &self,
+        ws: &'w mut DistanceWorkspace,
+        own: &[Symbol],
+        table: &Arc<CandidateTable>,
+        salt: u64,
+        derive: impl FnOnce(&mut [f64], &mut Vec<f64>),
+    ) -> &'w [f64] {
         ws.count_rows(*self, own, table.len());
         ws.memo.retarget(*self, table);
-        if let Some(scores) = ws.memo.batch(own) {
-            ws.batch.clear();
-            ws.batch.extend_from_slice(scores);
-        } else {
-            self.score_table(ws, own, table);
-            ws.memo.insert_batch(own, &ws.batch);
+        ws.memo.resalt(salt);
+        if let Some(span) = ws.memo.row(own) {
+            return ws.memo.values(span);
         }
-        &mut ws.batch
+        self.score_table(ws, own, table);
+        ws.row.clear();
+        derive(&mut ws.batch, &mut ws.row);
+        ws.memo.insert_row(own, &ws.row);
+        &ws.row
     }
 
     /// Scores every table row afresh into the workspace's batch buffer.
@@ -156,12 +184,12 @@ impl DistanceKind {
     /// minimum exceeds the running best, every candidate extending that
     /// prefix is skipped without touching its suffix. Ties resolve to the
     /// earlier row, exactly like the full scan. Repeats are answered from
-    /// the workspace's memo, like [`DistanceKind::dist_batch_table`].
+    /// the workspace's memo, like [`DistanceKind::table_row`].
     pub fn argmin_table(
         &self,
         ws: &mut DistanceWorkspace,
         own: &[Symbol],
-        table: &CandidateTable,
+        table: &Arc<CandidateTable>,
     ) -> Option<(usize, f64)> {
         if table.is_empty() {
             return None;

@@ -16,13 +16,18 @@
 //! keeps DTW rows and index buffers alive across calls; the plain
 //! [`DistanceKind::dist`] is a convenience wrapper over the same code
 //! path, so both produce bit-identical results. Whole candidate batches
-//! are scored with [`DistanceKind::dist_batch_table`] /
-//! [`DistanceKind::argmin_table`], which exploit the packed table's LCP
-//! index to resume dynamic-programming state shared between
-//! prefix-ordered candidates (one trie walk instead of one DP table per
-//! sibling) — still bit-identical to the flat path. The workspace also
-//! remembers each own sequence's table result, so a sequence many users
-//! share is scored once per table.
+//! are scored with [`DistanceKind::table_row`] /
+//! [`DistanceKind::dist_batch_table`] / [`DistanceKind::argmin_table`],
+//! which exploit the packed table's LCP index to resume
+//! dynamic-programming state shared between prefix-ordered candidates
+//! (one trie walk instead of one DP table per sibling) — still
+//! bit-identical to the flat path. The workspace also remembers each own
+//! sequence's result per table: `table_row` keeps the row a caller
+//! derives from the distances (a device keeps its Exponential-Mechanism
+//! selection row), named by a salt, so a sequence many users share is
+//! scored and derived once per table and later answered with a borrowed
+//! slice. Tables are passed as the broadcast's `Arc` and recognised by
+//! pointer.
 //!
 //! # Example
 //!

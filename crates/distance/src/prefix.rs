@@ -416,9 +416,10 @@ mod tests {
     use super::*;
     use crate::{DistanceKind, DistanceWorkspace};
     use privshape_timeseries::SymbolSeq;
+    use std::sync::Arc;
 
-    fn table(rows: &[&str]) -> CandidateTable {
-        CandidateTable::parse_rows(rows).unwrap()
+    fn table(rows: &[&str]) -> Arc<CandidateTable> {
+        Arc::new(CandidateTable::parse_rows(rows).unwrap())
     }
 
     fn flat(kind: DistanceKind, own: &str, t: &CandidateTable) -> Vec<f64> {
@@ -426,7 +427,7 @@ mod tests {
         t.to_seqs().iter().map(|c| kind.dist(&own, c)).collect()
     }
 
-    fn prefix(kind: DistanceKind, own: &str, t: &CandidateTable) -> Vec<f64> {
+    fn prefix(kind: DistanceKind, own: &str, t: &Arc<CandidateTable>) -> Vec<f64> {
         let own = SymbolSeq::parse(own).unwrap();
         let mut ws = DistanceWorkspace::new();
         kind.dist_batch_table(&mut ws, own.symbols(), t).to_vec()
@@ -446,6 +447,7 @@ mod tests {
         t.push(&[]);
         t.push_seq(&SymbolSeq::parse("ab").unwrap());
         t.push(&[]);
+        let t = Arc::new(t);
         for kind in DistanceKind::ALL {
             assert_eq!(prefix(kind, "ab", &t), flat(kind, "ab", &t), "{kind}");
             assert_eq!(prefix(kind, "", &t), flat(kind, "", &t), "{kind} empty own");
@@ -494,7 +496,7 @@ mod tests {
 
     #[test]
     fn argmin_on_empty_table_is_none() {
-        let t = CandidateTable::new();
+        let t = Arc::new(CandidateTable::new());
         let mut ws = DistanceWorkspace::new();
         for kind in DistanceKind::ALL {
             assert!(kind

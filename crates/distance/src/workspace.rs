@@ -13,11 +13,13 @@ use crate::dtw::Dtw;
 use crate::DistanceKind;
 use privshape_timeseries::{CandidateTable, Symbol};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Scratch buffers for [`DistanceKind::dist_with`](crate::DistanceKind::dist_with),
 /// [`DistanceKind::dist_batch_with`](crate::DistanceKind::dist_batch_with),
 /// and the prefix-resumable table scorers
-/// ([`DistanceKind::dist_batch_table`](crate::DistanceKind::dist_batch_table),
+/// ([`DistanceKind::table_row`](crate::DistanceKind::table_row),
+/// [`DistanceKind::dist_batch_table`](crate::DistanceKind::dist_batch_table),
 /// [`DistanceKind::argmin_table`](crate::DistanceKind::argmin_table)).
 ///
 /// Holds the DTW rolling rows, the two symbol→`f64` index buffers, a
@@ -29,10 +31,13 @@ use std::collections::HashMap;
 /// path (enforced by the workspace-equality property test).
 ///
 /// The table scorers also remember each own sequence's result against the
-/// last (kind, table) pair scored, so a population whose members share
-/// sequences scores each distinct one once per table. The memo resets
-/// whenever the kind or the table's *content* changes, and stops taking
-/// new entries at about 1 MiB of scores.
+/// last (kind, table) pair scored — for `table_row`, the derived row
+/// under the last salt — so a population whose members share sequences
+/// scores and derives each distinct one once per table. The memo resets
+/// whenever the kind, the table or the salt changes; it recognises a table
+/// by its `Arc` pointer, exact because it holds a clone of that `Arc`, so
+/// the address cannot be reused and the content cannot change. It stops
+/// taking new entries at about 1 MiB of stored values.
 ///
 /// # Example
 ///
@@ -52,6 +57,8 @@ pub struct DistanceWorkspace {
     pub(crate) ia: Vec<f64>,
     pub(crate) ib: Vec<f64>,
     pub(crate) batch: Vec<f64>,
+    /// A derived row on its way into (or past a full) memo.
+    pub(crate) row: Vec<f64>,
     /// Depth-indexed DP rows (DTW / SED) or prefix sums (Euclidean) for
     /// the prefix-resumable table scorers.
     pub(crate) stack: Vec<f64>,
@@ -69,8 +76,8 @@ pub struct DistanceWorkspace {
 /// results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Candidate rows routed through `dist_batch_table` / `argmin_table`
-    /// for DTW and SED (DTW against a non-empty own sequence), whether
+    /// Candidate rows routed through `table_row` / `argmin_table` for DTW
+    /// and SED (DTW against a non-empty own sequence), whether
     /// scored afresh or answered from the workspace's memo.
     pub rows: u64,
 }
@@ -83,50 +90,71 @@ impl ScanStats {
     }
 }
 
-/// Scores the memo holds at most: about 1 MiB of `f64`s.
+/// Values the memo holds at most: about 1 MiB of `f64`s (an argmin counts
+/// as one).
 const MEMO_CAP: usize = (1 << 20) / std::mem::size_of::<f64>();
 
 /// Table-scorer results remembered per own sequence, all against one
-/// (kind, table) pair.
+/// (kind, table) pair; the derived rows also under one derivation salt.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Memo {
     /// The kind every entry was scored under (`None` before the first).
     kind: Option<DistanceKind>,
-    /// A copy of the table every entry was scored against. Compared by
-    /// content: a freed table's address can come back as the next one's.
-    table: CandidateTable,
-    /// Own sequence → start of its batch in `scores`.
-    batches: HashMap<Box<[Symbol]>, usize>,
+    /// The table every entry was scored against. Holding a clone keeps
+    /// the allocation alive and immutable, so a caller's `Arc` that
+    /// points at it is this very table: no other table can take its
+    /// address while the memo holds it.
+    table: Option<Arc<CandidateTable>>,
+    /// The derivation every row in `rows` was derived under.
+    salt: u64,
+    /// Own sequence → its derived row's span in `values`.
+    rows: HashMap<Box<[Symbol]>, (usize, usize)>,
     /// Own sequence → its `argmin_table` result.
     argmins: HashMap<Box<[Symbol]>, (usize, f64)>,
-    /// Every remembered batch, back to back.
-    scores: Vec<f64>,
+    /// Every remembered row, back to back.
+    values: Vec<f64>,
 }
 
 impl Memo {
     /// Forgets every entry unless they were scored under `kind` against
-    /// a table with the same content as `table`.
-    pub(crate) fn retarget(&mut self, kind: DistanceKind, table: &CandidateTable) {
-        if self.kind != Some(kind) || self.table != *table {
+    /// this very table (pointer identity, O(1)).
+    pub(crate) fn retarget(&mut self, kind: DistanceKind, table: &Arc<CandidateTable>) {
+        let same_table = self.table.as_ref().is_some_and(|t| Arc::ptr_eq(t, table));
+        if self.kind != Some(kind) || !same_table {
             self.kind = Some(kind);
-            self.table = table.clone();
-            self.batches.clear();
+            self.table = Some(Arc::clone(table));
+            self.rows.clear();
             self.argmins.clear();
-            self.scores.clear();
+            self.values.clear();
         }
     }
 
-    /// The remembered batch of `own`, if any.
-    pub(crate) fn batch(&self, own: &[Symbol]) -> Option<&[f64]> {
-        let start = *self.batches.get(own)?;
-        Some(&self.scores[start..start + self.table.len()])
+    /// Forgets every derived row unless it was derived under `salt`
+    /// (argmins do not depend on it).
+    pub(crate) fn resalt(&mut self, salt: u64) {
+        if self.salt != salt {
+            self.salt = salt;
+            self.rows.clear();
+            self.values.clear();
+        }
     }
 
-    /// Remembers `own`'s batch unless the memo is full.
-    pub(crate) fn insert_batch(&mut self, own: &[Symbol], batch: &[f64]) {
-        if self.has_room(batch.len()) {
-            self.batches.insert(own.into(), self.scores.len());
-            self.scores.extend_from_slice(batch);
+    /// Where the remembered row of `own` lies, if any.
+    pub(crate) fn row(&self, own: &[Symbol]) -> Option<(usize, usize)> {
+        self.rows.get(own).copied()
+    }
+
+    /// The values of a span returned by [`Memo::row`].
+    pub(crate) fn values(&self, (start, end): (usize, usize)) -> &[f64] {
+        &self.values[start..end]
+    }
+
+    /// Remembers `own`'s row unless the memo is full.
+    pub(crate) fn insert_row(&mut self, own: &[Symbol], row: &[f64]) {
+        if self.has_room(row.len()) {
+            let start = self.values.len();
+            self.rows.insert(own.into(), (start, start + row.len()));
+            self.values.extend_from_slice(row);
         }
     }
 
@@ -142,10 +170,9 @@ impl Memo {
         }
     }
 
-    /// Whether `n` more scores fit under [`MEMO_CAP`] (an argmin counts
-    /// as one).
+    /// Whether `n` more values fit under [`MEMO_CAP`].
     fn has_room(&self, n: usize) -> bool {
-        self.scores.len() + self.argmins.len() + n <= MEMO_CAP
+        self.values.len() + self.argmins.len() + n <= MEMO_CAP
     }
 }
 

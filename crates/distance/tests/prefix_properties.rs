@@ -8,12 +8,14 @@
 //! (1–5 children under each shared parent, the shape of a trie level).
 //! Each shape is fed trie-ordered, in insertion order, and shuffled, with
 //! one workspace reused throughout. The workspace's memo of earlier
-//! results must be invisible too: a workspace fed repeated owns and
-//! revisited tables answers and counts exactly like fresh ones.
+//! results must be invisible too: a workspace fed repeated owns,
+//! revisited tables and changing derivations answers and counts exactly
+//! like fresh ones.
 
 use privshape_distance::{DistanceKind, DistanceWorkspace};
 use privshape_timeseries::{CandidateTable, Symbol, SymbolSeq};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn seq_strategy() -> impl Strategy<Value = SymbolSeq> {
     // A small alphabet over moderately long rows makes shared prefixes
@@ -22,12 +24,12 @@ fn seq_strategy() -> impl Strategy<Value = SymbolSeq> {
         .prop_map(|v| SymbolSeq::from_symbols(v.into_iter().map(Symbol::from_index).collect()))
 }
 
-fn table_of(rows: &[SymbolSeq]) -> CandidateTable {
+fn table_of(rows: &[SymbolSeq]) -> Arc<CandidateTable> {
     let mut t = CandidateTable::new();
     for row in rows {
         t.push_seq(row);
     }
-    t
+    Arc::new(t)
 }
 
 /// Lexicographically sorted rows — the maximal-prefix-sharing order, the
@@ -87,27 +89,32 @@ fn orderings(rows: &[SymbolSeq], seed: u64) -> [Vec<SymbolSeq>; 3] {
     [trie_ordered(rows), rows.to_vec(), shuffled(rows, seed)]
 }
 
+/// One packed table per ordering of `rows`.
+fn ordered_tables(rows: &[SymbolSeq], seed: u64) -> Vec<Arc<CandidateTable>> {
+    orderings(rows, seed).iter().map(|r| table_of(r)).collect()
+}
+
 /// Every kind's table batch equals the flat allocating path bit for bit,
 /// row for row, for each own in turn against each table, with `ws` reused
 /// throughout. Kinds are the outer loop, so a table that repeats under
-/// one kind (even rebuilt in a new allocation) can be answered from the
-/// memo. Returns the rows fresh workspaces count for the same calls.
+/// one kind can be answered from the memo. Returns the rows fresh
+/// workspaces count for the same calls.
 fn check_batch_matches_flat(
     ws: &mut DistanceWorkspace,
     owns: &[SymbolSeq],
-    tables: &[Vec<SymbolSeq>],
+    tables: &[Arc<CandidateTable>],
 ) -> u64 {
     let mut fresh_rows = 0;
     for kind in DistanceKind::ALL {
-        for rows in tables {
-            let table = table_of(rows);
+        for table in tables {
+            let rows = table.to_seqs();
             for own in owns {
-                let batch = kind.dist_batch_table(ws, own.symbols(), &table).to_vec();
+                let batch = kind.dist_batch_table(ws, own.symbols(), table).to_vec();
                 let mut fresh = DistanceWorkspace::new();
-                kind.dist_batch_table(&mut fresh, own.symbols(), &table);
+                kind.dist_batch_table(&mut fresh, own.symbols(), table);
                 fresh_rows += fresh.stats().rows;
                 prop_assert_eq!(batch.len(), rows.len());
-                for (got, cand) in batch.iter().zip(rows) {
+                for (got, cand) in batch.iter().zip(&rows) {
                     let want = kind.dist(own, cand);
                     prop_assert!(
                         same(*got, want),
@@ -132,12 +139,12 @@ fn check_batch_matches_flat(
 fn check_argmin_matches_full_scan(
     ws: &mut DistanceWorkspace,
     owns: &[SymbolSeq],
-    tables: &[Vec<SymbolSeq>],
+    tables: &[Arc<CandidateTable>],
 ) -> u64 {
     let mut fresh_rows = 0;
     for kind in DistanceKind::ALL {
-        for rows in tables {
-            let table = table_of(rows);
+        for table in tables {
+            let rows = table.to_seqs();
             for own in owns {
                 let mut want = (0usize, f64::INFINITY);
                 for (i, cand) in rows.iter().enumerate() {
@@ -147,10 +154,10 @@ fn check_argmin_matches_full_scan(
                     }
                 }
                 let got = kind
-                    .argmin_table(ws, own.symbols(), &table)
+                    .argmin_table(ws, own.symbols(), table)
                     .expect("non-empty table");
                 let mut fresh = DistanceWorkspace::new();
-                kind.argmin_table(&mut fresh, own.symbols(), &table);
+                kind.argmin_table(&mut fresh, own.symbols(), table);
                 fresh_rows += fresh.stats().rows;
                 prop_assert_eq!(got.0, want.0, "{} on {}", kind, own);
                 prop_assert!(
@@ -167,8 +174,101 @@ fn check_argmin_matches_full_scan(
     fresh_rows
 }
 
+/// A derivation `table_row` may be asked for: a salt and what it derives
+/// from the distances. `None` stands for `dist_batch_table`.
+type Derivation = Option<(u64, fn(&mut [f64], &mut Vec<f64>))>;
+
+/// Shifted distances, one value per table row.
+fn shifted(d: &mut [f64], row: &mut Vec<f64>) {
+    row.extend(d.iter().map(|x| x + 0.5));
+}
+
+/// The distances' sum, then the distances doubled in place.
+fn summed(d: &mut [f64], row: &mut Vec<f64>) {
+    row.push(d.iter().sum());
+    for x in d.iter_mut() {
+        *x *= 2.0;
+    }
+    row.extend_from_slice(d);
+}
+
+/// `kind`'s derived row of `own` against `table` through `ws`.
+fn derived(
+    ws: &mut DistanceWorkspace,
+    kind: DistanceKind,
+    own: &SymbolSeq,
+    table: &Arc<CandidateTable>,
+    derivation: Derivation,
+) -> Vec<f64> {
+    match derivation {
+        None => kind.dist_batch_table(ws, own.symbols(), table).to_vec(),
+        Some((salt, derive)) => kind
+            .table_row(ws, own.symbols(), table, salt, derive)
+            .to_vec(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One workspace serving `table_row` under two salts with two
+    /// derivations, interleaved with `dist_batch_table`, returns what
+    /// fresh workspaces return and counts the same rows. The tables are
+    /// A, B, A again (the same `Arc`), A rebuilt in a new `Arc` and A
+    /// with one symbol changed; every derivation runs once per own in
+    /// turn, then over all owns one derivation at a time.
+    #[test]
+    fn derived_rows_equal_fresh_workspaces(
+        owns in prop::collection::vec(seq_strategy(), 1..4),
+        rows in prop::collection::vec(seq_strategy(), 1..14),
+        siblings in sibling_rows_strategy(),
+    ) {
+        let a = table_of(&rows);
+        let mut changed = rows.clone();
+        match changed.iter_mut().find(|r| !r.is_empty()) {
+            Some(row) => {
+                let mut symbols = row.symbols().to_vec();
+                let last = symbols.last_mut().expect("non-empty row");
+                *last = Symbol::from_index((last.index() as u8 + 1) % 4);
+                *row = SymbolSeq::from_symbols(symbols);
+            }
+            None => changed.push(SymbolSeq::parse("a").unwrap()),
+        }
+        let tables = [
+            a.clone(),
+            table_of(&siblings),
+            a.clone(),
+            table_of(&rows),
+            table_of(&changed),
+        ];
+        let derivations: [Derivation; 3] = [Some((1, shifted)), None, Some((2, summed))];
+        // Each table's calls end under the salt the next table's begin
+        // with, so only the table's identity can tell them apart.
+        let mut calls = Vec::new();
+        for table in &tables {
+            for own in &owns {
+                calls.extend(derivations.iter().map(|&d| (table, own, d)));
+            }
+            for &d in derivations.iter().rev() {
+                calls.extend(owns.iter().map(|own| (table, own, d)));
+            }
+        }
+        for kind in DistanceKind::ALL {
+            let mut ws = DistanceWorkspace::new();
+            let mut fresh_rows = 0;
+            for &(table, own, derivation) in &calls {
+                let got = derived(&mut ws, kind, own, table, derivation);
+                let mut fresh = DistanceWorkspace::new();
+                let want = derived(&mut fresh, kind, own, table, derivation);
+                fresh_rows += fresh.stats().rows;
+                prop_assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert!(same(*g, *w), "{} on {}: {:?} != {:?}", kind, own, got, want);
+                }
+            }
+            prop_assert_eq!(ws.stats().rows, fresh_rows);
+        }
+    }
 
     /// The table batch scorer equals the flat allocating path bit for bit,
     /// row for row, on free rows — whether or not they arrive in prefix
@@ -179,7 +279,7 @@ proptest! {
         rows in prop::collection::vec(seq_strategy(), 0..14),
         seed in 0u64..u64::MAX,
     ) {
-        check_batch_matches_flat(&mut DistanceWorkspace::new(), &[own], &orderings(&rows, seed));
+        check_batch_matches_flat(&mut DistanceWorkspace::new(), &[own], &ordered_tables(&rows, seed));
     }
 
     /// The same bit-identity on sibling-run tables, the shape of a trie
@@ -191,7 +291,7 @@ proptest! {
         rows in sibling_rows_strategy(),
         seed in 0u64..u64::MAX,
     ) {
-        check_batch_matches_flat(&mut DistanceWorkspace::new(), &[own], &orderings(&rows, seed));
+        check_batch_matches_flat(&mut DistanceWorkspace::new(), &[own], &ordered_tables(&rows, seed));
     }
 
     /// The LCP index survives arbitrary interleavings of pushes: it never
@@ -225,16 +325,16 @@ proptest! {
         siblings in sibling_rows_strategy(),
         seed in 0u64..u64::MAX,
     ) {
-        let tables: Vec<Vec<SymbolSeq>> =
-            orderings(&rows, seed).into_iter().chain(orderings(&siblings, seed)).collect();
+        let tables: Vec<Arc<CandidateTable>> =
+            ordered_tables(&rows, seed).into_iter().chain(ordered_tables(&siblings, seed)).collect();
         check_argmin_matches_full_scan(&mut DistanceWorkspace::new(), &[own], &tables);
     }
 
     /// One workspace fed repeated and interleaved owns (the empty one
     /// among them) and tables answers every batch and argmin like a fresh
-    /// workspace and counts the same rows. The table schedule returns to
-    /// an earlier table, rebuilds a table with equal content in a new
-    /// allocation, and runs under every kind in turn.
+    /// workspace and counts the same rows. The table schedule repeats a
+    /// table, returns to an earlier one, rebuilds one with equal content
+    /// in a new `Arc`, and runs under every kind in turn.
     #[test]
     fn memoized_scores_equal_fresh_workspaces(
         owns in prop::collection::vec(seq_strategy(), 1..4),
@@ -250,12 +350,14 @@ proptest! {
             picks.iter().map(|&i| pool[i % pool.len()].clone()).collect();
         sequence.push(empty);
         let [trie, _, shuffled_rows] = orderings(&rows, seed);
+        let (trie, siblings) = (table_of(&trie), table_of(&siblings));
         let tables = [
             trie.clone(),
             siblings.clone(),
             trie.clone(),
-            trie,
-            shuffled_rows,
+            trie.clone(),
+            table_of(&trie.to_seqs()),
+            table_of(&shuffled_rows),
             siblings,
         ];
         let mut ws = DistanceWorkspace::new();

@@ -4,14 +4,16 @@
 
 use privshape_distance::{DistanceKind, DistanceWorkspace, Dtw};
 use privshape_timeseries::{CandidateTable, SymbolSeq};
+use std::sync::Arc;
 
 /// A 1-NN classifier whose prototypes are extracted shapes.
 #[derive(Debug, Clone)]
 pub struct NearestShape {
     shapes: Vec<(SymbolSeq, usize)>,
     /// The prototypes packed once at construction, so every query scores
-    /// through the prefix-resumable, early-abandoned table scorer.
-    table: CandidateTable,
+    /// through the prefix-resumable, early-abandoned table scorer (which
+    /// recognizes the table by its `Arc`).
+    table: Arc<CandidateTable>,
     distance: DistanceKind,
 }
 
@@ -30,7 +32,7 @@ impl NearestShape {
         }
         Self {
             shapes,
-            table,
+            table: Arc::new(table),
             distance,
         }
     }

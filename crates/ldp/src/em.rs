@@ -57,13 +57,46 @@ impl ExpMech {
     /// distributed exactly as the EM softmax, without computing the
     /// normalizer.
     ///
+    /// The same as [`ExpMech::prepare`] followed by
+    /// [`ExpMech::select_prepared`], which spells out the draws and the
+    /// exact cut-off that skips most of their logarithms. A caller that
+    /// selects from one score vector many times, each time on its own
+    /// stream, prepares the row once and keeps it.
+    pub fn select<R: Rng + ?Sized>(&self, rng: &mut R, scores: &[f64]) -> Result<usize> {
+        let mut row = Vec::new();
+        self.prepare(scores, &mut row);
+        self.select_prepared(rng, &row)
+    }
+
+    /// Writes the selection row of `scores` into `row` (cleared first):
+    /// `top = scale · max_j s_j`, then for each candidate in order the
+    /// cut-off bound `p(top − a_j)` and the scaled score `a_j = scale · s_j`,
+    /// `2n + 1` values in all, with `scale = ε / (2Δ)` and `p` the degree-4
+    /// Taylor polynomial of `e^y`. The row depends only on the scores and
+    /// the mechanism, never on a stream.
+    pub fn prepare(&self, scores: &[f64], row: &mut Vec<f64>) {
+        let scale = self.eps.value() / (2.0 * self.sensitivity);
+        // No candidate's scaled score exceeds this one.
+        let top = scale * scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        row.clear();
+        row.reserve(2 * scores.len() + 1);
+        row.push(top);
+        for &s in scores {
+            let a = scale * s;
+            row.push(exp_lower_bound(top - a));
+            row.push(a);
+        }
+    }
+
+    /// Samples a candidate index from a row written by
+    /// [`ExpMech::prepare`] (the Gumbel-max trick of [`ExpMech::select`]).
+    ///
     /// One uniform `u` is drawn per candidate, in order, but the two
     /// logarithms of `G = −ln(−ln u)` are skipped for any draw that
-    /// provably cannot beat the running best. With `a_j = scale · s_j`,
-    /// `top = max_j a_j` and `K = exp(top − best_key + 1e-6)`, recomputed
-    /// only when the best changes, draw `j` is skipped when
-    /// `(1 − u) · p(top − a_j) > K · (1 + 1e-9)`, where
-    /// `p(y) = 1 + y + y²/2 + y³/6 + y⁴/24`. No transcendental call is
+    /// provably cannot beat the running best. With
+    /// `K = exp(top − best_key + 1e-6)`, recomputed only when the best
+    /// changes, draw `j` is skipped when
+    /// `(1 − u) · p(top − a_j) > K · (1 + 1e-9)`. No transcendental call is
     /// made for a skipped draw, and the test is exact:
     ///
     /// - The key `a_j + G` beats `best_key − 1e-6` only if
@@ -85,19 +118,20 @@ impl ExpMech {
     ///   evaluated exactly as the full loop evaluates them.
     ///
     /// The result, ties included, and the stream position after the call
-    /// are those of evaluating every key.
-    pub fn select<R: Rng + ?Sized>(&self, rng: &mut R, scores: &[f64]) -> Result<usize> {
-        if scores.is_empty() {
+    /// are those of evaluating every key. A row holding no candidate is
+    /// refused with [`LdpError::NoCandidates`] before any draw.
+    pub fn select_prepared<R: Rng + ?Sized>(&self, rng: &mut R, row: &[f64]) -> Result<usize> {
+        let Some((&top, candidates)) = row.split_first() else {
+            return Err(LdpError::NoCandidates);
+        };
+        if candidates.len() < 2 {
             return Err(LdpError::NoCandidates);
         }
-        let scale = self.eps.value() / (2.0 * self.sensitivity);
-        // No candidate's scaled score exceeds this one.
-        let top = scale * scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let mut best = 0usize;
         let mut best_key = f64::NEG_INFINITY;
         // `K · (1 + 1e-9)`, infinite until a finite key is in.
         let mut cut = f64::INFINITY;
-        for (j, &s) in scores.iter().enumerate() {
+        for (j, pair) in candidates.chunks_exact(2).enumerate() {
             // Standard Gumbel via inverse CDF; u ∈ (0, 1) is guaranteed by
             // sampling the open interval.
             let u: f64 = loop {
@@ -106,8 +140,8 @@ impl ExpMech {
                     break u;
                 }
             };
-            let a = scale * s;
-            if (1.0 - u) * exp_lower_bound(top - a) > cut {
+            let (bound, a) = (pair[0], pair[1]);
+            if (1.0 - u) * bound > cut {
                 continue;
             }
             let key = a + -(-u.ln()).ln();
@@ -187,6 +221,15 @@ mod tests {
             em.select(&mut rng, &[]),
             Err(LdpError::NoCandidates)
         ));
+        let mut row = vec![0.5];
+        em.prepare(&[], &mut row);
+        assert_eq!(row, [f64::NEG_INFINITY]);
+        for row in [&[][..], &row] {
+            assert!(matches!(
+                em.select_prepared(&mut rng, row),
+                Err(LdpError::NoCandidates)
+            ));
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! * [`Oue`] / [`OueAggregator`] — Optimized Unary Encoding (used by the
 //!   labeled two-level refinement in §V-E);
 //! * [`ExpMech`] — the Exponential Mechanism over scored candidates
-//!   (used for candidate selection, Eq. (2));
+//!   (used for candidate selection, Eq. (2)), in two steps:
+//!   [`ExpMech::prepare`] turns the scores into a selection row that does
+//!   not depend on the stream, and [`ExpMech::select_prepared`] draws from
+//!   it, so a row can be kept and drawn from on many streams;
 //! * [`PiecewiseMechanism`] — Wang et al.'s Piecewise Mechanism for bounded
 //!   numeric values (used by the PatternLDP baseline);
 //! * [`laplace_noise`] — Laplace sampling for value-perturbation ablations;

@@ -172,6 +172,35 @@ proptest! {
     }
 }
 
+/// The score vectors the EM equivalence properties run on: the first `n`
+/// of `raw` (shape 0), all equal (1), {0, 1}-valued (2), device-shaped (3)
+/// or all zero (4).
+fn shaped_scores(n: usize, shape: u8, raw: &[f64], dists: &[u32]) -> Vec<f64> {
+    match shape {
+        0 => raw[..n].to_vec(),
+        1 => vec![raw[0]; n],
+        2 => raw[..n]
+            .iter()
+            .map(|&x| if x < 0.5 { 0.0 } else { 1.0 })
+            .collect(),
+        // What devices score: `em_score(d) = 1/(1 + d)` of an integer
+        // distance, about a quarter of them exact matches (`d = 0`).
+        3 => raw[..n]
+            .iter()
+            .zip(dists)
+            .map(|(&x, &d)| {
+                if x < 0.25 {
+                    1.0
+                } else {
+                    1.0 / (1.0 + d as f64)
+                }
+            })
+            .collect(),
+        // Every distance infinite, so every `em_score` is 0.
+        _ => vec![0.0; n],
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -189,20 +218,7 @@ proptest! {
         seed in any::<u64>(),
         dists in prop::collection::vec(0u32..40, 324),
     ) {
-        let scores: Vec<f64> = match shape {
-            0 => raw[..n].to_vec(),
-            1 => vec![raw[0]; n],
-            2 => raw[..n].iter().map(|&x| if x < 0.5 { 0.0 } else { 1.0 }).collect(),
-            // What devices score: `em_score(d) = 1/(1 + d)` of an integer
-            // distance, about a quarter of them exact matches (`d = 0`).
-            3 => raw[..n]
-                .iter()
-                .zip(&dists)
-                .map(|(&x, &d)| if x < 0.25 { 1.0 } else { 1.0 / (1.0 + d as f64) })
-                .collect(),
-            // Every distance infinite, so every `em_score` is 0.
-            _ => vec![0.0; n],
-        };
+        let scores = shaped_scores(n, shape, &raw, &dists);
         let eps = 10f64.powf(log10_eps);
         let em = ExpMech::new(Epsilon::new(eps).unwrap());
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
@@ -213,11 +229,49 @@ proptest! {
         );
         prop_assert_eq!(rng.next_u64(), reference.next_u64());
     }
+
+    /// Drawing from a row `prepare` wrote picks what the full-log loop
+    /// picks and leaves the stream at the same draw, on the shapes, sizes
+    /// and budgets of `em_select_equals_full_log_reference`; and one row
+    /// reused across eight streams, as the scoring memo reuses it, picks
+    /// what eight fresh `select`s pick.
+    #[test]
+    fn em_select_prepared_equals_full_log_reference(
+        n in prop_oneof![Just(1usize), Just(2), Just(6), Just(18), Just(55), Just(324)],
+        shape in 0u8..5,
+        raw in prop::collection::vec(0.0f64..1.0, 324),
+        log10_eps in -2.0f64..2.0,
+        seed in any::<u64>(),
+        dists in prop::collection::vec(0u32..40, 324),
+    ) {
+        let scores = shaped_scores(n, shape, &raw, &dists);
+        let eps = 10f64.powf(log10_eps);
+        let em = ExpMech::new(Epsilon::new(eps).unwrap());
+        let mut row = Vec::new();
+        em.prepare(&scores, &mut row);
+        prop_assert_eq!(row.len(), 2 * n + 1);
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let mut reference = rng.clone();
+        prop_assert_eq!(
+            em.select_prepared(&mut rng, &row).unwrap(),
+            select_full_log(eps, &mut reference, &scores)
+        );
+        prop_assert_eq!(rng.next_u64(), reference.next_u64());
+        for stream in 1..=8u64 {
+            let mut rng = ChaCha12Rng::seed_from_u64(seed ^ stream);
+            let mut fresh = rng.clone();
+            prop_assert_eq!(
+                em.select_prepared(&mut rng, &row).unwrap(),
+                em.select(&mut fresh, &scores).unwrap()
+            );
+            prop_assert_eq!(rng.next_u64(), fresh.next_u64());
+        }
+    }
 }
 
-/// `select` matches the full-log loop, index and stream position, on score
-/// vectors holding NaN, ±∞ and ±1e300, alone and scattered through a
-/// device-sized table.
+/// `select`, and `select_prepared` on the prepared row, match the
+/// full-log loop, index and stream position, on score vectors holding NaN,
+/// ±∞ and ±1e300, alone and scattered through a device-sized table.
 #[test]
 fn em_select_equals_full_log_reference_on_nan_infinite_and_huge_scores() {
     let (nan, inf) = (f64::NAN, f64::INFINITY);
@@ -250,16 +304,27 @@ fn em_select_equals_full_log_reference_on_nan_infinite_and_huge_scores() {
     }
     for eps in [0.01, 1.0, 4.0, 100.0] {
         let em = ExpMech::new(Epsilon::new(eps).unwrap());
+        let mut row = Vec::new();
         for scores in &vectors {
+            em.prepare(scores, &mut row);
             for seed in 0..64 {
                 let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                let mut prepared = rng.clone();
                 let mut reference = rng.clone();
+                let want = select_full_log(eps, &mut reference, scores);
                 assert_eq!(
                     em.select(&mut rng, scores).unwrap(),
-                    select_full_log(eps, &mut reference, scores),
+                    want,
                     "ε {eps}, seed {seed}, scores {scores:?}"
                 );
-                assert_eq!(rng.next_u64(), reference.next_u64());
+                assert_eq!(
+                    em.select_prepared(&mut prepared, &row).unwrap(),
+                    want,
+                    "prepared: ε {eps}, seed {seed}, scores {scores:?}"
+                );
+                let next = reference.next_u64();
+                assert_eq!(rng.next_u64(), next);
+                assert_eq!(prepared.next_u64(), next);
             }
         }
     }

@@ -14,7 +14,7 @@
 //!
 //! Raw series and symbol sequences never cross this boundary.
 
-use crate::config::LengthOracle;
+use crate::config::{length_domain, LengthOracle, MAX_LENGTH_DOMAIN};
 use crate::error::{Error, Result};
 use crate::params::{MechanismKind, ProtocolParams};
 use crate::population::{chunk_of_rank, split_population};
@@ -26,6 +26,7 @@ use privshape_ldp::{Epsilon, ExpMech, Grr, Olh, Oue, PiecewiseMechanism};
 use privshape_timeseries::{CandidateTable, Symbol, SymbolSeq, TimeSeries, MAX_ALPHABET};
 use privshape_trie::BigramSet;
 use rand::{Rng, RngExt};
+use std::sync::Arc;
 
 /// A user's place in the population partition, derived locally.
 ///
@@ -300,7 +301,11 @@ impl UserClient {
                 "length round needs a non-degenerate range, got [{lo}, {hi}]"
             )));
         }
-        let domain = hi - lo + 1;
+        let Some(domain) = length_domain(lo, hi) else {
+            return Err(Error::Protocol(format!(
+                "length round over [{lo}, {hi}] spans more than {MAX_LENGTH_DOMAIN} lengths"
+            )));
+        };
         let clipped = self.seq.len().clamp(lo, hi);
         let offset = clipped - lo;
         let mut rng = user_rng(self.seed, Stage::Length, self.user);
@@ -368,17 +373,17 @@ impl UserClient {
     /// EM selection among candidates (Eq. (2)): prefix-clipped during
     /// expansion (`Some(level)`), full-sequence in refinement (`None`).
     ///
-    /// Scores every table row through the workspace's prefix-resumable
-    /// batch scorer — trie-level candidates are prefix-ordered siblings,
-    /// so shared DP rows are computed once per distinct trie symbol
-    /// instead of once per candidate, and the distances land in the
-    /// workspace's batch buffer. A sequence the workspace has already
-    /// scored against this table is answered from its memo, allocating
-    /// nothing.
+    /// The selection row comes from the workspace's table scorer: the
+    /// prefix-resumable batch scorer computes the distances once per
+    /// distinct trie symbol, [`em_score`] and [`ExpMech::prepare`] turn
+    /// them into the row, and the workspace keeps that row under this
+    /// device's ε. A sequence the workspace has already seen against this
+    /// table draws straight from the remembered row, allocating nothing;
+    /// only the draws on the device's own stream remain.
     fn em_select(
         &self,
         ws: &mut DistanceWorkspace,
-        candidates: &CandidateTable,
+        candidates: &Arc<CandidateTable>,
         prefix_len: Option<usize>,
     ) -> Result<usize> {
         if candidates.is_empty() {
@@ -391,13 +396,18 @@ impl UserClient {
             Some(len) => &symbols[..len.min(symbols.len())],
             None => symbols,
         };
-        let scores = self.distance.dist_batch_table(ws, own, candidates);
-        for s in scores.iter_mut() {
-            *s = em_score(*s);
-        }
         let em = ExpMech::new(self.epsilon);
+        let salt = self.epsilon.value().to_bits();
+        let row = self
+            .distance
+            .table_row(ws, own, candidates, salt, |scores, row| {
+                for s in scores.iter_mut() {
+                    *s = em_score(*s);
+                }
+                em.prepare(scores, row);
+            });
         let mut rng = user_rng(self.seed, Stage::Expand, self.user);
-        Ok(em.select(&mut rng, scores)?)
+        Ok(em.select_prepared(&mut rng, row)?)
     }
 
     /// OUE report of `(nearest candidate, class label)` over the
@@ -405,7 +415,7 @@ impl UserClient {
     fn answer_refine_labeled(
         &self,
         ws: &mut DistanceWorkspace,
-        candidates: &CandidateTable,
+        candidates: &Arc<CandidateTable>,
         n_classes: usize,
     ) -> Result<Report> {
         let label = self.label.ok_or_else(|| {
@@ -628,6 +638,33 @@ mod tests {
             oracle: LengthOracle::Grr,
         };
         assert!(matches!(c.answer(&spec), Err(Error::Protocol(_))));
+        // A length domain whose size `hi − lo + 1` overflows, under every
+        // oracle, or that spans 2^40 one-hot cells under OUE: refused
+        // before anything is drawn or allocated.
+        let oracles = [
+            LengthOracle::Grr,
+            LengthOracle::Oue,
+            LengthOracle::Olh,
+            LengthOracle::Piecewise,
+        ];
+        let huge = oracles
+            .map(|oracle| ((0, usize::MAX), oracle))
+            .into_iter()
+            .chain([((1, 1 << 40), LengthOracle::Oue)]);
+        for (range, oracle) in huge {
+            let mut c = seq_client(0, "ab", &p);
+            let spec = RoundSpec::Length {
+                audience: Audience::group(GroupId::Pa),
+                range,
+                oracle,
+            };
+            let got = c.answer(&spec);
+            assert!(
+                matches!(got, Err(Error::Protocol(_))),
+                "{range:?} under {oracle:?}: {got:?}"
+            );
+            assert!(!c.has_answered());
+        }
         // Zero-chunk audience: addressed to no one, not an assert failure.
         let a = GroupAssignment {
             group: Some(GroupId::Pc),
@@ -656,6 +693,31 @@ mod tests {
             assert!(!answered, "{seq:?} over {alphabet}");
         }
         assert!(subshape("ce", 5).0.unwrap().is_some());
+    }
+
+    #[test]
+    fn devices_with_different_budgets_share_one_workspace() {
+        let sharp = params(4);
+        let mut flat = params(4);
+        flat.epsilon = Epsilon::new(0.05).unwrap();
+        let spec = RoundSpec::Expand {
+            audience: Audience::group(GroupId::Pa),
+            level: 2,
+            candidates: table(&["aa", "ab", "ac", "ba", "bb", "bc", "ca", "cb", "cc"]),
+        };
+        let mut shared = DistanceWorkspace::new();
+        for user in 0..32 {
+            for p in [&sharp, &flat] {
+                let got = seq_client(user, "acba", p).answer_with(&spec, &mut shared);
+                let want = seq_client(user, "acba", p).answer(&spec);
+                assert_eq!(
+                    got.unwrap(),
+                    want.unwrap(),
+                    "user {user} at ε {}",
+                    p.epsilon.value()
+                );
+            }
+        }
     }
 
     #[test]

@@ -142,6 +142,35 @@ impl PopulationSplit {
     }
 }
 
+/// Most lengths a length round may span: the aggregator keeps one 8-byte
+/// counter per length (512 KiB at this bound), and an OUE device perturbs
+/// one bit per length. The paper clips to [1, 15].
+pub(crate) const MAX_LENGTH_DOMAIN: usize = 1 << 16;
+
+/// The number of lengths in `[lo, hi]`, or `None` when the range is
+/// reversed or spans more than [`MAX_LENGTH_DOMAIN`].
+pub(crate) fn length_domain(lo: usize, hi: usize) -> Option<usize> {
+    hi.checked_sub(lo)?
+        .checked_add(1)
+        .filter(|&d| d <= MAX_LENGTH_DOMAIN)
+}
+
+/// Refuses a length range that is empty, starts at 0 or spans more than
+/// [`MAX_LENGTH_DOMAIN`] lengths.
+fn check_length_range((lo, hi): (usize, usize)) -> Result<()> {
+    if lo == 0 || lo > hi {
+        return Err(Error::InvalidConfig(format!(
+            "length range must satisfy 1 <= lo <= hi, got [{lo}, {hi}]"
+        )));
+    }
+    if length_domain(lo, hi).is_none() {
+        return Err(Error::InvalidConfig(format!(
+            "length range [{lo}, {hi}] spans more than {MAX_LENGTH_DOMAIN} lengths"
+        )));
+    }
+    Ok(())
+}
+
 /// Configuration of the optimized mechanism, PrivShape (Algorithm 2).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrivShapeConfig {
@@ -155,7 +184,8 @@ pub struct PrivShapeConfig {
     /// SAX parameters (segment length `w`, alphabet `t`).
     pub sax: SaxParams,
     /// Inclusive range `[ℓ_low, ℓ_high]` the compressed length is clipped
-    /// to (paper: [1, 10] for Trace, [1, 15] for Symbols).
+    /// to (paper: [1, 10] for Trace, [1, 15] for Symbols); at most 65,536
+    /// lengths.
     pub length_range: (usize, usize),
     /// Distance measure for EM scoring and post-processing.
     pub distance: DistanceKind,
@@ -169,7 +199,8 @@ pub struct PrivShapeConfig {
     /// Master seed; the whole mechanism is deterministic given
     /// `(config, data)`.
     pub seed: u64,
-    /// Worker threads for user simulation (0 ⇒ auto).
+    /// Worker threads for user simulation (0 ⇒ auto; at most
+    /// [`MAX_THREADS`](crate::MAX_THREADS) are started).
     pub threads: usize,
 }
 
@@ -205,12 +236,7 @@ impl PrivShapeConfig {
                 self.c
             )));
         }
-        let (lo, hi) = self.length_range;
-        if lo == 0 || lo > hi {
-            return Err(Error::InvalidConfig(format!(
-                "length range must satisfy 1 <= lo <= hi, got [{lo}, {hi}]"
-            )));
-        }
+        check_length_range(self.length_range)?;
         self.split.validate()
     }
 }
@@ -224,7 +250,7 @@ pub struct BaselineConfig {
     pub k: usize,
     /// SAX parameters.
     pub sax: SaxParams,
-    /// Inclusive compressed-length range.
+    /// Inclusive compressed-length range; at most 65,536 lengths.
     pub length_range: (usize, usize),
     /// Distance measure for EM scoring.
     pub distance: DistanceKind,
@@ -240,7 +266,8 @@ pub struct BaselineConfig {
     pub preprocessing: Preprocessing,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads (0 ⇒ auto).
+    /// Worker threads (0 ⇒ auto; at most
+    /// [`MAX_THREADS`](crate::MAX_THREADS) are started).
     pub threads: usize,
 }
 
@@ -267,12 +294,7 @@ impl BaselineConfig {
         if self.k == 0 {
             return Err(Error::InvalidConfig("k must be >= 1".into()));
         }
-        let (lo, hi) = self.length_range;
-        if lo == 0 || lo > hi {
-            return Err(Error::InvalidConfig(format!(
-                "length range must satisfy 1 <= lo <= hi, got [{lo}, {hi}]"
-            )));
-        }
+        check_length_range(self.length_range)?;
         if !(self.pa.is_finite() && self.pa > 0.0 && self.pa < 1.0) {
             return Err(Error::InvalidConfig(format!(
                 "pa must be in (0, 1), got {}",
@@ -334,6 +356,14 @@ mod tests {
         let mut cfg = PrivShapeConfig::new(eps(), 3, sax());
         cfg.split.pd = 0.9;
         assert!(cfg.validate().is_err(), "fractions must sum <= 1");
+        for (range, ok) in [
+            ((1, MAX_LENGTH_DOMAIN), true),
+            ((1, MAX_LENGTH_DOMAIN + 1), false),
+        ] {
+            let mut cfg = PrivShapeConfig::new(eps(), 3, sax());
+            cfg.length_range = range;
+            assert_eq!(cfg.validate().is_ok(), ok, "{range:?}");
+        }
     }
 
     #[test]
@@ -347,6 +377,14 @@ mod tests {
         let mut b = BaselineConfig::new(eps(), 3, sax());
         b.length_range = (0, 4);
         assert!(b.validate().is_err());
+        for (range, ok) in [
+            ((1, MAX_LENGTH_DOMAIN), true),
+            ((1, MAX_LENGTH_DOMAIN + 1), false),
+        ] {
+            let mut b = BaselineConfig::new(eps(), 3, sax());
+            b.length_range = range;
+            assert_eq!(b.validate().is_ok(), ok, "{range:?}");
+        }
     }
 
     #[test]

@@ -100,11 +100,18 @@ impl IngestStats {
     }
 }
 
+/// The most threads an explicit worker or thread count resolves to: this
+/// crate's ingest workers, and the fleet and simulation threads of the
+/// drivers built on it. A larger count is clamped, so a mistyped setting
+/// cannot start thousands of threads per round.
+pub const MAX_THREADS: usize = 64;
+
 /// Tuning knobs for an [`IngestPipeline`].
 #[derive(Debug, Clone, Copy)]
 pub struct IngestConfig {
     /// Worker threads (each with a private shard aggregator). 0 ⇒ auto
-    /// (available parallelism, capped at 8).
+    /// (available parallelism, capped at 8); larger counts are clamped to
+    /// [`MAX_THREADS`].
     pub workers: usize,
     /// Maximum queued frames before [`IngestPipeline::submit_frame`]
     /// blocks (backpressure toward the producers).
@@ -123,7 +130,8 @@ impl Default for IngestConfig {
 }
 
 impl IngestConfig {
-    /// The resolved worker count (`workers`, or the auto default).
+    /// The resolved worker count (`workers` clamped to [`MAX_THREADS`],
+    /// or the auto default).
     pub fn resolved_workers(&self) -> usize {
         if self.workers == 0 {
             std::thread::available_parallelism()
@@ -131,7 +139,7 @@ impl IngestConfig {
                 .unwrap_or(1)
                 .min(8)
         } else {
-            self.workers
+            self.workers.min(MAX_THREADS)
         }
     }
 }
@@ -645,6 +653,23 @@ mod tests {
             audience: Audience::chunk(GroupId::Pc, 0, 1),
             level: 1,
             candidates: Arc::new(CandidateTable::parse_rows(&rows).unwrap()),
+        }
+    }
+
+    #[test]
+    fn explicit_worker_counts_are_clamped() {
+        let resolved = |workers| {
+            IngestConfig {
+                workers,
+                queue_capacity: 1,
+            }
+            .resolved_workers()
+        };
+        assert!((1..=8).contains(&resolved(0)));
+        assert_eq!(resolved(3), 3);
+        assert_eq!(resolved(MAX_THREADS), MAX_THREADS);
+        for workers in [MAX_THREADS + 1, 50_000, usize::MAX] {
+            assert_eq!(resolved(workers), MAX_THREADS, "{workers}");
         }
     }
 

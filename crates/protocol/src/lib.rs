@@ -104,7 +104,7 @@ pub use client::{GroupAssignment, UserClient};
 pub use config::{BaselineConfig, LengthOracle, PopulationSplit, Preprocessing, PrivShapeConfig};
 pub use continual::{subsampled, ContinualConfig, ContinualDriver, EpochPlan};
 pub use error::{Error, Result};
-pub use ingest::{IngestConfig, IngestPipeline, IngestStats};
+pub use ingest::{IngestConfig, IngestPipeline, IngestStats, MAX_THREADS};
 pub use params::{MechanismKind, ProtocolParams};
 pub use population::{chunk_of_rank, split_population, split_rounds, Groups};
 pub use postprocess::select_distinct_top_k;

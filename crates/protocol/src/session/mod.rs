@@ -995,6 +995,28 @@ mod tests {
     }
 
     #[test]
+    fn length_ranges_too_wide_to_count_are_refused() {
+        for range in [(1, 1 << 40), (1, usize::MAX)] {
+            let mut cfg = config();
+            cfg.length_range = range;
+            assert!(
+                matches!(Session::privshape(cfg, 1000), Err(Error::InvalidConfig(_))),
+                "{range:?}"
+            );
+            let mut cfg = BaselineConfig::new(
+                Epsilon::new(4.0).unwrap(),
+                2,
+                SaxParams::new(10, 3).unwrap(),
+            );
+            cfg.length_range = range;
+            assert!(
+                matches!(Session::baseline(cfg, 1000), Err(Error::InvalidConfig(_))),
+                "{range:?}"
+            );
+        }
+    }
+
+    #[test]
     fn degenerate_length_range_skips_straight_to_subshape() {
         let mut cfg = config();
         cfg.length_range = (3, 3);

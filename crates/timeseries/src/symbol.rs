@@ -8,13 +8,6 @@ pub const MAX_ALPHABET: usize = 26;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(u8);
 
-/// Whether two symbol slices are equal. Same answer as `a == b`, which
-/// compares element by element with an early exit; folding the byte
-/// differences without one lets the loop vectorize.
-pub(crate) fn same_symbols(a: &[Symbol], b: &[Symbol]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).fold(0u8, |diff, (x, y)| diff | (x.0 ^ y.0)) == 0
-}
-
 impl Symbol {
     /// Creates a symbol, validating it against an alphabet size.
     pub fn new(index: usize, alphabet: usize) -> Result<Self> {

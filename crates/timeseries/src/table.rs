@@ -12,9 +12,8 @@
 //!   simulated clients a pointer copy.
 
 use crate::error::Result;
-use crate::symbol::{same_symbols, Symbol, SymbolSeq};
+use crate::symbol::{Symbol, SymbolSeq};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// A packed table of symbol sequences: one flat symbol buffer (a `u8`
 /// buffer in memory — [`Symbol`] is a `u8` newtype) plus row offsets.
@@ -33,7 +32,7 @@ use std::hash::{Hash, Hasher};
 /// assert_eq!(table.row(0), seqs[0].symbols());
 /// assert_eq!(table.total_symbols(), 5);
 /// ```
-#[derive(Clone, Eq, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct CandidateTable {
     /// All rows' symbols, concatenated.
     symbols: Vec<Symbol>,
@@ -212,26 +211,6 @@ impl CandidateTable {
         self.rows()
             .map(|row| SymbolSeq::from_symbols(row.to_vec()))
             .collect()
-    }
-}
-
-/// Field-by-field equality, as a derive would give, with the symbol
-/// buffers compared by the vectorized `same_symbols`: the table
-/// scorers' memo compares a whole table on every call.
-impl PartialEq for CandidateTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.offsets == other.offsets
-            && self.lcp == other.lcp
-            && same_symbols(&self.symbols, &other.symbols)
-    }
-}
-
-/// Hashes the same fields `eq` compares, as a derive would.
-impl Hash for CandidateTable {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.symbols.hash(state);
-        self.offsets.hash(state);
-        self.lcp.hash(state);
     }
 }
 
