@@ -1,9 +1,12 @@
 //! Micro-benchmarks of every substrate the mechanisms are built from:
-//! SAX / Compressive SAX, the distance measures, the LDP primitives, and
-//! trie expansion. These back the per-operation costs in the complexity
-//! analysis of §IV-F.
+//! SAX / Compressive SAX, the distance measures, the LDP primitives, trie
+//! expansion, and the sealed-frame ingest boundary. These back the
+//! per-operation costs in the complexity analysis of §IV-F.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use privshape::protocol::{
+    seal_frame, Audience, GroupId, IngestConfig, IngestPipeline, Report, RoundSpec,
+};
 use privshape::{transform_batch, transform_series, Preprocessing};
 use privshape_distance::{dtw, em_score, euclidean_padded, sed, DistanceKind, DistanceWorkspace};
 use privshape_ldp::{Epsilon, ExpMech, Grr, Oue, PiecewiseMechanism};
@@ -358,6 +361,92 @@ fn bench_trie(c: &mut Criterion) {
     group.finish();
 }
 
+/// Frames sealed ahead of each ingest case: more than the 100 samples and
+/// the warm-up call, so every timed submit names users no earlier frame
+/// named.
+const INGEST_FRAMES: usize = 128;
+
+/// The sealed-frame boundary, one frame per iteration: one producer
+/// submits frames of `reports` entries, each from a user no frame named
+/// before, to a pipeline with one worker. The frames are sealed before
+/// the timed loop, so an iteration is what the boundary itself costs the
+/// producer: the envelope check, the validation walk, the user claims,
+/// the copy into the forwarded frame and the queue push.
+fn bench_sealed_submit(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    id: BenchmarkId,
+    spec: &RoundSpec,
+    reports: usize,
+    report: impl Fn(usize) -> Report,
+) {
+    let frames: Vec<Vec<u8>> = (0..INGEST_FRAMES)
+        .map(|f| {
+            let entries: Vec<(usize, Report)> = (f * reports..(f + 1) * reports)
+                .map(|user| (user, report(user)))
+                .collect();
+            seal_frame(&entries)
+        })
+        .collect();
+    let config = IngestConfig {
+        workers: 1,
+        queue_capacity: INGEST_FRAMES,
+    };
+    let eps = Epsilon::new(4.0).unwrap();
+    group.throughput(Throughput::Elements(reports as u64));
+    group.bench_function(id, |bch| {
+        let round = IngestPipeline::for_round(spec, eps, INGEST_FRAMES * reports, config).unwrap();
+        let mut unsent = frames.iter();
+        bch.iter(|| {
+            let frame = unsent.next().expect("more frames than samples");
+            round.submit_sealed_frame(frame).unwrap();
+        });
+        let (_, stats) = round.finish_with_stats().unwrap();
+        assert_eq!(stats.duplicate_reports + stats.rejected_frames, 0);
+    });
+}
+
+/// `sealed_submit` carries expansion reports over an 18-row table (one
+/// varint each), `sealed_submit_oue` labeled-refinement OUE reports over
+/// 18 rows × 6 classes (a count and 2.4 delta-coded bits on average at
+/// ε = 4).
+fn bench_ingest(c: &mut Criterion) {
+    let mut group = c.benchmark_group("substrate/ingest");
+    group.sample_size(100);
+    let candidates = Arc::new(sibling_table(3, 0));
+    let expand = RoundSpec::Expand {
+        audience: Audience::chunk(GroupId::Pc, 0, 1),
+        level: 3,
+        candidates: Arc::clone(&candidates),
+    };
+    for reports in [64usize, 256] {
+        bench_sealed_submit(
+            &mut group,
+            BenchmarkId::new("sealed_submit", reports),
+            &expand,
+            reports,
+            |user| Report::Expand(user % 18),
+        );
+    }
+    let classes = 6;
+    let labeled = RoundSpec::RefineLabeled {
+        audience: Audience::group(GroupId::Pd),
+        candidates,
+        n_classes: classes,
+    };
+    let oue = Oue::new(18 * classes, Epsilon::new(4.0).unwrap()).unwrap();
+    bench_sealed_submit(
+        &mut group,
+        BenchmarkId::new("sealed_submit_oue", 64),
+        &labeled,
+        64,
+        |user| {
+            let mut rng = ChaCha12Rng::seed_from_u64(user as u64);
+            Report::RefineLabeled(oue.perturb(&mut rng, user % (18 * classes)))
+        },
+    );
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sax,
@@ -365,6 +454,7 @@ criterion_group!(
     bench_distance_workspace,
     bench_prefix_batch,
     bench_ldp,
-    bench_trie
+    bench_trie,
+    bench_ingest
 );
 criterion_main!(benches);

@@ -22,7 +22,7 @@ pub struct RandomForestConfig {
     pub n_features: Option<usize>,
     /// Master seed; tree `i` trains from an independent derived stream.
     pub seed: u64,
-    /// Worker threads for training/prediction (0 ⇒ auto).
+    /// Worker threads for training/prediction (0 ⇒ auto; at most 64 start).
     pub threads: usize,
 }
 

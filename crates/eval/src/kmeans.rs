@@ -20,7 +20,7 @@ pub struct KMeans {
     pub tol: f64,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads for the assignment step (0 ⇒ auto).
+    /// Worker threads for the assignment step (0 ⇒ auto; at most 64 start).
     pub threads: usize,
 }
 

@@ -2,14 +2,21 @@
 //! scoped threads. Results are written into per-index slots, so the output
 //! is identical regardless of thread count or scheduling.
 
+/// The most threads [`map_indexed`] starts, whatever count it is given:
+/// the ceiling the protocol crate's `MAX_THREADS` sets for the drivers,
+/// kept here because this crate does not depend on the protocol. A
+/// mistyped setting cannot start thousands of threads.
+pub(crate) const MAX_THREADS: usize = 64;
+
 /// Applies `f` to every index in `0..n`, splitting the range across up to
-/// `threads` workers. Falls back to a sequential loop for tiny inputs.
+/// `threads` workers (at most [`MAX_THREADS`]). Falls back to a
+/// sequential loop for tiny inputs.
 pub fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = threads.max(1).min(n.max(1));
+    let threads = threads.clamp(1, MAX_THREADS).min(n.max(1));
     if threads == 1 || n < 64 {
         return (0..n).map(f).collect();
     }
@@ -58,6 +65,17 @@ mod tests {
         assert_eq!(map_indexed(3, 8, |i| i + 1), vec![1, 2, 3]);
         assert_eq!(map_indexed(100, 1, |i| i), (0..100).collect::<Vec<_>>());
         assert_eq!(map_indexed(0, 4, |i| i), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn an_unbounded_thread_count_starts_at_most_the_ceiling() {
+        let ids = map_indexed(100, usize::MAX, |_| std::thread::current().id());
+        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+        assert!(
+            distinct.len() <= MAX_THREADS,
+            "{} threads started",
+            distinct.len()
+        );
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::round::{Report, RoundSpec};
 use crate::shard::ShardAggregator;
 use crate::wire;
 use privshape_ldp::Epsilon;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -64,7 +64,8 @@ pub struct IngestStats {
     /// Reports accepted and forwarded to the worker pool.
     pub accepted_reports: u64,
     /// Whole frames dropped at the boundary: bad magic, checksum mismatch
-    /// (bit-flips in transit), or a structurally malformed body.
+    /// (bit-flips in transit), a structurally malformed body, or a user id
+    /// outside the session's population.
     pub rejected_frames: u64,
     /// Reports dropped because their frame-declared user id had already
     /// reported in this round (one-report-per-user-per-round invariant).
@@ -325,6 +326,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// let pipeline = IngestPipeline::for_round(
 ///     &spec,
 ///     eps,
+///     100, // users in the session
 ///     IngestConfig { workers: 3, queue_capacity: 8 },
 /// ).unwrap();
 /// // Frames arrive in any order, from any producer.
@@ -339,10 +341,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub struct IngestPipeline {
     queue: Arc<FrameQueue>,
     workers: Vec<JoinHandle<Result<ShardAggregator>>>,
-    /// User ids that already reported this round, shared across all
-    /// producers so a duplicate is caught no matter which thread (or
-    /// which frame) replays it. Only the sealed-frame path consults it.
-    seen_users: Mutex<HashSet<usize>>,
+    /// One bit per user of the population (`population / 8` bytes), set
+    /// by the first accepted sealed report of that user this round and
+    /// shared by every producer, so a duplicate is caught no matter which
+    /// thread (or which frame) replays it. Only the sealed-frame path
+    /// consults it.
+    claimed: Vec<AtomicU64>,
+    /// The session's population: sealed frames may name users
+    /// `0..population` only.
+    population: usize,
     accepted_reports: AtomicU64,
     rejected_frames: AtomicU64,
     duplicate_reports: AtomicU64,
@@ -352,12 +359,29 @@ pub struct IngestPipeline {
 }
 
 impl IngestPipeline {
-    /// Spawns the worker pool for one round. Each worker builds its shard
-    /// aggregator from the spec alone (the same construction every shard
-    /// everywhere performs), so a spec the aggregator rejects fails here,
-    /// before any thread starts.
-    pub fn for_round(spec: &RoundSpec, epsilon: Epsilon, config: IngestConfig) -> Result<Self> {
-        Self::for_round_chaos(spec, epsilon, config, None)
+    /// Spawns the worker pool for one round of a session over
+    /// `population` users. Each worker builds its shard aggregator from
+    /// the spec alone (the same construction every shard everywhere
+    /// performs), so a spec the aggregator rejects fails here, before any
+    /// thread starts.
+    ///
+    /// Sealed frames may name users `0..population` only: a frame that
+    /// declares any other id is rejected whole and counted in
+    /// [`IngestStats::rejected_frames`]. The round's dedup state is one
+    /// bit per user, `population / 8` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Protocol`] for a zero queue capacity or a population whose
+    /// bitset cannot be allocated; the aggregator's error for a spec it
+    /// rejects.
+    pub fn for_round(
+        spec: &RoundSpec,
+        epsilon: Epsilon,
+        population: usize,
+        config: IngestConfig,
+    ) -> Result<Self> {
+        Self::for_round_chaos(spec, epsilon, population, config, None)
     }
 
     /// [`IngestPipeline::for_round`] with an optional [`FaultPlan`] hook:
@@ -368,6 +392,7 @@ impl IngestPipeline {
     pub fn for_round_chaos(
         spec: &RoundSpec,
         epsilon: Epsilon,
+        population: usize,
         config: IngestConfig,
         chaos: Option<Arc<FaultPlan>>,
     ) -> Result<Self> {
@@ -375,6 +400,14 @@ impl IngestPipeline {
         if config.queue_capacity == 0 {
             return Err(Error::Protocol("ingest queue capacity must be >= 1".into()));
         }
+        let words = population.div_ceil(64);
+        let mut claimed = Vec::new();
+        claimed.try_reserve_exact(words).map_err(|_| {
+            Error::Protocol(format!(
+                "no memory for the dedup bitset of a {population}-user population"
+            ))
+        })?;
+        claimed.resize_with(words, || AtomicU64::new(0));
         let shards: Vec<ShardAggregator> = (0..n_workers)
             .map(|_| ShardAggregator::for_round(spec, epsilon))
             .collect::<Result<_>>()?;
@@ -426,7 +459,8 @@ impl IngestPipeline {
         Ok(Self {
             queue,
             workers,
-            seen_users: Mutex::new(HashSet::new()),
+            claimed,
+            population,
             accepted_reports: AtomicU64::new(0),
             rejected_frames: AtomicU64::new(0),
             duplicate_reports: AtomicU64::new(0),
@@ -459,14 +493,20 @@ impl IngestPipeline {
     /// 1. the envelope's length and FNV-1a checksum are verified — a frame
     ///    corrupted in transit (bit-flips, truncation) is dropped whole and
     ///    counted in [`IngestStats::rejected_frames`];
-    /// 2. the body is structurally walked — any malformed entry likewise
-    ///    rejects the whole frame *before* anything is forwarded;
-    /// 3. each surviving report is deduplicated by its frame-declared user
-    ///    id against every other sealed frame of this round (duplicates
-    ///    counted in [`IngestStats::duplicate_reports`] and dropped);
-    /// 4. the cleaned report bytes are forwarded as an ordinary plain
+    /// 2. the body is walked once, checking every entry the way
+    ///    [`Report::decode`] would and every user id against the
+    ///    population — any malformed entry or out-of-population id
+    ///    likewise rejects the whole frame *before* any user is claimed;
+    /// 3. a second walk claims each user's bit in the round's bitset:
+    ///    a report whose user already reported in this round (in this
+    ///    frame or any other) is counted in
+    ///    [`IngestStats::duplicate_reports`] and dropped;
+    /// 4. the first-claim report bytes are forwarded as one ordinary plain
     ///    frame, so the worker pool and the final aggregate are
     ///    bit-identical to ingesting the clean stream directly.
+    ///
+    /// Both walks allocate nothing; the forwarded frame is the one
+    /// allocation.
     ///
     /// Hostile input therefore never poisons the pipeline: a bad envelope
     /// returns `Ok(())` and only moves a counter. Errors surface only for
@@ -500,36 +540,23 @@ impl IngestPipeline {
     }
 
     fn submit_sealed_inner(&self, frame: &[u8]) -> Result<()> {
-        let Ok(body) = wire::unseal_frame(frame) else {
+        let Some((body, report_bytes)) = self.validate_sealed(frame) else {
             self.rejected_frames.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         };
-        // Structural pre-walk: validate every entry before touching the
-        // dedup set, so a frame rejected halfway through never burns its
-        // users' one-report-per-round slots.
-        let mut entries = Vec::new();
-        let mut pos = 0;
-        while pos < body.len() {
-            match wire::next_sealed_entry(body, &mut pos) {
-                Ok(entry) => entries.push(entry),
-                Err(_) => {
-                    self.rejected_frames.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-            }
-        }
-        let mut clean = Vec::with_capacity(body.len());
+        let mut clean = Vec::with_capacity(report_bytes);
         let mut accepted = 0u64;
         let mut duplicates = 0u64;
-        {
-            let mut seen = self.seen_users.lock().expect("dedup set lock");
-            for (user, span) in entries {
-                if seen.insert(user) {
-                    clean.extend_from_slice(&body[span]);
-                    accepted += 1;
-                } else {
-                    duplicates += 1;
-                }
+        for (user, span) in wire::sealed_entries(body).map_while(Result::ok) {
+            // Relaxed: a claim publishes nothing but itself (the forwarded
+            // bytes travel through the queue's lock), and one atomic word
+            // lets exactly one submit see each bit clear.
+            let mask = 1u64 << (user % 64);
+            if self.claimed[user / 64].fetch_or(mask, Ordering::Relaxed) & mask == 0 {
+                clean.extend_from_slice(&body[span]);
+                accepted += 1;
+            } else {
+                duplicates += 1;
             }
         }
         self.duplicate_reports
@@ -539,6 +566,24 @@ impl IngestPipeline {
         }
         self.accepted_reports.fetch_add(accepted, Ordering::Relaxed);
         self.submit_frame(clean)
+    }
+
+    /// The first pass over a sealed frame: checks the envelope, every
+    /// entry's structure and every user id against the population, and
+    /// returns the body with the number of report bytes it carries, or
+    /// `None` to reject the frame. It claims no user, so a frame rejected
+    /// halfway through never burns its users' one-report-per-round slots.
+    fn validate_sealed<'a>(&self, frame: &'a [u8]) -> Option<(&'a [u8], usize)> {
+        let body = wire::unseal_frame(frame).ok()?;
+        let mut report_bytes = 0;
+        for entry in wire::sealed_entries(body) {
+            let (user, span) = entry.ok()?;
+            if user >= self.population {
+                return None;
+            }
+            report_bytes += span.len();
+        }
+        Some((body, report_bytes))
     }
 
     /// Snapshot of the validation counters and queue-depth metrics so far.
@@ -641,6 +686,9 @@ mod tests {
     use privshape_timeseries::CandidateTable;
     use std::sync::Arc;
 
+    /// The population of every test round: each sealed user id is below it.
+    const USERS: usize = 100;
+
     fn eps() -> Epsilon {
         Epsilon::new(2.0).unwrap()
     }
@@ -685,6 +733,7 @@ mod tests {
             let pipeline = IngestPipeline::for_round(
                 &spec,
                 eps(),
+                USERS,
                 IngestConfig {
                     workers,
                     queue_capacity: 4,
@@ -706,6 +755,7 @@ mod tests {
             IngestPipeline::for_round(
                 &spec,
                 eps(),
+                USERS,
                 IngestConfig {
                     workers: 3,
                     queue_capacity: 2,
@@ -737,6 +787,7 @@ mod tests {
         let pipeline = IngestPipeline::for_round(
             &spec,
             eps(),
+            USERS,
             IngestConfig {
                 workers: 2,
                 queue_capacity: 4,
@@ -769,6 +820,7 @@ mod tests {
         let pipeline = IngestPipeline::for_round(
             &spec,
             eps(),
+            USERS,
             IngestConfig {
                 workers: 1,
                 queue_capacity: 4,
@@ -806,6 +858,7 @@ mod tests {
         let pipeline = IngestPipeline::for_round_chaos(
             &spec,
             eps(),
+            USERS,
             IngestConfig {
                 workers: 2,
                 queue_capacity: 4,
@@ -852,6 +905,7 @@ mod tests {
         let pipeline = IngestPipeline::for_round_chaos(
             &spec,
             eps(),
+            USERS,
             IngestConfig {
                 workers: 2,
                 queue_capacity: 8,
@@ -887,6 +941,7 @@ mod tests {
         let pipeline = IngestPipeline::for_round(
             &spec,
             eps(),
+            USERS,
             IngestConfig {
                 workers: 2,
                 queue_capacity: 1,
@@ -912,6 +967,7 @@ mod tests {
         assert!(IngestPipeline::for_round(
             &spec(2),
             eps(),
+            USERS,
             IngestConfig {
                 workers: 1,
                 queue_capacity: 0,
@@ -922,7 +978,8 @@ mod tests {
 
     #[test]
     fn empty_round_finishes_empty() {
-        let pipeline = IngestPipeline::for_round(&spec(2), eps(), IngestConfig::default()).unwrap();
+        let pipeline =
+            IngestPipeline::for_round(&spec(2), eps(), USERS, IngestConfig::default()).unwrap();
         let merged = pipeline.finish().unwrap();
         assert_eq!(merged.reports(), 0);
     }
@@ -939,6 +996,7 @@ mod tests {
         let pipeline = IngestPipeline::for_round(
             &spec,
             eps(),
+            USERS,
             IngestConfig {
                 workers: 2,
                 queue_capacity: 8,
@@ -946,7 +1004,12 @@ mod tests {
         )
         .unwrap();
         for chunk in reports.chunks(10) {
-            let frame = wire::seal_frame(chunk);
+            // The chunk's first user reports again, with another value,
+            // inside the same frame: only the first report counts.
+            let first = chunk[0].0;
+            let mut entries = chunk.to_vec();
+            entries.push((first, Report::Expand((first + 1) % 3)));
+            let frame = wire::seal_frame(&entries);
             pipeline.submit_sealed_frame(&frame).unwrap();
             // Replaying the exact frame: every entry is a duplicate.
             pipeline.submit_sealed_frame(&frame).unwrap();
@@ -962,14 +1025,80 @@ mod tests {
             "hostile stream must aggregate like the clean one"
         );
         assert_eq!(stats.accepted_reports, 90);
-        assert_eq!(stats.duplicate_reports, 90);
+        // One in-frame repeat per frame, then all 11 entries of each replay.
+        assert_eq!(stats.duplicate_reports, 9 + 9 * 11);
         assert_eq!(stats.rejected_frames, 9);
+    }
+
+    /// Seals an arbitrary body under a valid envelope, as a producer that
+    /// computes the checksum over bytes it made up would.
+    fn seal_body(body: &[u8]) -> Vec<u8> {
+        let mut frame = vec![wire::FRAME_MAGIC];
+        wire::put_varint(&mut frame, body.len() as u64);
+        frame.extend_from_slice(&wire::fnv1a64(body).to_le_bytes());
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    #[test]
+    fn rejected_frames_claim_no_user() {
+        let pipeline = IngestPipeline::for_round(
+            &spec(3),
+            eps(),
+            USERS,
+            IngestConfig {
+                workers: 1,
+                queue_capacity: 8,
+            },
+        )
+        .unwrap();
+        // One user id past the population rejects the whole frame.
+        let outside = wire::seal_frame(&[(5, Report::Expand(0)), (USERS, Report::Expand(1))]);
+        pipeline.submit_sealed_frame(&outside).unwrap();
+        // So does a malformed last entry under a valid checksum.
+        let mut body = Vec::new();
+        wire::put_varint(&mut body, 6);
+        Report::Expand(2).encode_into(&mut body);
+        wire::put_varint(&mut body, 7);
+        body.push(0x7f); // no such report tag
+        pipeline.submit_sealed_frame(&seal_body(&body)).unwrap();
+        assert_eq!(pipeline.stats().rejected_frames, 2);
+        assert_eq!(pipeline.stats().accepted_reports, 0);
+        // Users 5 and 6 still hold their slots, and the last id of the
+        // population is inside it.
+        let inside = wire::seal_frame(&[
+            (5, Report::Expand(0)),
+            (6, Report::Expand(2)),
+            (USERS - 1, Report::Expand(1)),
+        ]);
+        pipeline.submit_sealed_frame(&inside).unwrap();
+        let (merged, stats) = pipeline.finish_with_stats().unwrap();
+        assert_eq!(stats.accepted_reports, 3);
+        assert_eq!(stats.duplicate_reports, 0);
+        assert_eq!(stats.rejected_frames, 2);
+        assert_eq!(merged.finalize_selections().unwrap(), vec![1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn unallocatable_populations_are_refused() {
+        // 2^61 bytes of bitset: no allocator can serve it, so the
+        // constructor returns an error instead of aborting.
+        assert!(matches!(
+            IngestPipeline::for_round(&spec(2), eps(), usize::MAX, IngestConfig::default()),
+            Err(Error::Protocol(_))
+        ));
+        let empty = IngestPipeline::for_round(&spec(2), eps(), 0, IngestConfig::default()).unwrap();
+        empty
+            .submit_sealed_frame(&wire::seal_frame(&[(0, Report::Expand(0))]))
+            .unwrap();
+        assert_eq!(empty.stats().rejected_frames, 1);
     }
 
     #[test]
     fn plain_path_leaves_validation_counters_untouched() {
         let spec = spec(2);
-        let pipeline = IngestPipeline::for_round(&spec, eps(), IngestConfig::default()).unwrap();
+        let pipeline =
+            IngestPipeline::for_round(&spec, eps(), USERS, IngestConfig::default()).unwrap();
         pipeline
             .submit_reports(&[Report::Expand(0), Report::Expand(1)])
             .unwrap();
@@ -994,6 +1123,7 @@ mod tests {
             IngestPipeline::for_round(
                 &spec,
                 eps(),
+                USERS,
                 IngestConfig {
                     workers: 1,
                     queue_capacity: 1,

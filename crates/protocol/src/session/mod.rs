@@ -273,7 +273,8 @@ impl Session {
     /// round: wire-encoded report frames go in (out of order, from any
     /// number of producers), and [`IngestPipeline::finish`] hands back the
     /// single tree-merged aggregate for [`Session::submit_shard`] —
-    /// bit-identical to submitting the reports serially.
+    /// bit-identical to submitting the reports serially. Sealed frames
+    /// may name the session's users `0..n` only.
     pub fn ingest_pipeline(&self, config: IngestConfig) -> Result<IngestPipeline> {
         self.ingest_pipeline_chaos(config, None)
     }
@@ -292,7 +293,13 @@ impl Session {
                 "no open round to build an ingest pipeline for".into(),
             ));
         };
-        IngestPipeline::for_round_chaos(&open.spec, self.params.epsilon, config, chaos)
+        IngestPipeline::for_round_chaos(
+            &open.spec,
+            self.params.epsilon,
+            self.params.n,
+            config,
+            chaos,
+        )
     }
 
     /// The client seed this session was configured with — the root of all

@@ -16,7 +16,6 @@ use privshape_ldp::{
     Epsilon, Grr, GrrAggregator, Olh, OlhAggregator, Oue, OueAggregator, PiecewiseAggregator,
     PiecewiseMechanism,
 };
-use std::collections::HashSet;
 
 /// Partial aggregation state for one round, mergeable across shards.
 ///
@@ -374,47 +373,6 @@ impl ShardAggregator {
             absorbed += 1;
         }
         Ok(absorbed)
-    }
-
-    /// Absorbs a *sealed* frame ([`crate::seal_frame`]), enforcing the
-    /// one-report-per-user-per-round invariant: a report whose frame-
-    /// declared user id was already seen by this session shard (tracked in
-    /// `seen`, which the caller owns and keeps across frames) is skipped
-    /// instead of double-counted. Earlier versions trusted frame-declared
-    /// user ids blindly, so a replayed frame inflated the counts.
-    ///
-    /// Returns `(absorbed, duplicates_skipped)`. The dedup state lives
-    /// outside the aggregator so `PartialEq` still compares pure counts —
-    /// an aggregate fed deduplicated input is bit-identical to one that
-    /// never saw the duplicates.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a corrupted envelope (checksum mismatch — the whole frame
-    /// is rejected before any report is absorbed) or on any report whose
-    /// kind/domain does not match this round.
-    pub fn absorb_enveloped(
-        &mut self,
-        frame: &[u8],
-        seen: &mut HashSet<usize>,
-    ) -> Result<(usize, usize)> {
-        let body = wire::unseal_frame(frame)?;
-        let mut pos = 0usize;
-        let mut bits = Vec::new();
-        let mut absorbed = 0usize;
-        let mut duplicates = 0usize;
-        while pos < body.len() {
-            let (user, span) = wire::next_sealed_entry(body, &mut pos)?;
-            if !seen.insert(user) {
-                duplicates += 1;
-                continue;
-            }
-            let mut at = span.start;
-            self.absorb_wire_one(body, &mut at, &mut bits)?;
-            debug_assert_eq!(at, span.end);
-            absorbed += 1;
-        }
-        Ok((absorbed, duplicates))
     }
 
     /// Decodes and absorbs one report starting at `*pos`.
@@ -1186,55 +1144,6 @@ mod tests {
             }
             assert_eq!(via_wire, via_absorb, "{oracle:?} wire path diverged");
         }
-    }
-
-    #[test]
-    fn enveloped_absorb_rejects_repeated_user_ids() {
-        // Regression: absorb_wire trusted frame-declared user ids, so a
-        // duplicated report was double-counted. The enveloped path must
-        // keep exactly one report per user per session shard.
-        let spec = length_spec();
-        let mut clean = ShardAggregator::for_round(&spec, eps()).unwrap();
-        let mut seen = HashSet::new();
-        let frame = crate::wire::seal_frame(&[
-            (0, Report::Length(2)),
-            (1, Report::Length(3)),
-            (2, Report::Length(2)),
-        ]);
-        assert_eq!(clean.absorb_enveloped(&frame, &mut seen).unwrap(), (3, 0));
-
-        // The same stream with user 1's report replayed twice more — once
-        // inside the same frame, once in a later frame.
-        let mut hostile = ShardAggregator::for_round(&spec, eps()).unwrap();
-        let mut hostile_seen = HashSet::new();
-        let replayed = crate::wire::seal_frame(&[
-            (0, Report::Length(2)),
-            (1, Report::Length(3)),
-            (1, Report::Length(3)),
-            (2, Report::Length(2)),
-        ]);
-        assert_eq!(
-            hostile
-                .absorb_enveloped(&replayed, &mut hostile_seen)
-                .unwrap(),
-            (3, 1)
-        );
-        let late_replay = crate::wire::seal_frame(&[(1, Report::Length(3))]);
-        assert_eq!(
-            hostile
-                .absorb_enveloped(&late_replay, &mut hostile_seen)
-                .unwrap(),
-            (0, 1),
-            "cross-frame replay must be caught by the shared seen-set"
-        );
-        assert_eq!(hostile, clean, "duplicates must not change the counts");
-
-        // A corrupted envelope is rejected wholesale.
-        let mut bad = crate::wire::seal_frame(&[(3, Report::Length(1))]);
-        let last = bad.len() - 1;
-        bad[last] ^= 0x40;
-        assert!(clean.absorb_enveloped(&bad, &mut seen).is_err());
-        assert_eq!(clean.reports(), 3, "rejected frame absorbed nothing");
     }
 
     #[test]

@@ -157,6 +157,13 @@ pub(crate) fn read_tag(buf: &[u8], pos: &mut usize) -> Result<u8> {
 /// [`Report::decode`] and the aggregator's absorb-from-wire fast path.
 pub(crate) fn read_oue_bits(buf: &[u8], pos: &mut usize, bits: &mut Vec<usize>) -> Result<()> {
     bits.clear();
+    walk_oue_bits(buf, pos, Some(bits))
+}
+
+/// Walks an OUE bit-set body (count, then delta-coded bits), collecting
+/// the bits into `bits` when given one. The one place the bit-set checks
+/// live, so decoding and [`skip_report`] refuse exactly the same bodies.
+fn walk_oue_bits(buf: &[u8], pos: &mut usize, mut bits: Option<&mut Vec<usize>>) -> Result<()> {
     let n = read_usize(buf, pos)?;
     // Each encoded bit needs at least one byte, so a count beyond the
     // remaining buffer is a truncation — refuse before reserving memory.
@@ -166,7 +173,9 @@ pub(crate) fn read_oue_bits(buf: &[u8], pos: &mut usize, bits: &mut Vec<usize>) 
             buf.len() - *pos
         )));
     }
-    bits.reserve(n);
+    if let Some(bits) = bits.as_deref_mut() {
+        bits.reserve(n);
+    }
     let mut prev = 0usize;
     for i in 0..n {
         let raw = read_usize(buf, pos)?;
@@ -183,10 +192,44 @@ pub(crate) fn read_oue_bits(buf: &[u8], pos: &mut usize, bits: &mut Vec<usize>) 
                 Error::Protocol("malformed report: OUE bit position overflows usize".into())
             })?
         };
-        bits.push(bit);
+        if let Some(bits) = bits.as_deref_mut() {
+            bits.push(bit);
+        }
         prev = bit;
     }
     Ok(())
+}
+
+/// Advances `*pos` past one report without building it, refusing exactly
+/// what [`Report::decode`] refuses: a truncated buffer, an unknown tag,
+/// an overlong varint, or an OUE bit list with a zero or overflowing
+/// delta (the walk decoding shares, which is what keeps its bits strictly
+/// ascending). Allocates nothing unless it fails.
+pub(crate) fn skip_report(buf: &[u8], pos: &mut usize) -> Result<()> {
+    match read_tag(buf, pos)? {
+        TAG_LENGTH | TAG_EXPAND | TAG_REFINE_SELECT => {
+            read_usize(buf, pos)?;
+        }
+        TAG_SUB_SHAPE => {
+            read_usize(buf, pos)?;
+            read_usize(buf, pos)?;
+        }
+        TAG_REFINE_LABELED | TAG_LENGTH_OUE => walk_oue_bits(buf, pos, None)?,
+        TAG_LENGTH_OLH => {
+            read_varint(buf, pos)?;
+            read_usize(buf, pos)?;
+        }
+        TAG_LENGTH_PIECEWISE => {
+            read_varint(buf, pos)?;
+        }
+        tag => return Err(unknown_tag(tag)),
+    }
+    Ok(())
+}
+
+/// The error for a tag outside the report tag space.
+fn unknown_tag(tag: u8) -> Error {
+    Error::Protocol(format!("unknown report tag 0x{tag:02x}"))
 }
 
 /// Appends an OUE bit-set body (count + delta-coded ascending bits).
@@ -287,9 +330,7 @@ impl Report {
                 value: read_usize(buf, &mut pos)?,
             }),
             TAG_LENGTH_PIECEWISE => Report::LengthPiecewise(unzigzag(read_varint(buf, &mut pos)?)),
-            tag => {
-                return Err(Error::Protocol(format!("unknown report tag 0x{tag:02x}")));
-            }
+            tag => return Err(unknown_tag(tag)),
         };
         Ok((report, pos))
     }
@@ -477,19 +518,38 @@ pub fn route_frame(session_id: u64, generation: u64, payload: &[u8]) -> Vec<u8> 
     frame
 }
 
-/// Reads the next `(user_id, report byte range)` entry of a sealed-frame
-/// body, advancing `*pos` past it. The report is structurally decoded to
-/// find its span but not returned — callers that only need to forward or
-/// skip the bytes never materialize it.
-pub(crate) fn next_sealed_entry(
-    body: &[u8],
-    pos: &mut usize,
-) -> Result<(usize, std::ops::Range<usize>)> {
-    let user = read_usize(body, pos)?;
-    let start = *pos;
-    let (_, used) = Report::decode(&body[start..])?;
-    *pos = start + used;
-    Ok((user, start..*pos))
+/// The `(user_id, report span)` entries of a sealed-frame body, each
+/// validated as it is reached: the user id is read and the report is
+/// checked by [`skip_report`], never built, so walking a valid body
+/// allocates nothing. The first malformed entry comes back as an error
+/// and ends the walk.
+pub(crate) fn sealed_entries(body: &[u8]) -> SealedEntries<'_> {
+    SealedEntries { body, pos: 0 }
+}
+
+/// Iterator returned by [`sealed_entries`].
+pub(crate) struct SealedEntries<'a> {
+    body: &'a [u8],
+    pos: usize,
+}
+
+impl Iterator for SealedEntries<'_> {
+    type Item = Result<(usize, std::ops::Range<usize>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.pos >= self.body.len() {
+            return None;
+        }
+        let entry = read_usize(self.body, &mut self.pos).and_then(|user| {
+            let start = self.pos;
+            skip_report(self.body, &mut self.pos)?;
+            Ok((user, start..self.pos))
+        });
+        if entry.is_err() {
+            self.pos = self.body.len();
+        }
+        Some(entry)
+    }
 }
 
 #[cfg(test)]
@@ -593,15 +653,68 @@ mod tests {
         ];
         let frame = seal_frame(&entries);
         let body = unseal_frame(&frame).unwrap();
-        let mut pos = 0;
         let mut seen = Vec::new();
-        while pos < body.len() {
-            let (user, span) = next_sealed_entry(body, &mut pos).unwrap();
+        for entry in sealed_entries(body) {
+            let (user, span) = entry.unwrap();
             let (report, used) = Report::decode(&body[span.clone()]).unwrap();
             assert_eq!(used, span.len());
             seen.push((user, report));
         }
         assert_eq!(seen, entries);
+        // A malformed entry is reported once and ends the walk.
+        let mut walk = sealed_entries(&[0x01, 0x03]);
+        assert!(matches!(walk.next(), Some(Err(Error::Protocol(_)))));
+        assert!(walk.next().is_none());
+    }
+
+    #[test]
+    fn skip_report_refuses_exactly_what_decode_refuses() {
+        use rand::{RngExt, SeedableRng};
+        let agree = |buf: &[u8]| {
+            let mut pos = 0;
+            let skipped = skip_report(buf, &mut pos).map(|()| pos);
+            let decoded = Report::decode(buf).map(|(_, used)| used);
+            assert_eq!(skipped.ok(), decoded.ok(), "{buf:02x?}");
+        };
+        let reports = [
+            Report::Length(300),
+            Report::SubShape {
+                level: 3,
+                value: 70_000,
+            },
+            Report::Expand(17),
+            Report::RefineSelect(1 << 40),
+            Report::RefineLabeled(OueReport::from_set_bits(vec![0, 3, 4, 129]).unwrap()),
+            Report::RefineLabeled(OueReport::from_set_bits(Vec::new()).unwrap()),
+            Report::LengthOue(OueReport::from_set_bits(vec![usize::MAX - 1, usize::MAX]).unwrap()),
+            Report::LengthOlh(OlhReport {
+                seed: u64::MAX,
+                value: 3,
+            }),
+            Report::LengthPiecewise(-12_345_678),
+        ];
+        // Every truncation and every value of every byte of each variant.
+        for report in &reports {
+            let bytes = report.encode();
+            for cut in 0..=bytes.len() {
+                agree(&bytes[..cut]);
+            }
+            for i in 0..bytes.len() {
+                for v in 0..=u8::MAX {
+                    let mut bad = bytes.clone();
+                    bad[i] = v;
+                    agree(&bad);
+                }
+            }
+        }
+        // Short random buffers led by a tag in or near the tag space.
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(20);
+        for _ in 0..20_000 {
+            let len = rng.random_range(1..14usize);
+            let mut buf: Vec<u8> = (0..len).map(|_| rng.random::<u32>() as u8).collect();
+            buf[0] = rng.random_range(0..10u32) as u8;
+            agree(&buf);
+        }
     }
 
     #[test]

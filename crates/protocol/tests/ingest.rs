@@ -82,6 +82,7 @@ fn streamed(
     let pipeline = IngestPipeline::for_round(
         spec,
         eps(),
+        reports.len(),
         IngestConfig {
             workers,
             queue_capacity: 4,
@@ -138,8 +139,9 @@ proptest! {
     }
 
     /// Adversarial sealed-frame streams: replayed frames (every report a
-    /// user-id duplicate) and bit-flipped frames (checksum breaks) are
-    /// shed at the ingest boundary, so the final aggregate is
+    /// user-id duplicate), bit-flipped frames (checksum breaks) and frames
+    /// re-sealed with a user id outside the population (checksum holds)
+    /// are shed at the ingest boundary, so the final aggregate is
     /// bit-identical to the clean stream's — and the [`IngestStats`]
     /// counters account for exactly what was dropped.
     #[test]
@@ -157,10 +159,12 @@ proptest! {
             .collect();
         let reports: Vec<Report> = entries.iter().map(|(_, r)| r.clone()).collect();
         let reference = serial(&spec, &reports);
+        let population = entries.len();
 
         let pipeline = IngestPipeline::for_round(
             &spec,
             eps(),
+            population,
             IngestConfig { workers, queue_capacity: 4 },
         )
         .unwrap();
@@ -168,6 +172,16 @@ proptest! {
         let mut expected_duplicates = 0u64;
         let mut expected_rejects = 0u64;
         for chunk in entries.chunks(frame_len) {
+            if rng.random_bool(0.5) {
+                // The frame re-sealed with one user id at or past the end
+                // of the population, ahead of the genuine frame: it is
+                // rejected whole and claims none of its users.
+                let mut forged = chunk.to_vec();
+                let victim = rng.random_range(0..forged.len());
+                forged[victim].0 = population + rng.random_range(0..=usize::from(u16::MAX));
+                pipeline.submit_sealed_frame(&seal_frame(&forged)).unwrap();
+                expected_rejects += 1;
+            }
             let frame = seal_frame(chunk);
             pipeline.submit_sealed_frame(&frame).unwrap();
             if rng.random_bool(0.5) {
