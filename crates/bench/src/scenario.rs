@@ -25,9 +25,7 @@
 //! lower-is-better direction).
 
 use crate::quality::{shape_quality, trace_ground_truth, Quality};
-use privshape::protocol::{
-    seal_frame, IngestConfig, IngestStats, LengthOracle, Report, Session, UserClient,
-};
+use privshape::protocol::{seal_frame, IngestStats, LengthOracle, Report, Session, UserClient};
 use privshape::{Extraction, PrivShapeConfig};
 use privshape_datasets::{
     generate_leak_series, generate_trace_like_counts, leak_template, zipf_counts, TraceLikeConfig,
@@ -267,12 +265,7 @@ fn drive_sealed(
             .enumerate()
             .filter_map(|(u, c)| c.answer(&spec).expect("client answers").map(|r| (u, r)))
             .collect();
-        let pipeline = session
-            .ingest_pipeline(IngestConfig {
-                workers: 2,
-                queue_capacity: 16,
-            })
-            .expect("open round");
+        let pipeline = session.ingest_pipeline(None).expect("open round");
         for (i, chunk) in entries.chunks(FRAME_REPORTS).enumerate() {
             let frame = seal_frame(chunk);
             pipeline.submit_sealed_frame(&frame).expect("pipeline open");
@@ -284,7 +277,8 @@ fn drive_sealed(
                 pipeline.submit_sealed_frame(&bad).expect("pipeline open");
             }
         }
-        let (shard, stats) = pipeline.finish_with_stats().expect("workers succeed");
+        let (shard, stats) = pipeline.finish();
+        let shard = shard.expect("no chaos plan, so the round cannot fail");
         totals.absorb(&stats);
         session.record_ingest_stats(&stats);
         session.submit_shard(&shard).expect("shards merge");

@@ -26,7 +26,7 @@
 use privshape::protocol::{
     route_frame, seal_frame, ClassShapes, ContinualConfig, ContinualDriver, Diagnostics, EpochPlan,
     Error, ExtractedShape, Extraction, FaultKind, FaultPlan, FiredCounts, GroupAssignment,
-    IngestConfig, LabeledExtraction, LengthOracle, Report, RoundSpec, Session, UserClient,
+    LabeledExtraction, LengthOracle, Report, RoundSpec, Session, UserClient,
 };
 use privshape::{BaselineConfig, PrivShapeConfig, SimulatedFleet};
 use privshape_bench::quality::{nearest_palette, shape_f_measure, symbols_ground_truth};
@@ -347,10 +347,7 @@ fn case(index: usize) -> Case {
 fn routed(case: &Case, fixtures: &[Fixture]) {
     let registry = ServiceRegistry::new(ServiceConfig {
         max_sessions: fixtures.len(),
-        ingest: IngestConfig {
-            workers: 2,
-            queue_capacity: 64,
-        },
+        ..ServiceConfig::default()
     });
     // Session id → (tenant index, devices, rounds opened).
     let mut live: HashMap<u64, (usize, Vec<UserClient>, u32)> = HashMap::new();
@@ -490,15 +487,12 @@ fn supervise(
     plans: &[Option<Arc<FaultPlan>>],
     per_frame: usize,
 ) -> Vec<Verdict> {
-    // One ingest worker per session: absorb order follows submit order,
-    // so a fault point lands where it was aimed.
+    // Each session's frames are routed from one thread and absorbed in
+    // the routing call, so a fault point lands where it was aimed.
     let sup = Supervisor::new(
         ServiceConfig {
             max_sessions: fixtures.len(),
-            ingest: IngestConfig {
-                workers: 1,
-                queue_capacity: 64,
-            },
+            ..ServiceConfig::default()
         },
         RetryPolicy {
             max_attempts: 3,

@@ -128,17 +128,24 @@ impl PiecewiseAggregator {
         &self.mechanism
     }
 
-    /// Ingests one quantized report, rejecting values outside the
-    /// mechanism's declared output range (untrusted wire input).
-    pub fn add(&mut self, report: i64) -> Result<()> {
-        let bound = self.mechanism.quantized_bound();
-        if report.abs() > bound {
+    /// Checks one quantized report against the mechanism's declared output
+    /// range (untrusted wire input) without ingesting it.
+    pub fn check(&self, report: i64) -> Result<()> {
+        // `unsigned_abs`: `i64::MIN` has no positive twin to compare.
+        if report.unsigned_abs() > self.mechanism.quantized_bound().unsigned_abs() {
             return Err(LdpError::ValueOutOfRange {
                 value: report as f64 / PiecewiseMechanism::SCALE as f64,
                 lo: -self.mechanism.output_bound(),
                 hi: self.mechanism.output_bound(),
             });
         }
+        Ok(())
+    }
+
+    /// Ingests one quantized report, rejecting what
+    /// [`PiecewiseAggregator::check`] rejects.
+    pub fn add(&mut self, report: i64) -> Result<()> {
+        self.check(report)?;
         self.sum += i128::from(report);
         self.total += 1;
         Ok(())
@@ -335,6 +342,8 @@ mod tests {
         let mut agg = PiecewiseAggregator::new(m);
         assert!(agg.add(m.quantized_bound() + 1).is_err());
         assert!(agg.add(-(m.quantized_bound() + 1)).is_err());
+        // The one value whose magnitude overflows `i64`.
+        assert!(agg.add(i64::MIN).is_err());
         assert_eq!(agg.total(), 0);
     }
 

@@ -5,17 +5,26 @@
 //! stalling, frames lost or retransmitted in flight, checkpoints rotting
 //! in storage. Reproducing those failures on demand is what a
 //! [`FaultPlan`] does: a schedule of faults pinned to **sequence points**
-//! (the N-th frame submitted, the N-th frame absorbed by a worker, the
-//! N-th checkpoint taken), fully determined by its construction — the
+//! (the N-th frame submitted, the N-th frame absorbed, the N-th
+//! checkpoint taken), fully determined by its construction — the
 //! explicit constructors or [`FaultPlan::from_seed`] with a `u64` seed —
 //! so every chaos run is replayable bit-for-bit from a single integer.
 //!
 //! The plan is a **runtime hook**, not a cargo feature: pass
-//! `Some(Arc<FaultPlan>)` to [`crate::IngestPipeline::for_round_chaos`]
-//! (or [`crate::Session::ingest_pipeline_chaos`]) and the pipeline
-//! consults it at each sequence point; pass `None` (or use the ordinary
-//! constructors) and the hook costs one branch on an absent `Option`.
-//! Production code paths therefore carry no chaos machinery at all.
+//! `Some(Arc<FaultPlan>)` to [`crate::IngestPipeline::for_round`] (or
+//! [`crate::Session::ingest_pipeline`]) and the pipeline consults it at
+//! each sequence point; pass `None` and the hook costs one branch on an
+//! absent `Option`. Production code paths therefore carry no chaos
+//! machinery at all.
+//!
+//! The ingest boundary has two sequence points. The **submit** point is
+//! consulted first on every [`crate::IngestPipeline::submit_sealed_frame`]
+//! call, before the frame is checked. The **absorb** point is consulted
+//! once per frame that claimed at least one user, after its reports are
+//! added, under the round lock — so it counts the frames that reach the
+//! aggregate, and a panic there fails the round the frame was absorbed
+//! into. [`FaultKind::WorkerPanic`] and [`FaultKind::AbsorbStall`] fire
+//! there, in the call of the producer that absorbs the frame.
 //!
 //! Every fault point fires **exactly once**. Sequence counters are global
 //! to the plan and monotone across pipelines, so a recovery that replays
@@ -30,24 +39,24 @@ use std::time::Duration;
 /// One scheduled fault, pinned to a sequence point.
 ///
 /// `at_submit` counts sealed-frame submissions into a pipeline,
-/// `at_absorb` counts frames popped by ingest workers, and
+/// `at_absorb` counts absorbed frames that claimed at least one user, and
 /// `at_checkpoint` counts round-boundary checkpoints taken by a
 /// supervisor — each counter global to the owning [`FaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The worker absorbing the `at_absorb`-th frame panics (a real
-    /// `panic!`, unwound and recorded by the pipeline as
-    /// [`crate::IngestStats::worker_panics`]).
+    /// The call absorbing the `at_absorb`-th frame panics (a real
+    /// `panic!`, caught and recorded by the pipeline as
+    /// [`crate::IngestStats::worker_panics`], failing the round).
     WorkerPanic {
         /// Absorb sequence point that trips the panic.
         at_absorb: u64,
     },
-    /// The worker absorbing the `at_absorb`-th frame sleeps first — a slow
-    /// consumer, surfacing as queue backpressure.
+    /// The call absorbing the `at_absorb`-th frame sleeps under the round
+    /// lock — a slow absorb, stalling the round's other producers.
     AbsorbStall {
         /// Absorb sequence point that trips the stall.
         at_absorb: u64,
-        /// How long the worker sleeps.
+        /// How long the absorb sleeps.
         millis: u64,
     },
     /// The producer submitting the `at_submit`-th sealed frame sleeps
@@ -100,7 +109,7 @@ pub enum SubmitAction {
     Duplicate,
 }
 
-/// What the chaos plane decided for one worker absorb.
+/// What the chaos plane decided for one frame absorb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbsorbAction {
     /// No fault: absorb normally.
@@ -148,9 +157,8 @@ struct FaultPoint {
 
 /// A reproducible schedule of injected faults (see the module docs).
 ///
-/// Shared as `Arc<FaultPlan>` between the producers, the ingest workers,
-/// and the supervisor of one session; all state is atomic, so consulting
-/// the plan never blocks.
+/// Shared as `Arc<FaultPlan>` between the producers and the supervisor of
+/// one session; all state is atomic, so consulting the plan never blocks.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     points: Vec<FaultPoint>,
@@ -298,9 +306,9 @@ impl FaultPlan {
         }
     }
 
-    /// Advances the absorb counter and returns what the absorbing worker
-    /// must do with this frame. Called by ingest workers; one call per
-    /// popped frame.
+    /// Advances the absorb counter and returns what the absorbing call
+    /// must do. Called by the pipeline once per absorbed frame that
+    /// claimed at least one user.
     pub fn next_absorb(&self) -> AbsorbAction {
         let idx = self.absorb_seq.fetch_add(1, Ordering::AcqRel);
         let hit = self.claim(|k| {

@@ -269,27 +269,6 @@ impl UserClient {
         Ok(Some(report))
     }
 
-    /// [`UserClient::answer_with`], but serializing the report straight
-    /// into `buf` in the [`Report::encode_into`] wire format — the
-    /// device-side of the streaming ingest boundary. Returns whether a
-    /// report was appended (`false` when the round is addressed
-    /// elsewhere), so a producer can batch many clients' answers into one
-    /// frame for [`crate::IngestPipeline::submit_frame`].
-    pub fn answer_wire(
-        &mut self,
-        spec: &RoundSpec,
-        ws: &mut DistanceWorkspace,
-        buf: &mut Vec<u8>,
-    ) -> Result<bool> {
-        match self.answer_with(spec, ws)? {
-            Some(report) => {
-                report.encode_into(buf);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
     /// Frequency-oracle report of the clipped compressed length (Eq. (1);
     /// GRR by default, the spec's [`LengthOracle`] otherwise). Every
     /// oracle draws from the same `(seed, Length, user)` stream, so a

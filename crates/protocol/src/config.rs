@@ -5,6 +5,11 @@ use privshape_distance::DistanceKind;
 use privshape_ldp::Epsilon;
 use privshape_timeseries::SaxParams;
 
+/// The most threads an explicit thread count resolves to: the fleet and
+/// simulation threads of the drivers built on this crate. A larger count
+/// is clamped, so a mistyped setting cannot start thousands of threads.
+pub const MAX_THREADS: usize = 64;
+
 /// How each user transforms their raw series into a symbol sequence before
 /// any report leaves the device.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,7 +205,7 @@ pub struct PrivShapeConfig {
     /// `(config, data)`.
     pub seed: u64,
     /// Worker threads for user simulation (0 ⇒ auto; at most
-    /// [`MAX_THREADS`](crate::MAX_THREADS) are started).
+    /// [`MAX_THREADS`] are started).
     pub threads: usize,
 }
 
@@ -267,7 +272,7 @@ pub struct BaselineConfig {
     /// Master seed.
     pub seed: u64,
     /// Worker threads (0 ⇒ auto; at most
-    /// [`MAX_THREADS`](crate::MAX_THREADS) are started).
+    /// [`MAX_THREADS`] are started).
     pub threads: usize,
 }
 

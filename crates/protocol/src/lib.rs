@@ -15,10 +15,11 @@
 //! * [`ShardAggregator`] — mergeable per-round partial sums (`absorb` /
 //!   `merge`), so reports can arrive in chunks from many ingestion shards
 //!   and combine associatively in any order;
-//! * [`IngestPipeline`] — the streaming tier on top of the shards: a
-//!   bounded queue of wire-encoded report frames ([`Report::encode_into`]
-//!   / [`Report::decode`], serde-free) feeding multi-worker absorption
-//!   with a tree-merge close, bit-identical to serial submission;
+//! * [`IngestPipeline`] — the one untrusted ingress: sealed frames of
+//!   wire-encoded reports ([`seal_frame`], serde-free), each checked
+//!   whole against the round and then absorbed in the producer's own
+//!   call, one report per user per round, bit-identical to serial
+//!   submission;
 //! * [`UserClient`] — one user's device: owns that user's series, derives
 //!   its group assignment and all of its randomness locally from
 //!   `(seed, user_id)`, and answers only the rounds addressed to its
@@ -101,10 +102,12 @@ mod wire;
 
 pub use chaos::{AbsorbAction, FaultKind, FaultPlan, FiredCounts, SubmitAction};
 pub use client::{GroupAssignment, UserClient};
-pub use config::{BaselineConfig, LengthOracle, PopulationSplit, Preprocessing, PrivShapeConfig};
+pub use config::{
+    BaselineConfig, LengthOracle, PopulationSplit, Preprocessing, PrivShapeConfig, MAX_THREADS,
+};
 pub use continual::{subsampled, ContinualConfig, ContinualDriver, EpochPlan};
 pub use error::{Error, Result};
-pub use ingest::{IngestConfig, IngestPipeline, IngestStats, MAX_THREADS};
+pub use ingest::{IngestConfig, IngestPipeline, IngestStats};
 pub use params::{MechanismKind, ProtocolParams};
 pub use population::{chunk_of_rank, split_population, split_rounds, Groups};
 pub use postprocess::select_distinct_top_k;

@@ -34,9 +34,10 @@ mod snapshot;
 
 pub use snapshot::SNAPSHOT_VERSION;
 
+use crate::chaos::FaultPlan;
 use crate::config::{BaselineConfig, PrivShapeConfig};
 use crate::error::{Error, Result};
-use crate::ingest::{IngestConfig, IngestPipeline, IngestStats};
+use crate::ingest::{IngestPipeline, IngestStats};
 use crate::params::ProtocolParams;
 use crate::population::{chunk_len, split_population, Groups};
 use crate::postprocess::select_distinct_top_k;
@@ -269,37 +270,20 @@ impl Session {
         ShardAggregator::for_round(&open.spec, self.params.epsilon)
     }
 
-    /// A streaming multi-worker ingest pipeline for the currently open
-    /// round: wire-encoded report frames go in (out of order, from any
-    /// number of producers), and [`IngestPipeline::finish`] hands back the
-    /// single tree-merged aggregate for [`Session::submit_shard`] —
-    /// bit-identical to submitting the reports serially. Sealed frames
-    /// may name the session's users `0..n` only.
-    pub fn ingest_pipeline(&self, config: IngestConfig) -> Result<IngestPipeline> {
-        self.ingest_pipeline_chaos(config, None)
-    }
-
-    /// [`Session::ingest_pipeline`] with an optional
-    /// [`crate::FaultPlan`] chaos hook threaded through to
-    /// [`IngestPipeline::for_round_chaos`]; `None` is exactly
-    /// `ingest_pipeline`.
-    pub fn ingest_pipeline_chaos(
-        &self,
-        config: IngestConfig,
-        chaos: Option<std::sync::Arc<crate::FaultPlan>>,
-    ) -> Result<IngestPipeline> {
+    /// The sealed-frame ingest boundary of the currently open round:
+    /// sealed frames go in (out of order, from any number of producers),
+    /// and [`IngestPipeline::finish`] hands back the round's aggregate for
+    /// [`Session::submit_shard`] — bit-identical to submitting the reports
+    /// serially. Sealed frames may name the session's users `0..n` only.
+    /// `chaos` installs a [`FaultPlan`] hook (see [`crate::chaos`]);
+    /// production passes `None`.
+    pub fn ingest_pipeline(&self, chaos: Option<Arc<FaultPlan>>) -> Result<IngestPipeline> {
         let Some(open) = self.open.as_ref() else {
             return Err(Error::Protocol(
                 "no open round to build an ingest pipeline for".into(),
             ));
         };
-        IngestPipeline::for_round_chaos(
-            &open.spec,
-            self.params.epsilon,
-            self.params.n,
-            config,
-            chaos,
-        )
+        IngestPipeline::for_round(&open.spec, self.params.epsilon, self.params.n, chaos)
     }
 
     /// The client seed this session was configured with — the root of all
@@ -312,11 +296,11 @@ impl Session {
         }
     }
 
-    /// Folds one round's sealed-frame validation counters
-    /// ([`IngestPipeline::finish_with_stats`]) into the session, so the
-    /// final [`crate::Diagnostics`] reports how much hostile input the run
-    /// shed at the ingest boundary. Optional: sessions fed through the
-    /// plain frame path have nothing to record.
+    /// Folds one round's sealed-frame counters ([`IngestPipeline::finish`])
+    /// into the session, so the final [`crate::Diagnostics`] reports how
+    /// much hostile input the run shed at the ingest boundary. Optional:
+    /// sessions fed through [`Session::submit`] or
+    /// [`Session::submit_shard`] alone have nothing to record.
     pub fn record_ingest_stats(&mut self, stats: &IngestStats) {
         self.ingest.absorb(stats);
     }

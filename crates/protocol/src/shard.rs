@@ -13,8 +13,8 @@ use crate::error::{Error, Result};
 use crate::round::{Report, RoundSpec};
 use crate::wire;
 use privshape_ldp::{
-    Epsilon, Grr, GrrAggregator, Olh, OlhAggregator, Oue, OueAggregator, PiecewiseAggregator,
-    PiecewiseMechanism,
+    Epsilon, Grr, GrrAggregator, LdpError, Olh, OlhAggregator, OlhReport, Oue, OueAggregator,
+    PiecewiseAggregator, PiecewiseMechanism,
 };
 
 /// Partial aggregation state for one round, mergeable across shards.
@@ -25,6 +25,10 @@ use privshape_ldp::{
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardAggregator {
     reports: u64,
+    /// The budget the round's reports were perturbed under: shards built
+    /// under different budgets count incomparable things, so
+    /// [`ShardAggregator::merge`] refuses to mix them.
+    epsilon: Epsilon,
     inner: Inner,
 }
 
@@ -70,34 +74,19 @@ impl LengthAgg {
 fn absorb_length(agg: &mut LengthAgg, domain: usize, report: &Report) -> Result<()> {
     match (agg, report) {
         (LengthAgg::Grr(agg), Report::Length(v)) => {
-            if *v >= domain {
-                return Err(Error::Protocol(format!(
-                    "length report {v} outside domain {domain}"
-                )));
-            }
+            check_length(*v, domain)?;
             agg.add(*v);
         }
         (LengthAgg::Oue(agg), Report::LengthOue(r)) => {
-            if r.set_bits().iter().any(|&b| b >= domain) {
-                return Err(Error::Protocol(format!(
-                    "length OUE report has bits outside domain {domain}"
-                )));
-            }
+            check_bits("length OUE", r.set_bits().last().copied(), domain)?;
             agg.add(r);
         }
         (LengthAgg::Olh(agg), Report::LengthOlh(r)) => {
-            if r.value >= agg.olh().g() {
-                return Err(Error::Protocol(format!(
-                    "length OLH report bucket {} outside hash range {}",
-                    r.value,
-                    agg.olh().g()
-                )));
-            }
+            check_olh(r.value, agg)?;
             agg.add(r);
         }
         (LengthAgg::Piecewise(agg), Report::LengthPiecewise(q)) => {
-            agg.add(*q)
-                .map_err(|e| Error::Protocol(format!("length piecewise report rejected: {e}")))?;
+            agg.add(*q).map_err(piecewise_err)?;
         }
         (_, report) => {
             return Err(Error::Protocol(format!(
@@ -109,58 +98,126 @@ fn absorb_length(agg: &mut LengthAgg, domain: usize, report: &Report) -> Result<
     Ok(())
 }
 
-/// Wire-side twin of [`absorb_length`] (same once-per-session rationale).
+/// Wire-side twin of [`absorb_length`] for [`ShardAggregator::check_wire`]
+/// (same once-per-session rationale).
 #[inline(never)]
-fn absorb_wire_length(
-    agg: &mut LengthAgg,
+fn check_wire_length<'a>(
+    agg: &LengthAgg,
     domain: usize,
     tag: u8,
-    frame: &[u8],
+    buf: &'a [u8],
     pos: &mut usize,
-    bits: &mut Vec<usize>,
-) -> Result<()> {
-    match (agg, tag) {
-        (LengthAgg::Grr(agg), wire::TAG_LENGTH) => {
-            let v = wire::read_usize(frame, pos)?;
-            if v >= domain {
-                return Err(Error::Protocol(format!(
-                    "length report {v} outside domain {domain}"
-                )));
-            }
-            agg.add(v);
+) -> Result<WireReport<'a>> {
+    Ok(match (agg, tag) {
+        (LengthAgg::Grr(_), wire::TAG_LENGTH) => {
+            let v = wire::read_usize(buf, pos)?;
+            check_length(v, domain)?;
+            WireReport::Length(v)
         }
-        (LengthAgg::Oue(agg), wire::TAG_LENGTH_OUE) => {
-            wire::read_oue_bits(frame, pos, bits)?;
-            if bits.iter().any(|&b| b >= domain) {
-                return Err(Error::Protocol(format!(
-                    "length OUE report has bits outside domain {domain}"
-                )));
-            }
-            agg.add_bits(bits);
+        (LengthAgg::Oue(_), wire::TAG_LENGTH_OUE) => {
+            let start = *pos;
+            check_bits("length OUE", wire::walk_oue_bits(buf, pos, None)?, domain)?;
+            WireReport::Bits(&buf[start..*pos])
         }
         (LengthAgg::Olh(agg), wire::TAG_LENGTH_OLH) => {
-            let seed = wire::read_varint(frame, pos)?;
-            let value = wire::read_usize(frame, pos)?;
-            if value >= agg.olh().g() {
-                return Err(Error::Protocol(format!(
-                    "length OLH report bucket {value} outside hash range {}",
-                    agg.olh().g()
-                )));
-            }
-            agg.add(&privshape_ldp::OlhReport { seed, value });
+            let seed = wire::read_varint(buf, pos)?;
+            let value = wire::read_usize(buf, pos)?;
+            check_olh(value, agg)?;
+            WireReport::Olh(OlhReport { seed, value })
         }
         (LengthAgg::Piecewise(agg), wire::TAG_LENGTH_PIECEWISE) => {
-            let q = wire::unzigzag(wire::read_varint(frame, pos)?);
-            agg.add(q)
-                .map_err(|e| Error::Protocol(format!("length piecewise report rejected: {e}")))?;
+            let q = wire::unzigzag(wire::read_varint(buf, pos)?);
+            agg.check(q).map_err(piecewise_err)?;
+            WireReport::Piecewise(q)
         }
         (_, tag) => {
             return Err(Error::Protocol(format!(
                 "report tag 0x{tag:02x} does not match round aggregate length"
             )));
         }
+    })
+}
+
+fn check_select(sel: usize, candidates: usize) -> Result<()> {
+    if sel >= candidates {
+        return Err(Error::Protocol(format!(
+            "selection report {sel} outside {candidates} candidates"
+        )));
     }
     Ok(())
+}
+
+fn check_subshape(level: usize, value: usize, levels: usize, domain: usize) -> Result<()> {
+    if level == 0 || level > levels {
+        return Err(Error::Protocol(format!(
+            "sub-shape report for level {level}, round has {levels}"
+        )));
+    }
+    if value >= domain {
+        return Err(Error::Protocol(format!(
+            "sub-shape report {value} outside domain {domain}"
+        )));
+    }
+    Ok(())
+}
+
+fn check_length(v: usize, domain: usize) -> Result<()> {
+    if v >= domain {
+        return Err(Error::Protocol(format!(
+            "length report {v} outside domain {domain}"
+        )));
+    }
+    Ok(())
+}
+
+/// Checks an OUE report (`what` names its kind) by its largest set bit:
+/// bits are strictly ascending, so the last one bounds them all.
+fn check_bits(what: &str, last: Option<usize>, domain: usize) -> Result<()> {
+    if last.is_some_and(|b| b >= domain) {
+        return Err(Error::Protocol(format!(
+            "{what} report has bits outside domain {domain}"
+        )));
+    }
+    Ok(())
+}
+
+fn check_olh(value: usize, agg: &OlhAggregator) -> Result<()> {
+    if value >= agg.olh().g() {
+        return Err(Error::Protocol(format!(
+            "length OLH report bucket {value} outside hash range {}",
+            agg.olh().g()
+        )));
+    }
+    Ok(())
+}
+
+fn piecewise_err(e: LdpError) -> Error {
+    Error::Protocol(format!("length piecewise report rejected: {e}"))
+}
+
+fn unchecked_report(round: &str) -> Error {
+    Error::Protocol(format!(
+        "wire report was not checked against this {round} round"
+    ))
+}
+
+/// One wire report that [`ShardAggregator::check_wire`] accepted for a
+/// round: what [`ShardAggregator::add_wire`] needs to count it, with an
+/// OUE bit list left in the frame.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum WireReport<'a> {
+    /// An expansion or unlabeled-refinement selection.
+    Select(usize),
+    /// A sub-shape report.
+    SubShape { level: usize, value: usize },
+    /// A GRR length report.
+    Length(usize),
+    /// An OLH length report.
+    Olh(OlhReport),
+    /// A quantized piecewise length report.
+    Piecewise(i64),
+    /// The encoded bit list of an OUE length or labeled-refinement report.
+    Bits(&'a [u8]),
 }
 
 /// Index of the largest estimate; ties go to the smaller index.
@@ -282,7 +339,11 @@ impl ShardAggregator {
                 }
             }
         };
-        Ok(Self { reports: 0, inner })
+        Ok(Self {
+            reports: 0,
+            epsilon,
+            inner,
+        })
     }
 
     /// Number of reports absorbed (including merged-in shards).
@@ -302,38 +363,19 @@ impl ShardAggregator {
         match (&mut self.inner, report) {
             (Inner::Expand { counts, .. }, Report::Expand(sel))
             | (Inner::RefineSelect { counts, .. }, Report::RefineSelect(sel)) => {
-                if *sel >= counts.len() {
-                    return Err(Error::Protocol(format!(
-                        "selection report {sel} outside {} candidates",
-                        counts.len()
-                    )));
-                }
+                check_select(*sel, counts.len())?;
                 counts[*sel] += 1;
             }
             (Inner::Length { agg, domain }, report) => {
                 absorb_length(agg, *domain, report)?;
             }
             (Inner::SubShape { aggs, domain }, Report::SubShape { level, value }) => {
-                if *level == 0 || *level > aggs.len() {
-                    return Err(Error::Protocol(format!(
-                        "sub-shape report for level {level}, round has {}",
-                        aggs.len()
-                    )));
-                }
-                if *value >= *domain {
-                    return Err(Error::Protocol(format!(
-                        "sub-shape report {value} outside domain {domain}"
-                    )));
-                }
+                check_subshape(*level, *value, aggs.len(), *domain)?;
                 aggs[*level - 1].add(*value);
             }
             (Inner::RefineLabeled { agg, .. }, Report::RefineLabeled(r)) => {
                 if let Some(agg) = agg {
-                    if r.set_bits().iter().any(|&b| b >= agg.domain()) {
-                        return Err(Error::Protocol(
-                            "labeled report has bits outside the grid".into(),
-                        ));
-                    }
+                    check_bits("labeled", r.set_bits().last().copied(), agg.domain())?;
                     agg.add(r);
                 }
             }
@@ -349,100 +391,82 @@ impl ShardAggregator {
         Ok(())
     }
 
-    /// Absorbs a whole frame of wire-encoded reports (the concatenated
-    /// [`Report::encode_into`] format), returning how many were absorbed.
+    /// Decodes the wire report ([`Report::encode_into`]) at `*pos` and
+    /// checks it against this round — its kind, its structure and its
+    /// domain, the checks [`ShardAggregator::absorb`] runs — advancing
+    /// `*pos` past it. Allocates nothing unless it fails.
     ///
-    /// This is the ingestion fast path: reports are decoded straight off
-    /// the byte buffer into the counts — no intermediate [`Report`] is
-    /// materialized, and the OUE bit buffer is reused across the frame, so
-    /// steady-state absorption allocates nothing per report. Exactly
-    /// equivalent to decoding the frame and [`ShardAggregator::absorb`]ing
-    /// each report (pinned by a unit test and the wire property tests).
-    ///
-    /// # Errors
-    ///
-    /// Fails on a malformed frame or on any report whose kind/domain does
-    /// not match this round. Reports before the failing one remain
-    /// absorbed — callers treat an error as fatal for the whole round.
-    pub fn absorb_wire(&mut self, frame: &[u8]) -> Result<usize> {
-        let mut pos = 0usize;
-        let mut absorbed = 0usize;
-        let mut bits = Vec::new();
-        while pos < frame.len() {
-            self.absorb_wire_one(frame, &mut pos, &mut bits)?;
-            absorbed += 1;
-        }
-        Ok(absorbed)
-    }
-
-    /// Decodes and absorbs one report starting at `*pos`.
-    ///
-    /// `inline(always)`: this is the body of the `absorb_wire` frame loop
-    /// (~10 ns/report); left to its own devices the compiler stopped
-    /// inlining it once the length-oracle dispatch grew, costing double-
-    /// digit percent off ingest throughput. The cold length/error paths
-    /// are `inline(never)` helpers precisely so this stays cheap to inline.
-    #[inline(always)]
-    fn absorb_wire_one(
-        &mut self,
-        frame: &[u8],
-        pos: &mut usize,
-        bits: &mut Vec<usize>,
-    ) -> Result<()> {
-        let tag = wire::read_tag(frame, pos)?;
+    /// The ingest boundary runs this over a whole sealed frame before it
+    /// claims any user, so a report the round would refuse rejects its
+    /// frame instead of failing the round.
+    pub(crate) fn check_wire<'a>(&self, buf: &'a [u8], pos: &mut usize) -> Result<WireReport<'a>> {
+        let tag = wire::read_tag(buf, pos)?;
         // Hot arms first: expand / refine-select / sub-shape reports are
         // the per-user-per-level bulk of every session, while each length
-        // arm fires for at most one round — and this decode loop runs at
-        // ~10 ns/report, where a few extra discriminant compares ahead of
-        // the hot arms are a measurable throughput tax.
-        match (&mut self.inner, tag) {
+        // arm fires for at most one round.
+        Ok(match (&self.inner, tag) {
             (Inner::Expand { counts, .. }, wire::TAG_EXPAND)
             | (Inner::RefineSelect { counts, .. }, wire::TAG_REFINE_SELECT) => {
-                let sel = wire::read_usize(frame, pos)?;
-                if sel >= counts.len() {
-                    return Err(Error::Protocol(format!(
-                        "selection report {sel} outside {} candidates",
-                        counts.len()
-                    )));
-                }
-                counts[sel] += 1;
+                let sel = wire::read_usize(buf, pos)?;
+                check_select(sel, counts.len())?;
+                WireReport::Select(sel)
             }
             (Inner::SubShape { aggs, domain }, wire::TAG_SUB_SHAPE) => {
-                let level = wire::read_usize(frame, pos)?;
-                let value = wire::read_usize(frame, pos)?;
-                if level == 0 || level > aggs.len() {
-                    return Err(Error::Protocol(format!(
-                        "sub-shape report for level {level}, round has {}",
-                        aggs.len()
-                    )));
-                }
-                if value >= *domain {
-                    return Err(Error::Protocol(format!(
-                        "sub-shape report {value} outside domain {domain}"
-                    )));
-                }
-                aggs[level - 1].add(value);
+                let level = wire::read_usize(buf, pos)?;
+                let value = wire::read_usize(buf, pos)?;
+                check_subshape(level, value, aggs.len(), *domain)?;
+                WireReport::SubShape { level, value }
             }
             (Inner::RefineLabeled { agg, .. }, wire::TAG_REFINE_LABELED) => {
-                wire::read_oue_bits(frame, pos, bits)?;
+                let start = *pos;
+                let last = wire::walk_oue_bits(buf, pos, None)?;
                 if let Some(agg) = agg {
-                    if bits.iter().any(|&b| b >= agg.domain()) {
-                        return Err(Error::Protocol(
-                            "labeled report has bits outside the grid".into(),
-                        ));
-                    }
-                    agg.add_bits(bits);
+                    check_bits("labeled", last, agg.domain())?;
                 }
+                WireReport::Bits(&buf[start..*pos])
             }
-            (Inner::Length { agg, domain }, tag) => {
-                absorb_wire_length(agg, *domain, tag, frame, pos, bits)?;
-            }
+            (Inner::Length { agg, domain }, tag) => check_wire_length(agg, *domain, tag, buf, pos)?,
             (inner, tag) => {
                 return Err(Error::Protocol(format!(
                     "report tag 0x{tag:02x} does not match round aggregate {}",
                     inner.kind(),
                 )));
             }
+        })
+    }
+
+    /// Counts a report [`ShardAggregator::check_wire`] accepted for this
+    /// round; `bits` is reused scratch for an OUE bit list. Checks
+    /// nothing: a report checked against another round is refused only
+    /// when its kind differs.
+    pub(crate) fn add_wire(&mut self, report: WireReport<'_>, bits: &mut Vec<usize>) -> Result<()> {
+        match (&mut self.inner, report) {
+            (
+                Inner::Expand { counts, .. } | Inner::RefineSelect { counts, .. },
+                WireReport::Select(sel),
+            ) => counts[sel] += 1,
+            (Inner::SubShape { aggs, .. }, WireReport::SubShape { level, value }) => {
+                aggs[level - 1].add(value);
+            }
+            (Inner::RefineLabeled { agg, .. }, WireReport::Bits(body)) => {
+                if let Some(agg) = agg {
+                    wire::read_oue_bits(body, &mut 0, bits)?;
+                    agg.add_bits(bits);
+                }
+            }
+            (Inner::Length { agg, .. }, report) => match (agg, report) {
+                (LengthAgg::Grr(agg), WireReport::Length(v)) => agg.add(v),
+                (LengthAgg::Oue(agg), WireReport::Bits(body)) => {
+                    wire::read_oue_bits(body, &mut 0, bits)?;
+                    agg.add_bits(bits);
+                }
+                (LengthAgg::Olh(agg), WireReport::Olh(r)) => agg.add(&r),
+                (LengthAgg::Piecewise(agg), WireReport::Piecewise(q)) => {
+                    agg.add(q).map_err(piecewise_err)?;
+                }
+                _ => return Err(unchecked_report("length")),
+            },
+            (inner, _) => return Err(unchecked_report(inner.kind())),
         }
         self.reports += 1;
         Ok(())
@@ -451,7 +475,19 @@ impl ShardAggregator {
     /// Folds another shard's partial sums into this one. Counts add
     /// elementwise, so `a.merge(b)` equals absorbing b's reports into `a`
     /// in any order.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Protocol`], leaving `self` unchanged, when `other` was
+    /// built for another round (kind, domain, oracle or candidate-table
+    /// generation) or under another ε.
     pub fn merge(&mut self, other: &ShardAggregator) -> Result<()> {
+        if self.epsilon != other.epsilon {
+            return Err(Error::Protocol(format!(
+                "cannot merge a shard built under {} into one built under {}",
+                other.epsilon, self.epsilon
+            )));
+        }
         match (&mut self.inner, &other.inner) {
             (
                 Inner::Length { agg, domain },
@@ -1012,6 +1048,19 @@ mod tests {
         assert!(a.merge(&c).is_ok());
     }
 
+    /// The wire absorb the ingest boundary runs, over a frame of
+    /// concatenated reports: each report is checked against the round,
+    /// then added.
+    fn absorb_wire(agg: &mut ShardAggregator, frame: &[u8]) -> Result<usize> {
+        let (mut pos, mut bits, mut absorbed) = (0, Vec::new(), 0);
+        while pos < frame.len() {
+            let report = agg.check_wire(frame, &mut pos)?;
+            agg.add_wire(report, &mut bits)?;
+            absorbed += 1;
+        }
+        Ok(absorbed)
+    }
+
     #[test]
     fn absorb_wire_equals_decode_then_absorb() {
         let spec = expand_spec(5);
@@ -1024,7 +1073,7 @@ mod tests {
             r.encode_into(&mut frame);
         }
         let mut via_wire = ShardAggregator::for_round(&spec, eps()).unwrap();
-        assert_eq!(via_wire.absorb_wire(&frame).unwrap(), reports.len());
+        assert_eq!(absorb_wire(&mut via_wire, &frame).unwrap(), reports.len());
         let mut via_absorb = ShardAggregator::for_round(&spec, eps()).unwrap();
         for r in &reports {
             via_absorb.absorb(r).unwrap();
@@ -1033,14 +1082,117 @@ mod tests {
         // Out-of-domain selection inside a frame is refused.
         let mut bad = Vec::new();
         Report::Expand(5).encode_into(&mut bad);
-        assert!(via_wire.absorb_wire(&bad).is_err());
+        assert!(via_wire.check_wire(&bad, &mut 0).is_err());
         // Wrong-kind frame is refused.
         let mut wrong = Vec::new();
         Report::Length(0).encode_into(&mut wrong);
         assert!(matches!(
-            via_wire.absorb_wire(&wrong),
+            via_wire.check_wire(&wrong, &mut 0),
             Err(Error::Protocol(_))
         ));
+        // A report checked against another kind of round is refused too.
+        let length = ShardAggregator::for_round(&length_spec(), eps()).unwrap();
+        let checked = length.check_wire(&wrong, &mut 0).unwrap();
+        assert!(via_wire.add_wire(checked, &mut Vec::new()).is_err());
+        assert_eq!(via_wire, via_absorb);
+    }
+
+    #[test]
+    fn wire_check_accepts_exactly_what_decode_and_absorb_accept() {
+        use privshape_ldp::{OlhReport, OueReport};
+        use rand::{RngExt, SeedableRng};
+        let rounds: Vec<ShardAggregator> = every_round_kind()
+            .iter()
+            .map(|(spec, _)| ShardAggregator::for_round(spec, eps()).unwrap())
+            .collect();
+        let mut sinks = rounds.clone();
+        let mut agree = |buf: &[u8]| {
+            for (round, sink) in rounds.iter().zip(&mut sinks) {
+                let mut pos = 0;
+                let checked = round.check_wire(buf, &mut pos).map(|_| pos);
+                let absorbed = Report::decode(buf).and_then(|(r, used)| {
+                    sink.absorb(&r)?;
+                    Ok(used)
+                });
+                assert_eq!(checked.ok(), absorbed.ok(), "{buf:02x?}");
+            }
+        };
+        let reports = [
+            Report::Length(300),
+            Report::SubShape {
+                level: 3,
+                value: 70_000,
+            },
+            Report::Expand(17),
+            Report::RefineSelect(1 << 40),
+            Report::RefineLabeled(OueReport::from_set_bits(vec![0, 3, 4, 129]).unwrap()),
+            Report::RefineLabeled(OueReport::from_set_bits(Vec::new()).unwrap()),
+            Report::LengthOue(OueReport::from_set_bits(vec![usize::MAX - 1, usize::MAX]).unwrap()),
+            Report::LengthOlh(OlhReport {
+                seed: u64::MAX,
+                value: 3,
+            }),
+            Report::LengthPiecewise(-12_345_678),
+        ];
+        // Every truncation and every value of every byte of each variant,
+        // and of the valid reports of every round.
+        let valid = every_round_kind().into_iter().flat_map(|(_, r)| r);
+        for report in reports.into_iter().chain(valid) {
+            let bytes = report.encode();
+            for cut in 0..=bytes.len() {
+                agree(&bytes[..cut]);
+            }
+            for i in 0..bytes.len() {
+                for v in 0..=u8::MAX {
+                    let mut bad = bytes.clone();
+                    bad[i] = v;
+                    agree(&bad);
+                }
+            }
+        }
+        // Short random buffers led by a tag in or near the tag space.
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(20);
+        for _ in 0..20_000 {
+            let len = rng.random_range(1..14usize);
+            let mut buf: Vec<u8> = (0..len).map(|_| rng.random::<u32>() as u8).collect();
+            buf[0] = rng.random_range(0..10u32) as u8;
+            agree(&buf);
+        }
+        // Every round accepted something, so the comparison had teeth.
+        for (round, sink) in rounds.iter().zip(&sinks) {
+            assert!(sink.reports() > round.reports(), "{}", round.inner.kind());
+        }
+    }
+
+    #[test]
+    fn merge_refuses_shards_built_under_another_epsilon() {
+        let at = |spec: &RoundSpec, reports: &[Report], eps: f64| {
+            let mut shard = ShardAggregator::for_round(spec, Epsilon::new(eps).unwrap()).unwrap();
+            for r in reports {
+                shard.absorb(r).unwrap();
+            }
+            shard
+        };
+        for (spec, reports) in every_round_kind() {
+            let mut mine = at(&spec, &reports, 1.0);
+            let before = mine.clone();
+            assert!(
+                matches!(
+                    mine.merge(&at(&spec, &reports, 3.0)),
+                    Err(Error::Protocol(_))
+                ),
+                "{}",
+                spec.name()
+            );
+            assert_eq!(
+                mine,
+                before,
+                "{}: a refused merge changed the shard",
+                spec.name()
+            );
+            mine.merge(&at(&spec, &reports, 1.0)).unwrap();
+            assert_eq!(mine.reports(), 2 * reports.len() as u64);
+        }
     }
 
     #[test]
@@ -1125,7 +1277,7 @@ mod tests {
                     LengthOracle::Oue => {
                         Report::LengthOue(OueReport::from_set_bits(vec![i % 6]).unwrap())
                     }
-                    LengthOracle::Olh => Report::LengthOlh(privshape_ldp::OlhReport {
+                    LengthOracle::Olh => Report::LengthOlh(OlhReport {
                         seed: i as u64 * 77,
                         value: i % olh.g(),
                     }),
@@ -1137,7 +1289,7 @@ mod tests {
                 r.encode_into(&mut frame);
             }
             let mut via_wire = ShardAggregator::for_round(&spec, eps()).unwrap();
-            assert_eq!(via_wire.absorb_wire(&frame).unwrap(), reports.len());
+            assert_eq!(absorb_wire(&mut via_wire, &frame).unwrap(), reports.len());
             let mut via_absorb = ShardAggregator::for_round(&spec, eps()).unwrap();
             for r in &reports {
                 via_absorb.absorb(r).unwrap();
@@ -1146,8 +1298,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshot_state_round_trips_every_round_kind() {
+    /// A round of each kind — the four length oracles, sub-shape,
+    /// expansion, unlabeled and labeled refinement — with a few valid
+    /// reports for it.
+    fn every_round_kind() -> Vec<(RoundSpec, Vec<Report>)> {
         use privshape_ldp::{Olh, OlhReport, OueReport};
         let olh = Olh::new(eps());
         let subshape_spec = RoundSpec::SubShape {
@@ -1166,7 +1320,7 @@ mod tests {
             candidates: std::sync::Arc::new(CandidateTable::parse_rows(&["ab", "cb"]).unwrap()),
             n_classes: 2,
         };
-        let cases: Vec<(RoundSpec, Vec<Report>)> = vec![
+        vec![
             (
                 oracle_spec(LengthOracle::Grr),
                 vec![Report::Length(1), Report::Length(4), Report::Length(1)],
@@ -1221,8 +1375,12 @@ mod tests {
                     Report::RefineLabeled(OueReport::from_set_bits(vec![1]).unwrap()),
                 ],
             ),
-        ];
-        for (spec, reports) in cases {
+        ]
+    }
+
+    #[test]
+    fn snapshot_state_round_trips_every_round_kind() {
+        for (spec, reports) in every_round_kind() {
             let mut original = ShardAggregator::for_round(&spec, eps()).unwrap();
             for r in &reports {
                 original.absorb(r).unwrap();

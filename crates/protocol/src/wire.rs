@@ -18,17 +18,15 @@
 //!
 //! OUE set bits are strictly ascending, so bits after the first are
 //! delta-encoded (`Δ_i = bit_i − bit_{i−1} ≥ 1`); a zero delta in the
-//! input is rejected, never silently repaired. Reports concatenate into
-//! *frames* with no length prefix — every report is self-delimiting —
-//! which is what [`crate::ShardAggregator::absorb_wire`] and the
-//! [`crate::ingest`] pipeline consume.
+//! input is rejected, never silently repaired. Every report is
+//! self-delimiting, so reports concatenate with no length prefix.
 //!
 //! # Sealed frames
 //!
-//! Plain frames carry no provenance, which is fine inside a trusted
-//! simulator but not at a real ingest boundary. A *sealed* frame wraps a
-//! body of `(varint(user_id) report)*` entries in a tamper-evident
-//! envelope:
+//! A bare report carries no provenance. The one ingress that accepts
+//! reports from untrusted devices, [`crate::IngestPipeline`], takes
+//! *sealed* frames only: a body of `(varint(user_id) report)*` entries in
+//! a tamper-evident envelope:
 //!
 //! ```text
 //! SealedFrame := 0xF5 varint(body_len) u64_le(fnv1a64(body)) body
@@ -36,7 +34,9 @@
 //!
 //! The checksum catches bit-flips in transit ([`unseal_frame`] rejects the
 //! whole frame) and the per-report user ids let the ingest tier enforce
-//! the one-report-per-user-per-round invariant by dropping repeats. See
+//! the one-report-per-user-per-round invariant by dropping repeats. Each
+//! report is checked against the open round as it is decoded, so a frame
+//! carrying a report the round would refuse is rejected whole. See
 //! [`seal_frame`] / [`unseal_frame`] and
 //! [`crate::IngestPipeline::submit_sealed_frame`].
 //!
@@ -152,18 +152,23 @@ pub(crate) fn read_tag(buf: &[u8], pos: &mut usize) -> Result<u8> {
     Ok(tag)
 }
 
-/// Decodes the body of a [`Report::RefineLabeled`] report (everything
-/// after the tag) into `bits`, reusing the buffer's capacity. Shared by
-/// [`Report::decode`] and the aggregator's absorb-from-wire fast path.
+/// Decodes the body of an OUE report (everything after the tag) into
+/// `bits`, reusing the buffer's capacity. Shared by [`Report::decode`] and
+/// the aggregator's wire add.
 pub(crate) fn read_oue_bits(buf: &[u8], pos: &mut usize, bits: &mut Vec<usize>) -> Result<()> {
     bits.clear();
-    walk_oue_bits(buf, pos, Some(bits))
+    walk_oue_bits(buf, pos, Some(bits)).map(drop)
 }
 
 /// Walks an OUE bit-set body (count, then delta-coded bits), collecting
-/// the bits into `bits` when given one. The one place the bit-set checks
-/// live, so decoding and [`skip_report`] refuse exactly the same bodies.
-fn walk_oue_bits(buf: &[u8], pos: &mut usize, mut bits: Option<&mut Vec<usize>>) -> Result<()> {
+/// the bits into `bits` when given one, and returns the last (largest)
+/// bit. The one place the bit-set checks live, so decoding and the
+/// aggregator's wire check refuse exactly the same bodies.
+pub(crate) fn walk_oue_bits(
+    buf: &[u8],
+    pos: &mut usize,
+    mut bits: Option<&mut Vec<usize>>,
+) -> Result<Option<usize>> {
     let n = read_usize(buf, pos)?;
     // Each encoded bit needs at least one byte, so a count beyond the
     // remaining buffer is a truncation — refuse before reserving memory.
@@ -176,55 +181,27 @@ fn walk_oue_bits(buf: &[u8], pos: &mut usize, mut bits: Option<&mut Vec<usize>>)
     if let Some(bits) = bits.as_deref_mut() {
         bits.reserve(n);
     }
-    let mut prev = 0usize;
-    for i in 0..n {
+    let mut last: Option<usize> = None;
+    for _ in 0..n {
         let raw = read_usize(buf, pos)?;
-        let bit = if i == 0 {
-            raw
-        } else {
-            if raw == 0 {
+        let bit = match last {
+            None => raw,
+            Some(_) if raw == 0 => {
                 return Err(Error::Protocol(
                     "malformed report: OUE bit delta of zero (bits must be strictly ascending)"
                         .into(),
                 ));
             }
-            prev.checked_add(raw).ok_or_else(|| {
+            Some(prev) => prev.checked_add(raw).ok_or_else(|| {
                 Error::Protocol("malformed report: OUE bit position overflows usize".into())
-            })?
+            })?,
         };
         if let Some(bits) = bits.as_deref_mut() {
             bits.push(bit);
         }
-        prev = bit;
+        last = Some(bit);
     }
-    Ok(())
-}
-
-/// Advances `*pos` past one report without building it, refusing exactly
-/// what [`Report::decode`] refuses: a truncated buffer, an unknown tag,
-/// an overlong varint, or an OUE bit list with a zero or overflowing
-/// delta (the walk decoding shares, which is what keeps its bits strictly
-/// ascending). Allocates nothing unless it fails.
-pub(crate) fn skip_report(buf: &[u8], pos: &mut usize) -> Result<()> {
-    match read_tag(buf, pos)? {
-        TAG_LENGTH | TAG_EXPAND | TAG_REFINE_SELECT => {
-            read_usize(buf, pos)?;
-        }
-        TAG_SUB_SHAPE => {
-            read_usize(buf, pos)?;
-            read_usize(buf, pos)?;
-        }
-        TAG_REFINE_LABELED | TAG_LENGTH_OUE => walk_oue_bits(buf, pos, None)?,
-        TAG_LENGTH_OLH => {
-            read_varint(buf, pos)?;
-            read_usize(buf, pos)?;
-        }
-        TAG_LENGTH_PIECEWISE => {
-            read_varint(buf, pos)?;
-        }
-        tag => return Err(unknown_tag(tag)),
-    }
-    Ok(())
+    Ok(last)
 }
 
 /// The error for a tag outside the report tag space.
@@ -423,8 +400,8 @@ pub fn unseal_frame(frame: &[u8]) -> Result<&[u8]> {
 /// RoutedFrame := 0xF6 u8(version) varint(session_id) varint(generation) payload
 /// ```
 ///
-/// The payload is an ordinary frame (sealed `0xF5 …` or plain concatenated
-/// reports); the envelope adds routing only, no re-encoding. The
+/// The payload is a sealed frame (`0xF5 …`; the codec itself carries any
+/// bytes untouched); the envelope adds routing only, no re-encoding. The
 /// `generation` tag is the session's current round identity — for trie
 /// rounds, the [`privshape_timeseries::CandidateTable::fingerprint`] of the
 /// round's candidate set — and lets the router refuse frames from
@@ -516,40 +493,6 @@ pub fn route_frame(session_id: u64, generation: u64, payload: &[u8]) -> Vec<u8> 
     put_varint(&mut frame, generation);
     frame.extend_from_slice(payload);
     frame
-}
-
-/// The `(user_id, report span)` entries of a sealed-frame body, each
-/// validated as it is reached: the user id is read and the report is
-/// checked by [`skip_report`], never built, so walking a valid body
-/// allocates nothing. The first malformed entry comes back as an error
-/// and ends the walk.
-pub(crate) fn sealed_entries(body: &[u8]) -> SealedEntries<'_> {
-    SealedEntries { body, pos: 0 }
-}
-
-/// Iterator returned by [`sealed_entries`].
-pub(crate) struct SealedEntries<'a> {
-    body: &'a [u8],
-    pos: usize,
-}
-
-impl Iterator for SealedEntries<'_> {
-    type Item = Result<(usize, std::ops::Range<usize>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.pos >= self.body.len() {
-            return None;
-        }
-        let entry = read_usize(self.body, &mut self.pos).and_then(|user| {
-            let start = self.pos;
-            skip_report(self.body, &mut self.pos)?;
-            Ok((user, start..self.pos))
-        });
-        if entry.is_err() {
-            self.pos = self.body.len();
-        }
-        Some(entry)
-    }
 }
 
 #[cfg(test)]
@@ -652,69 +595,16 @@ mod tests {
             (1_000_000, Report::SubShape { level: 1, value: 2 }),
         ];
         let frame = seal_frame(&entries);
-        let body = unseal_frame(&frame).unwrap();
+        let mut body = unseal_frame(&frame).unwrap();
         let mut seen = Vec::new();
-        for entry in sealed_entries(body) {
-            let (user, span) = entry.unwrap();
-            let (report, used) = Report::decode(&body[span.clone()]).unwrap();
-            assert_eq!(used, span.len());
+        while !body.is_empty() {
+            let mut pos = 0;
+            let user = read_usize(body, &mut pos).unwrap();
+            let (report, used) = Report::decode(&body[pos..]).unwrap();
             seen.push((user, report));
+            body = &body[pos + used..];
         }
         assert_eq!(seen, entries);
-        // A malformed entry is reported once and ends the walk.
-        let mut walk = sealed_entries(&[0x01, 0x03]);
-        assert!(matches!(walk.next(), Some(Err(Error::Protocol(_)))));
-        assert!(walk.next().is_none());
-    }
-
-    #[test]
-    fn skip_report_refuses_exactly_what_decode_refuses() {
-        use rand::{RngExt, SeedableRng};
-        let agree = |buf: &[u8]| {
-            let mut pos = 0;
-            let skipped = skip_report(buf, &mut pos).map(|()| pos);
-            let decoded = Report::decode(buf).map(|(_, used)| used);
-            assert_eq!(skipped.ok(), decoded.ok(), "{buf:02x?}");
-        };
-        let reports = [
-            Report::Length(300),
-            Report::SubShape {
-                level: 3,
-                value: 70_000,
-            },
-            Report::Expand(17),
-            Report::RefineSelect(1 << 40),
-            Report::RefineLabeled(OueReport::from_set_bits(vec![0, 3, 4, 129]).unwrap()),
-            Report::RefineLabeled(OueReport::from_set_bits(Vec::new()).unwrap()),
-            Report::LengthOue(OueReport::from_set_bits(vec![usize::MAX - 1, usize::MAX]).unwrap()),
-            Report::LengthOlh(OlhReport {
-                seed: u64::MAX,
-                value: 3,
-            }),
-            Report::LengthPiecewise(-12_345_678),
-        ];
-        // Every truncation and every value of every byte of each variant.
-        for report in &reports {
-            let bytes = report.encode();
-            for cut in 0..=bytes.len() {
-                agree(&bytes[..cut]);
-            }
-            for i in 0..bytes.len() {
-                for v in 0..=u8::MAX {
-                    let mut bad = bytes.clone();
-                    bad[i] = v;
-                    agree(&bad);
-                }
-            }
-        }
-        // Short random buffers led by a tag in or near the tag space.
-        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(20);
-        for _ in 0..20_000 {
-            let len = rng.random_range(1..14usize);
-            let mut buf: Vec<u8> = (0..len).map(|_| rng.random::<u32>() as u8).collect();
-            buf[0] = rng.random_range(0..10u32) as u8;
-            agree(&buf);
-        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Streaming-ingest exactness property: feeding a round's wire-encoded
-//! reports through the multi-worker [`IngestPipeline`] — chunked into
-//! arbitrary frames, submitted in an arbitrary (shuffled) order, absorbed
-//! by a racing worker pool — produces an aggregate bit-identical to one
-//! serial absorb of the same reports.
+//! Streaming-ingest exactness property: feeding a round's reports through
+//! the sealed-frame [`IngestPipeline`] — chunked into arbitrary frames,
+//! submitted in an arbitrary (shuffled) order from racing producer
+//! threads — produces an aggregate bit-identical to one serial absorb of
+//! the same reports.
 
 use privshape_ldp::{Epsilon, Oue};
 use privshape_protocol::{
-    seal_frame, Audience, GroupId, IngestConfig, IngestPipeline, PrivShapeConfig, Report,
-    RoundSpec, Session, ShardAggregator, UserClient,
+    seal_frame, Audience, GroupId, IngestPipeline, PrivShapeConfig, Report, RoundSpec, Session,
+    ShardAggregator, UserClient,
 };
 use privshape_timeseries::{CandidateTable, SaxParams, TimeSeries};
 use proptest::prelude::*;
@@ -62,65 +62,61 @@ fn serial(spec: &RoundSpec, reports: &[Report]) -> ShardAggregator {
     agg
 }
 
-/// Streaming path: encode, chunk into frames, shuffle, pipeline.
+/// Streaming path: report `i` sealed as user `i`, chunked into frames,
+/// shuffled, and submitted from `producers` threads racing on the round.
 fn streamed(
     spec: &RoundSpec,
     reports: &[Report],
     frame_len: usize,
-    workers: usize,
+    producers: usize,
     seed: u64,
 ) -> ShardAggregator {
-    let mut frames: Vec<Vec<u8>> = Vec::new();
-    for chunk in reports.chunks(frame_len.max(1)) {
-        let mut frame = Vec::new();
-        for r in chunk {
-            r.encode_into(&mut frame);
-        }
-        frames.push(frame);
-    }
+    let entries: Vec<(usize, Report)> = reports.iter().cloned().enumerate().collect();
+    let mut frames: Vec<Vec<u8>> = entries.chunks(frame_len.max(1)).map(seal_frame).collect();
     shuffle(&mut frames, seed);
-    let pipeline = IngestPipeline::for_round(
-        spec,
-        eps(),
-        reports.len(),
-        IngestConfig {
-            workers,
-            queue_capacity: 4,
-        },
-    )
-    .unwrap();
-    for frame in frames {
-        pipeline.submit_frame(frame).unwrap();
-    }
-    pipeline.finish().unwrap()
+    let pipeline = IngestPipeline::for_round(spec, eps(), reports.len(), None).unwrap();
+    std::thread::scope(|s| {
+        for p in 0..producers {
+            let (pipeline, frames) = (&pipeline, &frames);
+            s.spawn(move || {
+                for frame in frames.iter().skip(p).step_by(producers) {
+                    pipeline.submit_sealed_frame(frame).unwrap();
+                }
+            });
+        }
+    });
+    let (merged, stats) = pipeline.finish();
+    assert_eq!(stats.accepted_reports as usize, reports.len());
+    merged.unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Selection rounds: arbitrary report streams, frame sizes, worker
+    /// Selection rounds: arbitrary report streams, frame sizes, producer
     /// counts, and submission orders all converge to the serial aggregate.
     #[test]
     fn shuffled_streaming_equals_serial_absorb(
         selections in prop::collection::vec(0usize..6, 1..400),
         frame_len in 1usize..40,
-        workers in 1usize..6,
+        producers in 1usize..6,
         seed in 0u64..1 << 32,
     ) {
         let spec = expand_spec(6);
         let reports: Vec<Report> = selections.into_iter().map(Report::Expand).collect();
         let reference = serial(&spec, &reports);
-        let merged = streamed(&spec, &reports, frame_len, workers, seed);
+        let merged = streamed(&spec, &reports, frame_len, producers, seed);
         prop_assert_eq!(merged, reference);
     }
 
     /// Labeled refinement (OUE) rounds: same invariant for the
-    /// heap-carrying report kind, exercising the add_bits wire fast path.
+    /// heap-carrying report kind, exercising the OUE bit walk of the wire
+    /// check and add.
     #[test]
     fn shuffled_streaming_equals_serial_for_oue(
         values in prop::collection::vec(0usize..8, 1..120),
         frame_len in 1usize..16,
-        workers in 1usize..5,
+        producers in 1usize..6,
         seed in 0u64..1 << 32,
     ) {
         let spec = labeled_spec(4, 2);
@@ -134,21 +130,20 @@ proptest! {
             })
             .collect();
         let reference = serial(&spec, &reports);
-        let merged = streamed(&spec, &reports, frame_len, workers, seed);
+        let merged = streamed(&spec, &reports, frame_len, producers, seed);
         prop_assert_eq!(merged, reference);
     }
 
     /// Adversarial sealed-frame streams: replayed frames (every report a
-    /// user-id duplicate), bit-flipped frames (checksum breaks) and frames
-    /// re-sealed with a user id outside the population (checksum holds)
-    /// are shed at the ingest boundary, so the final aggregate is
-    /// bit-identical to the clean stream's — and the [`IngestStats`]
-    /// counters account for exactly what was dropped.
+    /// user-id duplicate), bit-flipped frames (checksum breaks), and frames
+    /// re-sealed with a user id outside the population or a report the
+    /// round refuses (checksum holds) are shed at the ingest boundary, so
+    /// the final aggregate is bit-identical to the clean stream's — and
+    /// the [`IngestStats`] counters account for exactly what was dropped.
     #[test]
     fn hostile_sealed_stream_equals_clean_stream(
         selections in prop::collection::vec(0usize..6, 1..200),
         frame_len in 1usize..20,
-        workers in 1usize..5,
         attack_seed in 0u64..1 << 32,
     ) {
         let spec = expand_spec(6);
@@ -161,13 +156,7 @@ proptest! {
         let reference = serial(&spec, &reports);
         let population = entries.len();
 
-        let pipeline = IngestPipeline::for_round(
-            &spec,
-            eps(),
-            population,
-            IngestConfig { workers, queue_capacity: 4 },
-        )
-        .unwrap();
+        let pipeline = IngestPipeline::for_round(&spec, eps(), population, None).unwrap();
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(attack_seed);
         let mut expected_duplicates = 0u64;
         let mut expected_rejects = 0u64;
@@ -179,6 +168,21 @@ proptest! {
                 let mut forged = chunk.to_vec();
                 let victim = rng.random_range(0..forged.len());
                 forged[victim].0 = population + rng.random_range(0..=usize::from(u16::MAX));
+                pipeline.submit_sealed_frame(&seal_frame(&forged)).unwrap();
+                expected_rejects += 1;
+            }
+            if rng.random_bool(0.5) {
+                // The frame re-sealed with one report the round refuses —
+                // another round's kind, or a selection past the 6-row
+                // table — ahead of the genuine frame: it is rejected whole
+                // and claims none of its users.
+                let mut forged = chunk.to_vec();
+                let victim = rng.random_range(0..forged.len());
+                forged[victim].1 = if rng.random_bool(0.5) {
+                    Report::Length(0)
+                } else {
+                    Report::Expand(6)
+                };
                 pipeline.submit_sealed_frame(&seal_frame(&forged)).unwrap();
                 expected_rejects += 1;
             }
@@ -198,8 +202,8 @@ proptest! {
                 expected_rejects += 1;
             }
         }
-        let (merged, stats) = pipeline.finish_with_stats().unwrap();
-        prop_assert_eq!(merged, reference);
+        let (merged, stats) = pipeline.finish();
+        prop_assert_eq!(merged.unwrap(), reference);
         prop_assert_eq!(stats.accepted_reports as usize, reports.len());
         prop_assert_eq!(stats.duplicate_reports, expected_duplicates);
         prop_assert_eq!(stats.rejected_frames, expected_rejects);
@@ -248,12 +252,7 @@ fn sealed_ingest_counters_surface_in_diagnostics() {
                 .enumerate()
                 .filter_map(|(u, c)| c.answer(&spec).unwrap().map(|r| (u, r)))
                 .collect();
-            let pipeline = session
-                .ingest_pipeline(IngestConfig {
-                    workers: 2,
-                    queue_capacity: 8,
-                })
-                .unwrap();
+            let pipeline = session.ingest_pipeline(None).unwrap();
             for chunk in entries.chunks(7) {
                 let frame = seal_frame(chunk);
                 pipeline.submit_sealed_frame(&frame).unwrap();
@@ -266,9 +265,9 @@ fn sealed_ingest_counters_surface_in_diagnostics() {
                     pipeline.submit_sealed_frame(&bad).unwrap();
                 }
             }
-            let (shard, stats) = pipeline.finish_with_stats().unwrap();
+            let (shard, stats) = pipeline.finish();
             session.record_ingest_stats(&stats);
-            session.submit_shard(&shard).unwrap();
+            session.submit_shard(&shard.unwrap()).unwrap();
         }
         (session.finish().unwrap(), rounds)
     };

@@ -17,9 +17,11 @@
 //!   stale generations (a producer answering a superseded candidate
 //!   table), and wrong codec versions are rejected with typed errors —
 //!   never silently absorbed into the wrong count vector;
-//! * **Isolation** — every open round gets its own bounded frame queue
-//!   and worker pool, so backpressure is per-session: a saturated tenant
-//!   stalls its own producers and nobody else;
+//! * **Isolation** — every open round gets its own ingest boundary, which
+//!   absorbs each frame in the routing producer's call under that round's
+//!   lock alone, and rejects a hostile frame whole without failing the
+//!   round: a busy or attacked tenant slows its own producers and nobody
+//!   else;
 //! * **Crash safety** — between rounds a session serializes to a
 //!   checksummed snapshot ([`ServiceRegistry::snapshot_session`]); after
 //!   a crash, [`ServiceRegistry::restore_session`] re-admits it under its

@@ -14,10 +14,11 @@ pub struct ServiceConfig {
     /// Maximum sessions resident at once; further [`ServiceRegistry::admit`]
     /// calls are refused with [`ServiceError::AdmissionDenied`].
     pub max_sessions: usize,
-    /// Per-session ingest pipeline configuration. Every open round gets
-    /// its *own* bounded frame queue and worker pool, so one saturated
-    /// session backpressures only its own producers — never its
-    /// neighbours (no head-of-line blocking across sessions).
+    /// Read by nothing: every open round gets its own ingest boundary,
+    /// which absorbs each frame in the routing producer's call, under a
+    /// lock of that round alone, so one session's load never blocks its
+    /// neighbours' producers. Kept only because the benchmark harness
+    /// (`perfbench/`) still sets it; see [`IngestConfig`].
     pub ingest: IngestConfig,
 }
 
@@ -192,9 +193,7 @@ impl ServiceRegistry {
         match &spec {
             Some(_) => {
                 route.generation = session.round_generation();
-                route.pipeline = Some(Arc::new(
-                    session.ingest_pipeline_chaos(self.config.ingest, chaos)?,
-                ));
+                route.pipeline = Some(Arc::new(session.ingest_pipeline(chaos)?));
             }
             None => {
                 route.generation = None;
@@ -220,13 +219,13 @@ impl ServiceRegistry {
     ///   table) — [`ProtocolError::StaleGeneration`];
     /// * a known session with no round open — [`ServiceError::NoOpenRound`].
     ///
-    /// Payload-level problems (bit-flips, duplicate users) stay the
-    /// pipeline's business: they move the session's rejection counters
-    /// and the call still returns `Ok(())`, exactly like direct sealed
-    /// submission.
+    /// Payload-level problems (bit-flips, duplicate users, reports the
+    /// round refuses) stay the pipeline's business: they move the
+    /// session's rejection counters and the call still returns `Ok(())`,
+    /// exactly like direct sealed submission.
     ///
-    /// Blocks when the session's frame queue is full (per-session
-    /// backpressure); frames for other sessions are unaffected.
+    /// The frame is absorbed before the call returns, under the open
+    /// round's own lock; frames for other sessions are unaffected.
     pub fn route_frame(&self, envelope: &[u8]) -> Result<()> {
         let routed = RoutedFrame::decode(envelope)?;
         let slot = {
@@ -248,15 +247,15 @@ impl ServiceRegistry {
             routed.check_session(Some(generation))?;
             Arc::clone(pipeline)
         };
-        // Submit outside every lock: a full queue blocks only this
-        // producer, and only on this session.
+        // Submit outside every registry lock: the round's own lock
+        // serializes only this session's producers.
         pipeline.submit_sealed_frame(routed.payload)?;
         Ok(())
     }
 
-    /// Closes the session's open round: drains its pipeline, merges the
-    /// tree-merged aggregate into the session, and folds the round's
-    /// validation counters into the session diagnostics.
+    /// Closes the session's open round: merges the round's aggregate into
+    /// the session and folds the round's ingest counters into the session
+    /// diagnostics.
     ///
     /// Producers must have stopped submitting for this round (the round's
     /// generation is retired here; late frames get
@@ -265,7 +264,7 @@ impl ServiceRegistry {
     pub fn close_round(&self, id: u64) -> Result<()> {
         let slot = self.slot(id)?;
         let mut session = slot.driver.lock().expect("driver lock");
-        let pipeline = {
+        let mut pipeline = {
             let mut route = slot.route.lock().expect("route lock");
             route.generation = None;
             match route.pipeline.take() {
@@ -276,20 +275,19 @@ impl ServiceRegistry {
         // Producers only briefly hold clones (between the route-lock
         // release and submit); with the generation retired no new clone
         // can appear, so uniqueness is moments away.
-        let mut pipeline = Some(pipeline);
         let pipeline = loop {
-            match Arc::try_unwrap(pipeline.take().expect("pipeline present")) {
+            match Arc::try_unwrap(pipeline) {
                 Ok(p) => break p,
                 Err(shared) => {
-                    pipeline = Some(shared);
+                    pipeline = shared;
                     std::thread::yield_now();
                 }
             }
         };
-        let (result, stats) = pipeline.finish_accounted();
+        let (result, stats) = pipeline.finish();
         // Fold the round's counters in even when it failed: the session's
-        // health metrics (worker panics above all) must survive a crashed
-        // round so supervisors and diagnostics see *why* it died.
+        // health metrics (panics above all) must survive a crashed round
+        // so supervisors and diagnostics see *why* it died.
         session.record_ingest_stats(&stats);
         let shard = result?;
         if shard.reports() > 0 {
@@ -326,10 +324,9 @@ impl ServiceRegistry {
         Ok(slot.driver.into_inner().expect("driver lock"))
     }
 
-    /// The session's accumulated ingest counters (accepted/rejected/
-    /// duplicate reports, queue high-water mark, backpressure stalls),
-    /// summed over its closed rounds — the service's per-tenant health
-    /// metrics.
+    /// The session's accumulated ingest counters (accepted, rejected and
+    /// duplicate reports, caught panics), summed over its closed rounds —
+    /// the service's per-tenant health metrics.
     pub fn session_ingest_stats(&self, id: u64) -> Result<IngestStats> {
         let slot = self.slot(id)?;
         let session = slot.driver.lock().expect("driver lock");
@@ -347,8 +344,8 @@ impl ServiceRegistry {
 
     /// Serializes one resident session into a crash-safe snapshot frame
     /// (`varint(session_id)` + the session's own checksummed snapshot).
-    /// Only allowed between rounds — an open pipeline holds in-flight
-    /// frames no snapshot could capture; close the round first.
+    /// Only allowed between rounds — an open round's partial aggregate
+    /// and claims are not part of a snapshot; close the round first.
     pub fn snapshot_session(&self, id: u64) -> Result<Vec<u8>> {
         let slot = self.slot(id)?;
         let session = slot.driver.lock().expect("driver lock");

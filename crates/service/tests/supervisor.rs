@@ -1,7 +1,8 @@
 //! Supervisor chaos tests: injected worker panics, checkpoint corruption,
 //! and stale replays are either recovered **bit-identically** to a
 //! fault-free twin or quarantined with a typed error — never a panic, a
-//! hang, or a silently wrong extraction.
+//! hang, or a silently wrong extraction — and a hostile frame is shed
+//! without failing its round.
 //!
 //! Every test pairs a supervised chaos session with a fault-free twin
 //! driven through an identical supervisor over the same population, and
@@ -157,6 +158,50 @@ fn worker_panic_recovers_bit_identically() {
 
     assert_identical(&got, &expected);
     assert_eq!(plan.fired_counts().worker_panics, 1);
+}
+
+/// A validly sealed frame carrying a report the round refuses — an
+/// expansion report in the length round, under the id of a user the
+/// round does not address — is rejected at the boundary: the round closes
+/// without a recovery, nothing is quarantined, and the extraction equals
+/// the clean twin's.
+#[test]
+fn refused_report_is_shed_without_recovery() {
+    let n = 260;
+    let data = series(n);
+    let (expected, _) = twin(9, n, &data);
+
+    let sup = Supervisor::new(ServiceConfig::default(), fast_policy());
+    let session = Session::privshape(config(9), n).unwrap();
+    let mut cs = clients(&session, &data);
+    let id = sup.admit(session).unwrap();
+
+    let spec = sup.begin_round(id).unwrap().expect("round 1");
+    let RoundSpec::Length { audience, .. } = &spec else {
+        panic!("round 1 is not the length round: {}", spec.name());
+    };
+    let outsider = cs
+        .iter()
+        .position(|c| c.assignment().group != Some(audience.group))
+        .expect("a user outside the length round's group");
+    let generation = sup.session_generation(id).unwrap();
+    let hostile = route_frame(
+        id,
+        generation,
+        &seal_frame(&[(outsider, Report::Expand(0))]),
+    );
+    sup.route_frame(&hostile).unwrap();
+    for frame in routed_frames(&mut cs, &spec, id, generation) {
+        sup.route_frame(&frame).unwrap();
+    }
+    sup.close_round(id).unwrap();
+    assert_eq!(sup.recovery_stats(id).unwrap().recoveries, 0);
+    assert!(sup.quarantined_sessions().is_empty());
+    assert_eq!(sup.session_ingest_stats(id).unwrap().rejected_frames, 1);
+
+    let mut counts = Vec::new();
+    let got = drive(&sup, id, &mut cs, &mut counts).unwrap();
+    assert_identical(&got, &expected);
 }
 
 /// Recovery counters are observable while the session is resident.

@@ -12,7 +12,7 @@
 //! 2. **Facade ≡ explicit protocol**: driving `Session` + `UserClient` by
 //!    hand must reproduce the facade's output exactly.
 
-use privshape::protocol::{IngestConfig, Session, UserClient};
+use privshape::protocol::{seal_frame, Session, UserClient};
 use privshape::{Baseline, BaselineConfig, Extraction, PrivShape, PrivShapeConfig};
 use privshape_distance::DistanceKind;
 use privshape_ldp::Epsilon;
@@ -145,11 +145,10 @@ fn baseline_run_labeled_matches_pre_refactor_golden() {
 }
 
 /// Driving the protocol through the *streaming* boundary — every report
-/// wire-encoded on-device, chunked into frames, the frames shuffled and
-/// fed to a racing multi-worker `IngestPipeline`, the round closed with a
-/// tree-merge — must still equal the facade bit for bit. This is the
-/// session-level pin for the whole serialize → stream → shard → merge
-/// path.
+/// sealed into wire frames with its user id, the frames shuffled and
+/// submitted by racing producer threads, each absorbing its frames in
+/// place — must still equal the facade bit for bit. This is the
+/// session-level pin for the whole serialize → stream → absorb path.
 #[test]
 fn streaming_ingest_loop_matches_facade() {
     let (series, _) = planted_population(900);
@@ -167,33 +166,35 @@ fn streaming_ingest_loop_matches_facade() {
         .collect();
     let mut shuffle_rng = rand_chacha::ChaCha12Rng::seed_from_u64(7);
     let mut ws = privshape_distance::DistanceWorkspace::new();
+    const PRODUCERS: usize = 4;
     while let Some(spec) = session.next_round().unwrap() {
-        // Devices serialize their own reports; the tier sees only bytes.
-        let mut frames: Vec<Vec<u8>> = Vec::new();
-        let mut frame = Vec::new();
+        // Devices answer; the tier sees only sealed bytes.
+        let mut entries = Vec::new();
         for client in &mut clients {
-            if client.answer_wire(&spec, &mut ws, &mut frame).unwrap() && frame.len() > 64 {
-                frames.push(std::mem::take(&mut frame));
+            if let Some(report) = client.answer_with(&spec, &mut ws).unwrap() {
+                entries.push((client.user_id(), report));
             }
         }
-        if !frame.is_empty() {
-            frames.push(frame);
-        }
+        let mut frames: Vec<Vec<u8>> = entries.chunks(16).map(seal_frame).collect();
         // Frames arrive out of order across the ingestion tier.
         for i in (1..frames.len()).rev() {
             let j = shuffle_rng.random_range(0..=i);
             frames.swap(i, j);
         }
-        let pipeline = session
-            .ingest_pipeline(IngestConfig {
-                workers: 4,
-                queue_capacity: 8,
-            })
-            .unwrap();
-        for f in frames {
-            pipeline.submit_frame(f).unwrap();
-        }
-        session.submit_shard(&pipeline.finish().unwrap()).unwrap();
+        let pipeline = session.ingest_pipeline(None).unwrap();
+        std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let (pipeline, frames) = (&pipeline, &frames);
+                s.spawn(move || {
+                    for frame in frames.iter().skip(p).step_by(PRODUCERS) {
+                        pipeline.submit_sealed_frame(frame).unwrap();
+                    }
+                });
+            }
+        });
+        let (shard, stats) = pipeline.finish();
+        assert_eq!(stats.accepted_reports as usize, entries.len());
+        session.submit_shard(&shard.unwrap()).unwrap();
     }
     let streamed = session.finish().unwrap();
 
