@@ -169,7 +169,11 @@ impl GrrAggregator {
                 self.counts.len()
             )));
         }
-        let sum: u64 = counts.iter().sum();
+        let Some(sum) = counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c)) else {
+            return Err(LdpError::MalformedReport(
+                "GRR snapshot counts overflow u64".into(),
+            ));
+        };
         if sum != total {
             return Err(LdpError::MalformedReport(format!(
                 "GRR snapshot counts sum to {sum} but claim {total} reports"

@@ -186,7 +186,8 @@ impl PiecewiseAggregator {
     /// magnitude, so anything beyond that is a forged snapshot.
     pub fn restore_sum(&mut self, sum: i128, total: u64) -> Result<()> {
         let bound = i128::from(total) * i128::from(self.mechanism.quantized_bound());
-        if sum.abs() > bound {
+        // `unsigned_abs`: `i128::MIN` has no positive twin to compare.
+        if sum.unsigned_abs() > bound.unsigned_abs() {
             return Err(LdpError::MalformedReport(format!(
                 "piecewise snapshot sum {sum} exceeds bound {bound} for {total} reports"
             )));

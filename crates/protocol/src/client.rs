@@ -17,7 +17,7 @@
 use crate::config::{length_domain, LengthOracle, MAX_LENGTH_DOMAIN};
 use crate::error::{Error, Result};
 use crate::params::{MechanismKind, ProtocolParams};
-use crate::population::{chunk_of_rank, split_population};
+use crate::population::{chunk_of_rank, shuffled_users, split_population};
 use crate::rng::{user_rng, Stage};
 use crate::round::{Audience, GroupId, Report, RoundSpec};
 use crate::transform::transform_series;
@@ -62,14 +62,16 @@ impl GroupAssignment {
         };
         match &params.kind {
             MechanismKind::PrivShape { split } => {
-                let groups = split_population(params.n, split, params.seed);
+                let groups = split_population(params.n, split, params.seed)
+                    .expect("n user ids fit where the n assignments above did");
                 place(&groups.pa, GroupId::Pa);
                 place(&groups.pb, GroupId::Pb);
                 place(&groups.pc, GroupId::Pc);
                 place(&groups.pd, GroupId::Pd);
             }
             MechanismKind::Baseline { pa } => {
-                let (group_a, group_b) = baseline_split(params.n, *pa, params.seed);
+                let (group_a, group_b) = baseline_split(params.n, *pa, params.seed)
+                    .expect("n user ids fit where the n assignments above did");
                 place(&group_a, GroupId::Pa);
                 place(&group_b, GroupId::Pb);
             }
@@ -111,16 +113,11 @@ impl GroupAssignment {
 
 /// The baseline's two-way split: a seeded shuffle, first `round(n·pa)`
 /// users to length estimation, the rest to trie expansion.
-pub(crate) fn baseline_split(n: usize, pa: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut rng = user_rng(seed, Stage::Server, 1);
-    for i in (1..order.len()).rev() {
-        let j = rng.random_range(0..=i);
-        order.swap(i, j);
-    }
+pub(crate) fn baseline_split(n: usize, pa: f64, seed: u64) -> Result<(Vec<usize>, Vec<usize>)> {
+    let mut order = shuffled_users(n, seed, 1)?;
     let na = (((n as f64) * pa).round() as usize).min(n);
     let group_b = order.split_off(na);
-    (order, group_b)
+    Ok((order, group_b))
 }
 
 /// One user's device in the protocol.
@@ -777,7 +774,7 @@ mod tests {
 
     #[test]
     fn baseline_split_covers_everyone() {
-        let (pa, pb) = baseline_split(1000, 0.02, 9);
+        let (pa, pb) = baseline_split(1000, 0.02, 9).unwrap();
         assert_eq!(pa.len(), 20);
         assert_eq!(pb.len(), 980);
         let mut all: Vec<usize> = pa.iter().chain(&pb).copied().collect();

@@ -3,6 +3,7 @@
 //! full-ε-per-user guarantee) go through.
 
 use crate::config::PopulationSplit;
+use crate::error::{Error, Result};
 use crate::rng::{user_rng, Stage};
 use rand::RngExt;
 
@@ -31,16 +32,32 @@ impl Groups {
     }
 }
 
-/// Splits `n` users into the four groups with a seeded Fisher–Yates
-/// shuffle. Group sizes are `round(n·fraction)`, adjusted so they never
-/// exceed `n` in total; any rounding slack goes to the largest group (Pc).
-pub fn split_population(n: usize, split: &PopulationSplit, seed: u64) -> Groups {
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut rng = user_rng(seed, Stage::Server, 0);
+/// The user ids `0..n` in the order of a Fisher–Yates shuffle seeded by
+/// `(seed, stream)`. A population too large to index is a typed error,
+/// never an allocation panic.
+pub(crate) fn shuffled_users(n: usize, seed: u64, stream: usize) -> Result<Vec<usize>> {
+    let mut order = Vec::new();
+    order
+        .try_reserve_exact(n)
+        .map_err(|_| Error::Protocol(format!("no memory to index a population of {n} users")))?;
+    order.extend(0..n);
+    let mut rng = user_rng(seed, Stage::Server, stream);
     for i in (1..order.len()).rev() {
         let j = rng.random_range(0..=i);
         order.swap(i, j);
     }
+    Ok(order)
+}
+
+/// Splits `n` users into the four groups with a seeded Fisher–Yates
+/// shuffle. Group sizes are `round(n·fraction)`, adjusted so they never
+/// exceed `n` in total; any rounding slack goes to the largest group (Pc).
+///
+/// # Errors
+///
+/// [`Error::Protocol`] when the `n` user ids cannot be allocated.
+pub fn split_population(n: usize, split: &PopulationSplit, seed: u64) -> Result<Groups> {
+    let order = shuffled_users(n, seed, 0)?;
 
     let na = ((n as f64) * split.pa).round() as usize;
     let nb = ((n as f64) * split.pb).round() as usize;
@@ -68,7 +85,7 @@ pub fn split_population(n: usize, split: &PopulationSplit, seed: u64) -> Groups 
         groups_disjoint_within(&groups, n),
         "groups overlap or exceed n={n}"
     );
-    groups
+    Ok(groups)
 }
 
 /// Debug-only invariant: every assigned index is unique and `< n`.
@@ -141,7 +158,7 @@ mod tests {
     #[test]
     fn groups_are_disjoint_and_sized() {
         let split = PopulationSplit::default();
-        let g = split_population(10_000, &split, 7);
+        let g = split_population(10_000, &split, 7).unwrap();
         assert_eq!(g.pa.len(), 200);
         assert_eq!(g.pb.len(), 800);
         assert_eq!(g.pd.len(), 2000);
@@ -162,11 +179,11 @@ mod tests {
     #[test]
     fn split_is_deterministic_and_seed_sensitive() {
         let split = PopulationSplit::default();
-        let a = split_population(1000, &split, 1);
-        let b = split_population(1000, &split, 1);
+        let a = split_population(1000, &split, 1).unwrap();
+        let b = split_population(1000, &split, 1).unwrap();
         assert_eq!(a.pa, b.pa);
         assert_eq!(a.pc, b.pc);
-        let c = split_population(1000, &split, 2);
+        let c = split_population(1000, &split, 2).unwrap();
         assert_ne!(a.pa, c.pa);
     }
 
@@ -178,7 +195,7 @@ mod tests {
             pc: 0.1,
             pd: 0.1,
         };
-        let g = split_population(100, &split, 0);
+        let g = split_population(100, &split, 0).unwrap();
         assert_eq!(g.assigned(), 40);
         assert_eq!(g.unassigned, 60);
     }
@@ -186,10 +203,10 @@ mod tests {
     #[test]
     fn tiny_populations_do_not_panic() {
         let split = PopulationSplit::default();
-        let g = split_population(3, &split, 0);
+        let g = split_population(3, &split, 0).unwrap();
         assert!(g.assigned() <= 3);
         assert_eq!(g.assigned() + g.unassigned, 3);
-        let g = split_population(0, &split, 0);
+        let g = split_population(0, &split, 0).unwrap();
         assert!(g.pa.is_empty() && g.pc.is_empty());
         assert_eq!(g.unassigned, 0);
     }

@@ -118,9 +118,12 @@ pub struct Session {
     groups: Groups,
     phase: Phase,
     /// Rounds opened so far (including the currently open one); gives
-    /// non-table rounds a generation tag and snapshots a stable cursor.
+    /// non-table rounds a generation tag and snapshots their round count.
     round_index: u64,
     open: Option<OpenRound>,
+    /// The aggregate state of every closed round, in order: the replay
+    /// log a snapshot carries (see `snapshot.rs`).
+    log: Vec<u8>,
     ell_s: usize,
     bigram_sets: Vec<BigramSet>,
     trie: Option<ShapeTrie>,
@@ -151,7 +154,7 @@ impl Session {
         if n == 0 {
             return Err(Error::NotEnoughUsers { needed: 1, got: 0 });
         }
-        let groups = split_population(n, &config.split, config.seed);
+        let groups = split_population(n, &config.split, config.seed)?;
         let alphabet = config.preprocessing.alphabet(&config.sax);
         Ok(Self {
             params: ProtocolParams::privshape(&config, n),
@@ -164,6 +167,7 @@ impl Session {
             phase: Phase::Length,
             round_index: 0,
             open: None,
+            log: Vec::new(),
             origin: Origin::PrivShape(config),
             ell_s: 0,
             bigram_sets: Vec::new(),
@@ -194,7 +198,7 @@ impl Session {
         if n == 0 {
             return Err(Error::NotEnoughUsers { needed: 1, got: 0 });
         }
-        let (pa, pb) = crate::client::baseline_split(n, config.pa, config.seed);
+        let (pa, pb) = crate::client::baseline_split(n, config.pa, config.seed)?;
         let groups = Groups {
             pa,
             pb,
@@ -216,6 +220,7 @@ impl Session {
             phase: Phase::Length,
             round_index: 0,
             open: None,
+            log: Vec::new(),
             origin: Origin::Baseline(config),
             ell_s: 0,
             bigram_sets: Vec::new(),
@@ -315,6 +320,7 @@ impl Session {
     /// or [`Session::finish_labeled`]).
     pub fn next_round(&mut self) -> Result<Option<RoundSpec>> {
         if let Some(open) = self.open.take() {
+            open.agg.snapshot_state_into(&mut self.log);
             self.finalize(open)?;
         }
         loop {
@@ -960,6 +966,76 @@ mod tests {
         assert!(matches!(
             Session::restore(&future),
             Err(Error::UnsupportedVersion { .. })
+        ));
+    }
+
+    /// The checksum is no MAC: bodies re-sealed under a valid checksum
+    /// must still be refused, each with a typed error naming its fault.
+    #[test]
+    fn restore_rejects_resealed_forgeries() {
+        // One genuine aggregate state per round: length, sub-shape,
+        // expansion levels 1 to 3, refinement.
+        let mut s = Session::privshape(config(), 500).unwrap();
+        let mut states = Vec::new();
+        while let Some(spec) = s.next_round().unwrap() {
+            s.submit(&synthetic_reports(&spec)).unwrap();
+            let mut state = Vec::new();
+            s.open.as_ref().unwrap().agg.snapshot_state_into(&mut state);
+            states.push(state);
+        }
+        let log: Vec<&[u8]> = states.iter().map(Vec::as_slice).collect();
+        // The body ahead of its round count: origin, n, mode, ingest counters.
+        let body = snapshot::unseal(&s.snapshot()).unwrap().to_vec();
+        let mut count = Vec::new();
+        crate::wire::put_varint(&mut count, log.len() as u64);
+        let header = &body[..body.len() - 1 - states.concat().len() - count.len()];
+        let forge = |states: &[&[u8]], complete: u8, trailing: &[u8]| {
+            let mut body = header.to_vec();
+            crate::wire::put_varint(&mut body, states.len() as u64);
+            body.extend_from_slice(&states.concat());
+            body.push(complete);
+            body.extend_from_slice(trailing);
+            let mut bytes = Vec::new();
+            snapshot::seal(&mut bytes, &body);
+            Session::restore(&bytes)
+        };
+        let refused = |forged: Result<Session>, fault: &str| match forged {
+            Err(err) => assert!(err.to_string().contains(fault), "{fault}: got {err}"),
+            Ok(_) => panic!("{fault}: forgery restored"),
+        };
+        // The genuine log restores complete, and with its third round open.
+        assert!(forge(&log, 1, &[]).is_ok());
+        assert!(forge(&log[..3], 0, &[]).is_ok());
+
+        // (a) The sub-shape aggregate logged for the length round.
+        refused(forge(&log[1..2], 0, &[]), "kind tag");
+        // (b) The level-2 expansion aggregate logged for level 1.
+        refused(forge(&[log[0], log[1], log[3]], 0, &[]), "generation");
+        // (c) One more logged round than the protocol opens.
+        refused(
+            forge(&[&log[..], &log[..1]].concat(), 0, &[]),
+            "more logged rounds",
+        );
+        // (d) The complete flag on a session with rounds left.
+        refused(forge(&log[..3], 1, &[]), "complete flag");
+        // (e) Trailing bytes after the complete flag.
+        refused(forge(&log, 1, &[0]), "trailing bytes");
+    }
+
+    #[test]
+    fn unallocatable_populations_are_refused() {
+        assert!(matches!(
+            Session::privshape(config(), usize::MAX),
+            Err(Error::Protocol(_))
+        ));
+        let cfg = BaselineConfig::new(
+            Epsilon::new(4.0).unwrap(),
+            2,
+            SaxParams::new(10, 3).unwrap(),
+        );
+        assert!(matches!(
+            Session::baseline(cfg, usize::MAX),
+            Err(Error::Protocol(_))
         ));
     }
 

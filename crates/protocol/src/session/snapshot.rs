@@ -1,50 +1,44 @@
-//! Crash-safe session snapshots.
+//! Crash-safe session snapshots, stored as a replay log.
 //!
-//! A [`Session`] is a deterministic state machine: everything *static*
-//! (protocol parameters, group assignment, pruning plan) is a pure
-//! function of `(config, n)`, and everything *dynamic* is either integer
-//! state (trie structure, aggregator counts, round cursor) or `f64`s that
-//! round-trip exactly through `to_bits`. A snapshot therefore serializes
-//! the origin config plus the dynamic state only; `restore` rebuilds the
-//! static side by running the ordinary constructor and then overlays the
-//! dynamic fields. A restored session is **bit-identical** to the one
-//! that was dumped — it emits the same broadcasts, accepts the same
-//! frames (candidate-table fingerprints are reproduced, not stored
-//! approximations), and extracts the same shapes.
+//! Everything a [`Session`] derives (ℓ_S, the sub-shape sets, the trie,
+//! the extraction) is post-processing of its rounds' aggregates, and its
+//! static side (params, groups, plan) is a pure function of `(config, n)`.
+//! A snapshot stores only those inputs, and [`Session::restore`] runs the
+//! ordinary constructor, then [`Session::next_round`] once per logged
+//! round, loading each aggregate into the round the replay opens before
+//! the next call finalizes it. The restored session is the same
+//! computation, so it is **bit-identical** to the one that was dumped.
 //!
 //! # Format
 //!
 //! ```text
-//! 0xF7  u8(version=1)  varint(body_len)  u64_le(fnv1a64(body))  body
+//! 0xF7  u8(version=3)  varint(body_len)  u64_le(fnv1a64(body))  body
+//! body = origin · varint(n) · mode · ingest counters
+//!      · varint(rounds) · aggregate × rounds · u8(complete)
 //! ```
 //!
-//! The envelope mirrors the sealed report frames (`0xF5`): length before
-//! checksum before body, so truncation and bit-flips are rejected before
-//! any field is parsed. The body is the wire codec's varint/tag idioms
-//! end to end — no serde, no floats in decimal.
+//! `rounds` counts the rounds opened so far; an open round's aggregate is
+//! the last. `complete` marks a session whose `next_round` returned
+//! `None`. Length before checksum before body, as in the sealed report
+//! frames (`0xF5`), so truncation and bit-flips are rejected before any
+//! field is parsed.
 //!
-//! Snapshot bytes are treated as *untrusted input*: the origin config is
-//! re-validated by the constructor, trie dumps go through
-//! [`ShapeTrie::from_dump`]'s structural checks, aggregator counts go
-//! through the LDP `restore_*` invariants, and an open round is only
-//! accepted if the restored session would actually have that round open.
+//! The checksum is no MAC, so the bytes are *untrusted input*: the
+//! constructor re-validates the config, each aggregate must match the
+//! round the replay opened (kind, oracle, domain, candidate-table
+//! generation, count invariants), and a log longer than the protocol, a
+//! complete flag with rounds left, or trailing bytes are typed errors.
 
-use super::{Mode, OpenRound, Origin, Output, Phase, Plan, Session};
+use super::{Mode, Origin, Phase, Session};
 use crate::config::{
     BaselineConfig, LengthOracle, PopulationSplit, Preprocessing, PrivShapeConfig,
 };
 use crate::error::{Error, Result};
 use crate::ingest::IngestStats;
-use crate::report::{ClassShapes, ExtractedShape};
-use crate::round::{Audience, GroupId, RoundSpec};
-use crate::shard::ShardAggregator;
 use crate::wire;
 use privshape_distance::DistanceKind;
 use privshape_ldp::Epsilon;
-use privshape_timeseries::{CandidateTable, SaxParams, Symbol, SymbolSeq};
-use privshape_trie::{BigramSet, NodeDump, ShapeTrie, TrieDump};
-use std::sync::Arc;
-use std::time::Instant;
+use privshape_timeseries::SaxParams;
 
 /// Leading byte of a session snapshot. Two bits away from the sealed
 /// report frame magic `0xF5` and one from the routed envelope `0xF6`, so
@@ -52,10 +46,10 @@ use std::time::Instant;
 const SNAPSHOT_MAGIC: u8 = 0xF7;
 
 /// Version byte of the snapshot format this build writes and accepts.
-/// Version 2 added the `worker_panics` ingest counter (PR 9); version 1
-/// snapshots are rejected with a typed [`Error::UnsupportedVersion`], the
-/// same hard-fail every other version skew gets.
-pub const SNAPSHOT_VERSION: u8 = 2;
+/// Version 3 is the round-aggregate log; every other version, including
+/// version 2's derived-state snapshots, is rejected with a typed
+/// [`Error::UnsupportedVersion`].
+pub const SNAPSHOT_VERSION: u8 = 3;
 
 fn bad(msg: impl Into<String>) -> Error {
     Error::Protocol(format!("invalid session snapshot: {}", msg.into()))
@@ -73,25 +67,6 @@ fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64> {
     Ok(f64::from_bits(u64::from_le_bytes(
         bytes.try_into().expect("8-byte slice"),
     )))
-}
-
-fn put_usizes(buf: &mut Vec<u8>, vals: &[usize]) {
-    wire::put_varint(buf, vals.len() as u64);
-    for &v in vals {
-        wire::put_varint(buf, v as u64);
-    }
-}
-
-fn read_usizes(buf: &[u8], pos: &mut usize) -> Result<Vec<usize>> {
-    let len = wire::read_usize(buf, pos)?;
-    if len > buf.len() - *pos {
-        return Err(bad("truncated usize list"));
-    }
-    let mut vals = Vec::with_capacity(len);
-    for _ in 0..len {
-        vals.push(wire::read_usize(buf, pos)?);
-    }
-    Ok(vals)
 }
 
 // ---- config -------------------------------------------------------------
@@ -287,164 +262,56 @@ fn read_origin(buf: &[u8], pos: &mut usize) -> Result<Origin> {
     }
 }
 
-// ---- dynamic state ------------------------------------------------------
+// ---- envelope -----------------------------------------------------------
 
-fn put_bigram_sets(buf: &mut Vec<u8>, sets: &[BigramSet]) {
-    wire::put_varint(buf, sets.len() as u64);
-    for set in sets {
-        wire::put_varint(buf, set.alphabet() as u64);
-        wire::put_varint(buf, set.len() as u64);
-        for (from, to) in set.iter() {
-            buf.push(from.index() as u8);
-            buf.push(to.index() as u8);
-        }
-    }
+/// Wraps `body` in the snapshot envelope and appends it to `buf`.
+pub(super) fn seal(buf: &mut Vec<u8>, body: &[u8]) {
+    buf.push(SNAPSHOT_MAGIC);
+    buf.push(SNAPSHOT_VERSION);
+    wire::put_varint(buf, body.len() as u64);
+    buf.extend_from_slice(&wire::fnv1a64(body).to_le_bytes());
+    buf.extend_from_slice(body);
 }
 
-fn read_bigram_sets(buf: &[u8], pos: &mut usize, alphabet: usize) -> Result<Vec<BigramSet>> {
-    let n_sets = wire::read_usize(buf, pos)?;
-    if n_sets > buf.len() - *pos {
-        return Err(bad("truncated bigram sets"));
+/// Checks the envelope (magic, version, length, checksum) and returns the
+/// body it seals.
+pub(super) fn unseal(bytes: &[u8]) -> Result<&[u8]> {
+    let mut pos = 0;
+    let magic = wire::read_tag(bytes, &mut pos).map_err(|_| bad("empty input"))?;
+    if magic != SNAPSHOT_MAGIC {
+        return Err(bad(format!("bad magic byte {magic:#04x}")));
     }
-    let mut sets = Vec::with_capacity(n_sets);
-    for _ in 0..n_sets {
-        let set_alphabet = wire::read_usize(buf, pos)?;
-        if set_alphabet != alphabet {
-            return Err(bad(format!(
-                "bigram set over alphabet {set_alphabet}, session uses {alphabet}"
-            )));
-        }
-        let n_pairs = wire::read_usize(buf, pos)?;
-        let mut set = BigramSet::new(alphabet);
-        for _ in 0..n_pairs {
-            let from = wire::read_tag(buf, pos)? as usize;
-            let to = wire::read_tag(buf, pos)? as usize;
-            if from >= alphabet || to >= alphabet {
-                return Err(bad(format!(
-                    "bigram ({from}, {to}) outside alphabet {alphabet}"
-                )));
-            }
-            set.insert(Symbol::from_index(from as u8), Symbol::from_index(to as u8));
-        }
-        if set.len() != n_pairs {
-            return Err(bad("duplicate bigram pairs"));
-        }
-        sets.push(set);
+    let version = wire::read_tag(bytes, &mut pos)?;
+    if version != SNAPSHOT_VERSION {
+        return Err(Error::UnsupportedVersion { got: version });
     }
-    Ok(sets)
-}
-
-fn put_trie_dump(buf: &mut Vec<u8>, dump: &TrieDump) {
-    wire::put_varint(buf, dump.alphabet as u64);
-    wire::put_varint(buf, dump.nodes.len() as u64);
-    for node in &dump.nodes {
-        buf.push(node.symbol);
-        wire::put_varint(buf, node.path_start as u64);
-        wire::put_varint(buf, node.level as u64);
-        wire::put_varint(buf, node.freq_bits);
-        buf.push(u8::from(node.alive));
-    }
-    wire::put_varint(buf, dump.levels.len() as u64);
-    for level in &dump.levels {
-        put_usizes(buf, level);
-    }
-    wire::put_varint(buf, dump.paths.len() as u64);
-    buf.extend_from_slice(&dump.paths);
-}
-
-fn read_trie_dump(buf: &[u8], pos: &mut usize) -> Result<TrieDump> {
-    let alphabet = wire::read_usize(buf, pos)?;
-    let n_nodes = wire::read_usize(buf, pos)?;
-    if n_nodes > buf.len() - *pos {
-        return Err(bad("truncated trie nodes"));
-    }
-    let mut nodes = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        let symbol = wire::read_tag(buf, pos)?;
-        let path_start = wire::read_usize(buf, pos)?;
-        let level = wire::read_usize(buf, pos)?;
-        let freq_bits = wire::read_varint(buf, pos)?;
-        let alive = read_bool(buf, pos)?;
-        nodes.push(NodeDump {
-            symbol,
-            path_start,
-            level,
-            freq_bits,
-            alive,
-        });
-    }
-    let n_levels = wire::read_usize(buf, pos)?;
-    if n_levels > buf.len() - *pos {
-        return Err(bad("truncated trie levels"));
-    }
-    let mut levels = Vec::with_capacity(n_levels);
-    for _ in 0..n_levels {
-        levels.push(read_usizes(buf, pos)?);
-    }
-    let n_paths = wire::read_usize(buf, pos)?;
-    let Some(paths) = buf.get(*pos..*pos + n_paths) else {
-        return Err(bad("truncated trie paths"));
+    let body_len = wire::read_usize(bytes, &mut pos)?;
+    let Some((checksum, body)) = bytes[pos..].split_first_chunk::<8>() else {
+        return Err(bad("truncated checksum"));
     };
-    *pos += n_paths;
-    Ok(TrieDump {
-        alphabet,
-        nodes,
-        levels,
-        paths: paths.to_vec(),
-    })
-}
-
-fn put_shapes(buf: &mut Vec<u8>, shapes: &[ExtractedShape]) {
-    wire::put_varint(buf, shapes.len() as u64);
-    for shape in shapes {
-        let symbols = shape.shape.symbols();
-        wire::put_varint(buf, symbols.len() as u64);
-        for s in symbols {
-            buf.push(s.index() as u8);
-        }
-        wire::put_varint(buf, shape.frequency.to_bits());
+    if body.len() != body_len {
+        return Err(bad(format!(
+            "body of {} bytes, header declares {body_len}",
+            body.len()
+        )));
     }
-}
-
-fn read_shapes(buf: &[u8], pos: &mut usize, alphabet: usize) -> Result<Vec<ExtractedShape>> {
-    let n = wire::read_usize(buf, pos)?;
-    if n > buf.len() - *pos {
-        return Err(bad("truncated shape list"));
+    if wire::fnv1a64(body) != u64::from_le_bytes(*checksum) {
+        return Err(bad("checksum mismatch"));
     }
-    let mut shapes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = wire::read_usize(buf, pos)?;
-        let Some(bytes) = buf.get(*pos..*pos + len) else {
-            return Err(bad("truncated shape symbols"));
-        };
-        *pos += len;
-        let mut symbols = Vec::with_capacity(len);
-        for &b in bytes {
-            if b as usize >= alphabet {
-                return Err(bad(format!("shape symbol {b} outside alphabet {alphabet}")));
-            }
-            symbols.push(Symbol::from_index(b));
-        }
-        let frequency = f64::from_bits(wire::read_varint(buf, pos)?);
-        shapes.push(ExtractedShape {
-            shape: SymbolSeq::from_symbols(symbols),
-            frequency,
-        });
-    }
-    Ok(shapes)
+    Ok(body)
 }
 
 impl Session {
-    /// Serializes the session — config, protocol position, trie, bigram
-    /// sets, extraction output, and (if a round is open) the open round's
-    /// aggregate — into `buf` as one checksummed snapshot frame.
+    /// Serializes the session — config, population size, output mode,
+    /// ingest counters and the aggregate of every round opened so far —
+    /// into `buf` as one checksummed snapshot frame.
     ///
     /// Restoring the bytes with [`Session::restore`] yields a session
     /// that continues bit-identically: same broadcasts, same candidate
     /// fingerprints, same extraction. Snapshots may be taken at any
     /// point, including mid-round with reports already absorbed.
     pub fn snapshot_into(&self, buf: &mut Vec<u8>) {
-        let mut body = Vec::with_capacity(256);
+        let mut body = Vec::with_capacity(128 + self.log.len());
         put_origin(&mut body, &self.origin);
         wire::put_varint(&mut body, self.params.n as u64);
         match self.mode {
@@ -452,42 +319,6 @@ impl Session {
             Mode::Labeled { n_classes } => {
                 body.push(1);
                 wire::put_varint(&mut body, n_classes as u64);
-            }
-        }
-        wire::put_varint(&mut body, self.round_index);
-        match self.phase {
-            Phase::Length => body.push(1),
-            Phase::SubShape => body.push(2),
-            Phase::Expand { level } => {
-                body.push(3);
-                wire::put_varint(&mut body, level as u64);
-            }
-            Phase::Refine => body.push(4),
-            Phase::Complete => body.push(5),
-        }
-        wire::put_varint(&mut body, self.ell_s as u64);
-        put_bigram_sets(&mut body, &self.bigram_sets);
-        match &self.trie {
-            Some(trie) => {
-                body.push(1);
-                put_trie_dump(&mut body, &trie.dump());
-            }
-            None => body.push(0),
-        }
-        put_usizes(&mut body, &self.candidates_per_level);
-        match &self.output {
-            None => body.push(0),
-            Some(Output::Unlabeled(shapes)) => {
-                body.push(1);
-                put_shapes(&mut body, shapes);
-            }
-            Some(Output::Labeled(classes)) => {
-                body.push(2);
-                wire::put_varint(&mut body, classes.len() as u64);
-                for class in classes {
-                    wire::put_varint(&mut body, class.label as u64);
-                    put_shapes(&mut body, &class.shapes);
-                }
             }
         }
         for counter in [
@@ -500,19 +331,13 @@ impl Session {
         ] {
             wire::put_varint(&mut body, counter);
         }
-        match &self.open {
-            Some(open) => {
-                body.push(1);
-                open.agg.snapshot_state_into(&mut body);
-            }
-            None => body.push(0),
+        wire::put_varint(&mut body, self.round_index);
+        body.extend_from_slice(&self.log);
+        if let Some(open) = &self.open {
+            open.agg.snapshot_state_into(&mut body);
         }
-
-        buf.push(SNAPSHOT_MAGIC);
-        buf.push(SNAPSHOT_VERSION);
-        wire::put_varint(buf, body.len() as u64);
-        buf.extend_from_slice(&wire::fnv1a64(&body).to_le_bytes());
-        buf.extend_from_slice(&body);
+        body.push(u8::from(matches!(self.phase, Phase::Complete)));
+        seal(buf, &body);
     }
 
     /// [`Session::snapshot_into`] into a fresh buffer.
@@ -522,109 +347,35 @@ impl Session {
         buf
     }
 
-    /// Reconstructs a session from snapshot bytes, validating the
-    /// envelope (magic, version, length, checksum) and every structural
-    /// invariant of the embedded state. The bytes are untrusted input: a
-    /// forged or corrupted snapshot is rejected with a typed error, never
-    /// absorbed into a half-restored session.
+    /// Reconstructs a session from snapshot bytes by replaying its round
+    /// log, validating the envelope (magic, version, length, checksum)
+    /// and every logged aggregate against the round the replay opens.
+    /// The bytes are untrusted input: a forged or corrupted snapshot is
+    /// rejected with a typed error, never absorbed into a half-restored
+    /// session.
     ///
     /// # Errors
     ///
-    /// [`Error::UnsupportedVersion`] for a snapshot written by a newer
-    /// format; [`Error::Protocol`] (or a propagated trie/LDP error) for
-    /// anything malformed.
+    /// [`Error::UnsupportedVersion`] for a snapshot written in another
+    /// format version; [`Error::Protocol`] (or a propagated LDP or
+    /// configuration error) for anything malformed.
     pub fn restore(bytes: &[u8]) -> Result<Self> {
-        let mut pos = 0;
-        let magic = wire::read_tag(bytes, &mut pos).map_err(|_| bad("empty input"))?;
-        if magic != SNAPSHOT_MAGIC {
-            return Err(bad(format!("bad magic byte {magic:#04x}")));
-        }
-        let version = wire::read_tag(bytes, &mut pos)?;
-        if version != SNAPSHOT_VERSION {
-            return Err(Error::UnsupportedVersion { got: version });
-        }
-        let body_len = wire::read_usize(bytes, &mut pos)?;
-        let Some(checksum_bytes) = bytes.get(pos..pos + 8) else {
-            return Err(bad("truncated checksum"));
-        };
-        let checksum = u64::from_le_bytes(checksum_bytes.try_into().expect("8-byte slice"));
-        pos += 8;
-        let Some(body) = bytes.get(pos..pos + body_len) else {
-            return Err(bad("truncated body"));
-        };
-        if pos + body_len != bytes.len() {
-            return Err(bad("trailing bytes after snapshot body"));
-        }
-        if wire::fnv1a64(body) != checksum {
-            return Err(bad("checksum mismatch"));
-        }
-
+        let body = unseal(bytes)?;
         let pos = &mut 0;
         let origin = read_origin(body, pos)?;
         let n = wire::read_usize(body, pos)?;
-        let mode_tag = wire::read_tag(body, pos)?;
-        // Rebuild the static state through the ordinary constructors: the
-        // config is re-validated and params/groups/alphabet are recomputed
-        // (they are pure functions of `(config, n)`).
-        let mut session = match (&origin, mode_tag) {
-            (Origin::PrivShape(cfg), 0) => Session::privshape(cfg.clone(), n)?,
+        // The constructors re-validate the config and recompute params,
+        // groups and plan, which are pure functions of `(config, n)`.
+        let mut session = match (origin, wire::read_tag(body, pos)?) {
+            (Origin::PrivShape(cfg), 0) => Session::privshape(cfg, n)?,
             (Origin::PrivShape(cfg), 1) => {
-                let n_classes = wire::read_usize(body, pos)?;
-                Session::privshape_labeled(cfg.clone(), n, n_classes)?
+                Session::privshape_labeled(cfg, n, wire::read_usize(body, pos)?)?
             }
-            (Origin::Baseline(cfg), 0) => Session::baseline(cfg.clone(), n)?,
+            (Origin::Baseline(cfg), 0) => Session::baseline(cfg, n)?,
             (Origin::Baseline(cfg), 1) => {
-                let n_classes = wire::read_usize(body, pos)?;
-                Session::baseline_labeled(cfg.clone(), n, n_classes)?
+                Session::baseline_labeled(cfg, n, wire::read_usize(body, pos)?)?
             }
             (_, t) => return Err(bad(format!("unknown mode tag {t}"))),
-        };
-
-        session.round_index = wire::read_varint(body, pos)?;
-        session.phase = match wire::read_tag(body, pos)? {
-            1 => Phase::Length,
-            2 => Phase::SubShape,
-            3 => Phase::Expand {
-                level: wire::read_usize(body, pos)?,
-            },
-            4 => Phase::Refine,
-            5 => Phase::Complete,
-            t => return Err(bad(format!("unknown phase tag {t}"))),
-        };
-        session.ell_s = wire::read_usize(body, pos)?;
-        session.bigram_sets = read_bigram_sets(body, pos, session.alphabet)?;
-        session.trie = match wire::read_tag(body, pos)? {
-            0 => None,
-            1 => {
-                let dump = read_trie_dump(body, pos)?;
-                if dump.alphabet != session.alphabet {
-                    return Err(bad(format!(
-                        "trie over alphabet {}, session uses {}",
-                        dump.alphabet, session.alphabet
-                    )));
-                }
-                Some(ShapeTrie::from_dump(&dump)?)
-            }
-            t => return Err(bad(format!("trie presence byte {t}"))),
-        };
-        session.candidates_per_level = read_usizes(body, pos)?;
-        session.output = match wire::read_tag(body, pos)? {
-            0 => None,
-            1 => Some(Output::Unlabeled(read_shapes(body, pos, session.alphabet)?)),
-            2 => {
-                let n_classes = wire::read_usize(body, pos)?;
-                if n_classes > body.len() - *pos {
-                    return Err(bad("truncated class list"));
-                }
-                let mut classes = Vec::with_capacity(n_classes);
-                for _ in 0..n_classes {
-                    let label = wire::read_usize(body, pos)?;
-                    let shapes = read_shapes(body, pos, session.alphabet)?;
-                    classes.push(ClassShapes { label, shapes });
-                }
-                Some(Output::Labeled(classes))
-            }
-            t => return Err(bad(format!("output tag {t}"))),
         };
         session.ingest = IngestStats {
             accepted_reports: wire::read_varint(body, pos)?,
@@ -634,142 +385,23 @@ impl Session {
             backpressure_stalls: wire::read_varint(body, pos)?,
             worker_panics: wire::read_varint(body, pos)?,
         };
-        match wire::read_tag(body, pos)? {
-            0 => session.open = None,
-            1 => {
-                let (spec, nodes, audience_len) = session.rebuild_open_spec()?;
-                let mut agg = ShardAggregator::for_round(&spec, session.params.epsilon)?;
-                agg.restore_state(body, pos)?;
-                session.open = Some(OpenRound {
-                    spec,
-                    agg,
-                    nodes,
-                    audience_len,
-                });
-            }
-            t => return Err(bad(format!("open-round presence byte {t}"))),
+        // Each logged aggregate is loaded into the round the protocol
+        // opens next, and the following `next_round` finalizes it exactly
+        // as the live session did.
+        let rounds = wire::read_varint(body, pos)?;
+        for _ in 0..rounds {
+            session.next_round()?;
+            let Some(open) = session.open.as_mut() else {
+                return Err(bad("more logged rounds than the protocol opens"));
+            };
+            open.agg.restore_state(body, pos)?;
+        }
+        if read_bool(body, pos)? && session.next_round()?.is_some() {
+            return Err(bad("complete flag on a session with rounds left"));
         }
         if *pos != body.len() {
             return Err(bad("trailing bytes inside snapshot body"));
         }
-        session.started = Instant::now();
         Ok(session)
-    }
-
-    /// Rebuilds the broadcast of the round the snapshot left open,
-    /// mirroring the arm of [`Session::next_round`] that originally
-    /// opened it — but read-only. This is what makes mid-round snapshots
-    /// small and exact: `next_round` mutates the trie *before* opening an
-    /// expansion round, so the dumped trie already contains the expanded
-    /// frontier and [`ShapeTrie::candidate_table`] reproduces the exact
-    /// broadcast table (same fingerprint) without storing it.
-    ///
-    /// Also the integrity gate for forged snapshots: a phase in which the
-    /// session could never have a round open (the `next_round` fallback
-    /// paths) is rejected here.
-    fn rebuild_open_spec(&self) -> Result<(RoundSpec, Vec<usize>, usize)> {
-        match self.phase {
-            Phase::Length => {
-                let (lo, hi) = self.params.length_range;
-                if lo == hi || self.groups.pa.is_empty() {
-                    return Err(bad("open length round the session would have skipped"));
-                }
-                Ok((
-                    RoundSpec::Length {
-                        audience: Audience::group(GroupId::Pa),
-                        range: (lo, hi),
-                        oracle: self.params.length_oracle,
-                    },
-                    Vec::new(),
-                    self.groups.pa.len(),
-                ))
-            }
-            Phase::SubShape => {
-                if self.ell_s <= 1 || self.groups.pb.is_empty() {
-                    return Err(bad("open sub-shape round the session would have skipped"));
-                }
-                Ok((
-                    RoundSpec::SubShape {
-                        audience: Audience::group(GroupId::Pb),
-                        ell_s: self.ell_s,
-                        alphabet: self.alphabet,
-                    },
-                    Vec::new(),
-                    self.groups.pb.len(),
-                ))
-            }
-            Phase::Expand { level } => {
-                let Some(trie) = self.trie.as_ref() else {
-                    return Err(bad("open expansion round without a trie"));
-                };
-                let (nodes, table) = trie.candidate_table(level)?;
-                if table.is_empty() {
-                    return Err(bad("open expansion round over an empty frontier"));
-                }
-                let (audience, audience_len) = self.expand_audience(level);
-                Ok((
-                    RoundSpec::Expand {
-                        audience,
-                        level,
-                        candidates: Arc::new(table),
-                    },
-                    nodes,
-                    audience_len,
-                ))
-            }
-            Phase::Refine => {
-                let Some(trie) = self.trie.as_ref() else {
-                    return Err(bad("open refinement round without a trie"));
-                };
-                let leaves = trie.leaves_by_freq();
-                let spec = match (&self.plan, self.mode) {
-                    (Plan::Baseline { .. }, Mode::Unlabeled) => {
-                        return Err(bad("baseline unlabeled sessions have no refinement round"));
-                    }
-                    (Plan::PrivShape, Mode::Unlabeled) => {
-                        let candidates: CandidateTable =
-                            leaves.into_iter().map(|(_, s, _)| s).collect();
-                        if candidates.is_empty() {
-                            return Err(bad("open refinement round with no candidates"));
-                        }
-                        RoundSpec::RefineUnlabeled {
-                            audience: Audience::group(GroupId::Pd),
-                            candidates: Arc::new(candidates),
-                        }
-                    }
-                    (Plan::PrivShape, Mode::Labeled { n_classes }) => {
-                        let candidates: CandidateTable =
-                            leaves.into_iter().map(|(_, s, _)| s).collect();
-                        if candidates.is_empty() {
-                            return Err(bad("open refinement round with no candidates"));
-                        }
-                        RoundSpec::RefineLabeled {
-                            audience: Audience::group(GroupId::Pd),
-                            candidates: Arc::new(candidates),
-                            n_classes,
-                        }
-                    }
-                    (Plan::Baseline { .. }, Mode::Labeled { n_classes }) => {
-                        let candidates: CandidateTable = leaves
-                            .into_iter()
-                            .take(self.k.max(n_classes))
-                            .map(|(_, s, _)| s)
-                            .collect();
-                        if candidates.is_empty() {
-                            return Err(bad("open refinement round with no candidates"));
-                        }
-                        let total = self.baseline_rounds();
-                        RoundSpec::RefineLabeled {
-                            audience: Audience::chunk(GroupId::Pb, total - 1, total),
-                            candidates: Arc::new(candidates),
-                            n_classes,
-                        }
-                    }
-                };
-                let audience_len = self.refine_audience_len(&spec);
-                Ok((spec, Vec::new(), audience_len))
-            }
-            Phase::Complete => Err(bad("open round in a complete session")),
-        }
     }
 }

@@ -833,7 +833,9 @@ impl ShardAggregator {
                 for a in aggs.iter_mut() {
                     let (counts, total) = read_counts(buf, pos)?;
                     a.restore_counts(&counts, total)?;
-                    sum += total;
+                    sum = sum
+                        .checked_add(total)
+                        .ok_or_else(|| snapshot_err("sub-shape report totals overflow u64"))?;
                 }
                 check_total(sum, reports)?;
             }
@@ -867,7 +869,11 @@ impl ShardAggregator {
                         counts.len()
                     )));
                 }
-                check_total(vals.iter().sum(), reports)?;
+                let sum = vals
+                    .iter()
+                    .try_fold(0u64, |sum, &v| sum.checked_add(v))
+                    .ok_or_else(|| snapshot_err("selection counts overflow u64"))?;
+                check_total(sum, reports)?;
                 counts.copy_from_slice(&vals);
             }
             (Inner::RefineLabeled { agg, table_gen, .. }, 5) => {
@@ -1461,5 +1467,46 @@ mod tests {
             err.to_string().contains("generation"),
             "expected generation mismatch, got: {err}"
         );
+
+        // Sums past u64::MAX are refused, not added. Each state declares
+        // one report, then its kind (and oracle or level count) bytes.
+        let forged = |spec: &RoundSpec, head: &[u8], rest: &dyn Fn(&mut Vec<u8>)| {
+            let mut state = [&[1], head].concat();
+            rest(&mut state);
+            let mut fresh = ShardAggregator::for_round(spec, eps()).unwrap();
+            assert!(
+                fresh.restore_state(&state, &mut 0).is_err(),
+                "{}",
+                spec.name()
+            );
+        };
+        // GRR length counts.
+        forged(&length_spec(), &[1, 1], &|b| {
+            put_counts(b, &[u64::MAX, 1, 0, 0, 0, 0], 1)
+        });
+        // Sub-shape level totals.
+        let subshape = RoundSpec::SubShape {
+            audience: Audience::group(GroupId::Pb),
+            ell_s: 3,
+            alphabet: 3,
+        };
+        forged(&subshape, &[2, 2], &|b| {
+            put_counts(b, &[u64::MAX, 0, 0, 0, 0, 0], u64::MAX);
+            put_counts(b, &[1, 0, 0, 0, 0, 0], 1);
+        });
+        // Selection counts, under the table's own generation.
+        let spec = expand_spec(2);
+        let RoundSpec::Expand { candidates, .. } = &spec else {
+            unreachable!()
+        };
+        forged(&spec, &[3], &|b| {
+            for v in [candidates.fingerprint(), 2, u64::MAX, 1] {
+                wire::put_varint(b, v);
+            }
+        });
+        // A piecewise sum of i128::MIN has no absolute value to bound.
+        forged(&oracle_spec(LengthOracle::Piecewise), &[1, 4, 1], &|b| {
+            b.extend_from_slice(&i128::MIN.to_le_bytes())
+        });
     }
 }

@@ -14,6 +14,7 @@
 use privshape_ldp::Epsilon;
 use privshape_protocol::{
     BaselineConfig, Error, GroupAssignment, LengthOracle, PrivShapeConfig, Session, UserClient,
+    SNAPSHOT_VERSION,
 };
 use privshape_timeseries::{SaxParams, TimeSeries};
 use proptest::prelude::*;
@@ -90,20 +91,32 @@ fn clients(session: &Session, data: &[TimeSeries], labels: &[Option<usize>]) -> 
         .collect()
 }
 
+/// Snapshots `session`, drops it and restores it from the bytes — a
+/// crash at this exact point. The restored session must snapshot back to
+/// the very same bytes.
+fn crash_and_restore(session: Session) -> Session {
+    let bytes = session.snapshot();
+    drop(session);
+    let restored = Session::restore(&bytes).unwrap();
+    assert_eq!(restored.snapshot(), bytes, "re-snapshot is not byte-exact");
+    restored
+}
+
 /// Drives `session` to completion. At the start of round boundary number
-/// `kill_at` (0 = before the first round), the session is snapshotted,
-/// dropped, and restored from the bytes before continuing — simulating a
-/// crash at that exact point. `kill_at >= rounds` degenerates to an
-/// uninterrupted run. Returns the final session for finishing.
+/// `kill_at` (0 = before the first round), the session crashes and is
+/// restored before continuing. A `kill_at` at or past the last boundary
+/// also crashes the complete session, after `next_round` has returned
+/// `None`. Returns the final session for finishing.
 fn drive(mut session: Session, cs: &mut [UserClient], kill_at: Option<u32>) -> Session {
     let mut boundary = 0u32;
     loop {
         if kill_at == Some(boundary) {
-            let bytes = session.snapshot();
-            drop(session);
-            session = Session::restore(&bytes).unwrap();
+            session = crash_and_restore(session);
         }
         let Some(spec) = session.next_round().unwrap() else {
+            if kill_at.is_some_and(|kill_at| kill_at >= boundary) {
+                session = crash_and_restore(session);
+            }
             return session;
         };
         let mut reports = Vec::new();
@@ -180,9 +193,7 @@ fn crashing_at_every_boundary_is_invisible() {
     let mut cs = clients(&session, &data, &labels);
     loop {
         // Crash at this boundary.
-        let bytes = session.snapshot();
-        drop(session);
-        session = Session::restore(&bytes).unwrap();
+        session = crash_and_restore(session);
         let Some(spec) = session.next_round().unwrap() else {
             break;
         };
@@ -221,9 +232,7 @@ fn mid_round_crash_preserves_partial_counts() {
         // Absorb half, crash, restore, absorb the rest.
         let half = reports.len() / 2;
         session.submit(&reports[..half]).unwrap();
-        let bytes = session.snapshot();
-        drop(session);
-        session = Session::restore(&bytes).unwrap();
+        session = crash_and_restore(session);
         session.submit(&reports[half..]).unwrap();
     }
     let got = session.finish().unwrap();
@@ -289,8 +298,9 @@ fn corrupted_checkpoint_falls_back_to_previous_checkpoint() {
     );
 }
 
-/// Snapshots are untrusted input: truncations and a bumped version byte
-/// are rejected with typed errors, never a panic or a corrupt session.
+/// Snapshots are untrusted input: truncations, a bumped version byte, a
+/// checkpoint of the previous format and an impossible body length are
+/// rejected with typed errors, never a panic or a corrupt session.
 #[test]
 fn hostile_snapshots_are_rejected() {
     let session = session_for(Proto::PrivShape, 3, 2, 120);
@@ -307,4 +317,14 @@ fn hostile_snapshots_are_rejected() {
         Session::restore(&wrong),
         Err(Error::UnsupportedVersion { .. })
     ));
+    // Version 2 stored derived state; this build only replays round logs.
+    wrong[1] = 2;
+    assert!(matches!(
+        Session::restore(&wrong),
+        Err(Error::UnsupportedVersion { got: 2 })
+    ));
+    // 20 bytes: magic, version, varint(2^64 − 1) as the body length, and
+    // a checksum.
+    let huge = [&[0xF7, SNAPSHOT_VERSION][..], &[0xFF; 9], &[0x01], &[0; 8]].concat();
+    assert!(matches!(Session::restore(&huge), Err(Error::Protocol(_))));
 }

@@ -26,8 +26,8 @@
 //!   checksummed snapshot ([`ServiceRegistry::snapshot_session`]); after
 //!   a crash, [`ServiceRegistry::restore_session`] re-admits it under its
 //!   original id and the extraction continues **bit-identically** to an
-//!   uninterrupted run (all aggregates are integer counts; everything
-//!   static is recomputed from the config).
+//!   uninterrupted run (the snapshot logs each round's integer counts,
+//!   and restore replays them through the same session transitions).
 //!
 //! Exactness is inherited, not re-argued: the registry only composes the
 //! protocol crate's associative shard merges and deterministic session
@@ -339,6 +339,33 @@ mod tests {
             registry.restore_session(&snap),
             Err(ServiceError::SessionCollision { .. })
         ));
+    }
+
+    #[test]
+    fn ids_at_the_end_of_the_id_space_are_typed_errors() {
+        let registry = ServiceRegistry::new(ServiceConfig::default());
+        let snapshot = Session::privshape(config(7), 100).unwrap().snapshot();
+        // Service snapshots are `varint(id)` + the session's snapshot.
+        let under = |id_varint: &[u8]| [id_varint, &snapshot].concat();
+        let refused = |r: Result<u64>| {
+            assert!(
+                matches!(r, Err(ServiceError::Session(ProtocolError::Protocol(_)))),
+                "{r:?}"
+            )
+        };
+        // u64::MAX has no successor: refused, nothing admitted.
+        let mut max = vec![0xFF; 9];
+        max.push(0x01);
+        refused(registry.restore_session(&under(&max)));
+        assert_eq!(registry.active_sessions(), 0);
+        // u64::MAX − 1 restores, and leaves no id for the next admission.
+        max[0] = 0xFE;
+        assert_eq!(
+            registry.restore_session(&under(&max)).unwrap(),
+            u64::MAX - 1
+        );
+        refused(registry.admit(Session::privshape(config(8), 100).unwrap()));
+        assert_eq!(registry.active_sessions(), 1);
     }
 
     #[test]

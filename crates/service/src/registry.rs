@@ -95,12 +95,13 @@ impl ServiceRegistry {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::AdmissionDenied`] when the registry is full.
+    /// [`ServiceError::AdmissionDenied`] when the registry is full;
+    /// [`ServiceError::Session`] once the id space is exhausted.
     pub fn admit(&self, session: Session) -> Result<u64> {
         let id = {
             let mut next = self.next_id.lock().expect("id lock");
             let id = *next;
-            *next += 1;
+            *next = successor(id)?;
             id
         };
         self.insert(id, session)?;
@@ -384,6 +385,7 @@ impl ServiceRegistry {
     /// # Errors
     ///
     /// [`ServiceError::SessionCollision`] when the id is still resident;
+    /// [`ServiceError::Session`] for `u64::MAX`, which no session holds;
     /// admission and snapshot-validation errors as usual.
     pub fn restore_session(&self, bytes: &[u8]) -> Result<u64> {
         let mut pos = 0;
@@ -392,13 +394,24 @@ impl ServiceRegistry {
                 "service snapshot too short for a session id".into(),
             ))
         })?;
+        let after = successor(id)?;
         let session = Session::restore(&bytes[pos..])?;
         self.insert(id, session)?;
         // Never hand out an id at or below a restored one.
         let mut next = self.next_id.lock().expect("id lock");
-        *next = (*next).max(id + 1);
+        *next = (*next).max(after);
         Ok(id)
     }
+}
+
+/// The id after `id`. `u64::MAX` has none, so it is never a session's id:
+/// every id handed out or restored leaves a fresh one for the next admit.
+fn successor(id: u64) -> Result<u64> {
+    id.checked_add(1).ok_or_else(|| {
+        ServiceError::Session(ProtocolError::Protocol(format!(
+            "session id space exhausted: {id} has no successor"
+        )))
+    })
 }
 
 /// LEB128 varint append (the registry frames only the id; the session

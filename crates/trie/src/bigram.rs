@@ -34,11 +34,6 @@ impl BigramSet {
         set
     }
 
-    /// Alphabet size `t`.
-    pub fn alphabet(&self) -> usize {
-        self.alphabet
-    }
-
     /// Inserts a pair. Pairs with equal components are ignored: they cannot
     /// occur in compressed sequences, so admitting them would only leak
     /// noise into the expansion.

@@ -11,6 +11,11 @@
 //! * **PrivShape** restricts child edges to the top-`c·k` frequent sub-shapes
 //!   (bigrams) of that level and prunes candidates to the top-`c·k`.
 //!
+//! The trie has no serialized form. Expansion and pruning are
+//! deterministic post-processing of each round's aggregate, so a restored
+//! protocol session rebuilds its trie by replaying the rounds' counts
+//! through these same calls.
+//!
 //! # Example
 //!
 //! ```
@@ -27,4 +32,4 @@ mod bigram;
 mod trie;
 
 pub use bigram::BigramSet;
-pub use trie::{NodeDump, NodeId, ShapeTrie, TrieDump, TrieError};
+pub use trie::{NodeId, ShapeTrie, TrieError};

@@ -19,8 +19,6 @@ pub enum TrieError {
         /// The trie's currently expanded depth.
         depth: usize,
     },
-    /// A [`TrieDump`] violated a structural invariant and cannot be loaded.
-    InvalidDump(String),
 }
 
 impl fmt::Display for TrieError {
@@ -32,7 +30,6 @@ impl fmt::Display for TrieError {
             TrieError::LevelOutOfRange { level, depth } => {
                 write!(f, "level {level} out of range (depth {depth})")
             }
-            TrieError::InvalidDump(msg) => write!(f, "invalid trie dump: {msg}"),
         }
     }
 }
@@ -333,141 +330,6 @@ impl ShapeTrie {
         }
         Ok(&self.levels[level - 1])
     }
-
-    /// Serializes the complete structural state of the trie — including
-    /// pruned (dead) nodes, which later levels' creation order depends on.
-    ///
-    /// [`ShapeTrie::from_dump`] rebuilds a trie that is indistinguishable
-    /// from this one: same node ids, same [`ShapeTrie::candidate_table`]
-    /// row order (and therefore the same table fingerprint), same pruning
-    /// tie-breaks.
-    pub fn dump(&self) -> TrieDump {
-        TrieDump {
-            alphabet: self.alphabet,
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| NodeDump {
-                    symbol: n.symbol.index() as u8,
-                    path_start: n.path_start,
-                    level: n.level,
-                    freq_bits: n.freq.to_bits(),
-                    alive: n.alive,
-                })
-                .collect(),
-            levels: self.levels.clone(),
-            paths: self.paths.iter().map(|s| s.index() as u8).collect(),
-        }
-    }
-
-    /// Rebuilds a trie from a [`TrieDump`], validating every structural
-    /// invariant so untrusted snapshot bytes cannot forge an inconsistent
-    /// arena (out-of-range symbols, dangling path slices, level lists that
-    /// disagree with the nodes they index).
-    pub fn from_dump(dump: &TrieDump) -> Result<Self, TrieError> {
-        if !(2..=MAX_ALPHABET).contains(&dump.alphabet) {
-            return Err(TrieError::InvalidAlphabet(dump.alphabet));
-        }
-        let bad = |msg: String| TrieError::InvalidDump(msg);
-        if let Some(&s) = dump.paths.iter().find(|&&s| s as usize >= dump.alphabet) {
-            return Err(bad(format!(
-                "path symbol {s} outside alphabet {}",
-                dump.alphabet
-            )));
-        }
-        let mut path_total = 0usize;
-        for (id, n) in dump.nodes.iter().enumerate() {
-            if n.level == 0 {
-                return Err(bad(format!("node {id} has level 0")));
-            }
-            if n.path_start
-                .checked_add(n.level)
-                .is_none_or(|end| end > dump.paths.len())
-            {
-                return Err(bad(format!("node {id} path slice out of bounds")));
-            }
-            if dump.paths[n.path_start + n.level - 1] != n.symbol {
-                return Err(bad(format!("node {id} symbol disagrees with its path")));
-            }
-            path_total += n.level;
-        }
-        if path_total != dump.paths.len() {
-            return Err(bad(format!(
-                "path buffer length {} != sum of node levels {path_total}",
-                dump.paths.len()
-            )));
-        }
-        let mut seen = vec![false; dump.nodes.len()];
-        for (li, ids) in dump.levels.iter().enumerate() {
-            for &id in ids {
-                let Some(n) = dump.nodes.get(id) else {
-                    return Err(bad(format!("level {} lists unknown node {id}", li + 1)));
-                };
-                if n.level != li + 1 {
-                    return Err(bad(format!(
-                        "node {id} at level {} listed under level {}",
-                        n.level,
-                        li + 1
-                    )));
-                }
-                if std::mem::replace(&mut seen[id], true) {
-                    return Err(bad(format!("node {id} listed twice")));
-                }
-            }
-        }
-        if let Some(id) = seen.iter().position(|&s| !s) {
-            return Err(bad(format!("node {id} missing from the level lists")));
-        }
-        Ok(Self {
-            alphabet: dump.alphabet,
-            nodes: dump
-                .nodes
-                .iter()
-                .map(|n| Node {
-                    symbol: Symbol::from_index(n.symbol),
-                    path_start: n.path_start,
-                    level: n.level,
-                    freq: f64::from_bits(n.freq_bits),
-                    alive: n.alive,
-                })
-                .collect(),
-            levels: dump.levels.clone(),
-            paths: dump.paths.iter().map(|&s| Symbol::from_index(s)).collect(),
-        })
-    }
-}
-
-/// Serializable image of one trie node (see [`ShapeTrie::dump`]).
-///
-/// The frequency travels as raw IEEE-754 bits so a dump → load round trip
-/// is bit-identical, never "close enough".
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeDump {
-    /// Alphabet index of the node's own symbol.
-    pub symbol: u8,
-    /// Start of the node's root-to-node path in [`TrieDump::paths`].
-    pub path_start: usize,
-    /// 1-based level (= path length).
-    pub level: usize,
-    /// `f64::to_bits` of the node's estimated frequency.
-    pub freq_bits: u64,
-    /// Whether the node survived pruning.
-    pub alive: bool,
-}
-
-/// Complete structural image of a [`ShapeTrie`], the unit the session
-/// snapshot codec serializes. Produced by [`ShapeTrie::dump`], loaded (with
-/// full validation) by [`ShapeTrie::from_dump`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrieDump {
-    /// Alphabet size `t`.
-    pub alphabet: usize,
-    /// Every node ever created, in creation order (ids are indices).
-    pub nodes: Vec<NodeDump>,
-    /// `levels[ℓ]` lists the node ids at level `ℓ + 1`.
-    pub levels: Vec<Vec<NodeId>>,
-    /// The flat path buffer, as alphabet indices.
-    pub paths: Vec<u8>,
 }
 
 #[cfg(test)]
@@ -700,104 +562,5 @@ mod tests {
         assert_eq!(t2.live_nodes(1).unwrap().len(), 1);
         t2.expand_next_level(None);
         let _ = t2.leaves_by_freq();
-    }
-
-    #[test]
-    fn dump_round_trip_is_indistinguishable() {
-        // Build a trie with real history: expansion, frequencies, pruning,
-        // a NaN, another expansion — then dump/load and compare everything
-        // observable, including candidate-table fingerprints.
-        let mut t = ShapeTrie::new(4).unwrap();
-        let ids = t.expand_next_level(None);
-        for (i, &id) in ids.iter().enumerate() {
-            t.set_freq(id, if i == 2 { f64::NAN } else { i as f64 });
-        }
-        t.prune_top_m(1, 3).unwrap();
-        t.expand_next_level(None);
-
-        let loaded = ShapeTrie::from_dump(&t.dump()).unwrap();
-        assert_eq!(loaded.alphabet(), t.alphabet());
-        assert_eq!(loaded.depth(), t.depth());
-        assert_eq!(loaded.node_count(), t.node_count());
-        for level in 1..=t.depth() {
-            assert_eq!(
-                loaded.live_nodes(level).unwrap(),
-                t.live_nodes(level).unwrap()
-            );
-            let (ids_a, table_a) = t.candidate_table(level).unwrap();
-            let (ids_b, table_b) = loaded.candidate_table(level).unwrap();
-            assert_eq!(ids_a, ids_b);
-            assert_eq!(table_a.fingerprint(), table_b.fingerprint());
-        }
-        for id in 0..t.node_count() {
-            assert_eq!(loaded.freq(id).to_bits(), t.freq(id).to_bits());
-        }
-        // The loaded trie keeps evolving identically.
-        let mut a = t.clone();
-        let mut b = loaded;
-        a.prune_top_m(2, 4).unwrap();
-        b.prune_top_m(2, 4).unwrap();
-        assert_eq!(a.expand_next_level(None), b.expand_next_level(None));
-        assert_eq!(a.dump(), b.dump());
-    }
-
-    #[test]
-    fn from_dump_rejects_forged_state() {
-        let mut t = ShapeTrie::new(3).unwrap();
-        t.expand_next_level(None);
-        t.expand_next_level(None);
-        let good = t.dump();
-        assert!(ShapeTrie::from_dump(&good).is_ok());
-
-        let mut d = good.clone();
-        d.alphabet = 1;
-        assert!(matches!(
-            ShapeTrie::from_dump(&d),
-            Err(TrieError::InvalidAlphabet(1))
-        ));
-
-        let mut d = good.clone();
-        d.paths[0] = 9; // outside alphabet 3
-        assert!(matches!(
-            ShapeTrie::from_dump(&d),
-            Err(TrieError::InvalidDump(_))
-        ));
-
-        let mut d = good.clone();
-        d.nodes[0].path_start = usize::MAX; // overflow-checked slice
-        assert!(matches!(
-            ShapeTrie::from_dump(&d),
-            Err(TrieError::InvalidDump(_))
-        ));
-
-        let mut d = good.clone();
-        d.nodes[1].symbol = d.nodes[0].symbol; // disagrees with path
-        assert!(matches!(
-            ShapeTrie::from_dump(&d),
-            Err(TrieError::InvalidDump(_))
-        ));
-
-        let mut d = good.clone();
-        let wrong_level = d.levels[1][0];
-        d.levels[0].push(wrong_level); // wrong level for that node
-        assert!(matches!(
-            ShapeTrie::from_dump(&d),
-            Err(TrieError::InvalidDump(_))
-        ));
-
-        let mut d = good.clone();
-        let dup = d.levels[0][0];
-        d.levels[0].push(dup); // listed twice
-        assert!(matches!(
-            ShapeTrie::from_dump(&d),
-            Err(TrieError::InvalidDump(_))
-        ));
-
-        let mut d = good.clone();
-        d.levels[1].pop(); // a node missing from the level lists
-        assert!(matches!(
-            ShapeTrie::from_dump(&d),
-            Err(TrieError::InvalidDump(_))
-        ));
     }
 }
