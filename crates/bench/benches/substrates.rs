@@ -177,11 +177,11 @@ fn sibling_table(depth: usize, shift: usize) -> CandidateTable {
     trie.candidate_table(depth).expect("level exists").1
 }
 
-/// The tentpole claim, measured: scoring a prefix-ordered sibling batch
-/// through the LCP-resuming table scorer must beat recomputing every DP
-/// table from row zero (`dist_batch_with` over the same rows), and the
-/// early-abandoned argmin must beat both when only the nearest row is
-/// needed.
+/// Scoring a prefix-ordered sibling batch through the LCP-resuming table
+/// scorer must beat recomputing every DP table from row zero
+/// (`dist_batch_with` over the same rows). `dtw_argmin` is the same
+/// prefix batch plus the first-minimum fold labeled refinement and
+/// `NearestShape` report.
 ///
 /// The workspace remembers each own sequence's result per table, so the
 /// table-scorer cases alternate between two tables with different
@@ -229,18 +229,14 @@ fn bench_prefix_batch(c: &mut Criterion) {
                 },
             );
         }
-        group.bench_with_input(
-            BenchmarkId::new("dtw_argmin_abandon", depth),
-            &depth,
-            |bch, _| {
-                let mut ws = DistanceWorkspace::new();
-                let mut flip = 0;
-                bch.iter(|| {
-                    flip ^= 1;
-                    black_box(DistanceKind::Dtw.argmin_table(&mut ws, own.symbols(), &tables[flip]))
-                });
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("dtw_argmin", depth), &depth, |bch, _| {
+            let mut ws = DistanceWorkspace::new();
+            let mut flip = 0;
+            bch.iter(|| {
+                flip ^= 1;
+                black_box(DistanceKind::Dtw.argmin_table(&mut ws, own.symbols(), &tables[flip]))
+            });
+        });
         group.bench_with_input(BenchmarkId::new("memo_hit", depth), &depth, |bch, _| {
             let mut ws = DistanceWorkspace::new();
             let salt = em.epsilon().value().to_bits();

@@ -175,9 +175,9 @@ impl SimulatedFleet {
     /// absorbs each report into its private shard aggregator as soon as it
     /// is produced — no "all clients scored" barrier before aggregation
     /// begins, and no round-sized report `Vec`. The per-worker shards then
-    /// reduce through [`ShardAggregator::merge_tree`] into the round's
-    /// single aggregate, bit-identical to collecting and submitting the
-    /// reports serially.
+    /// [`merge`](ShardAggregator::merge) into the round's single
+    /// aggregate, bit-identical to collecting and submitting the reports
+    /// serially.
     pub fn answer_into_shard(
         &mut self,
         spec: &RoundSpec,
@@ -202,12 +202,11 @@ impl SimulatedFleet {
         for outcome in outcomes {
             outcome?;
         }
-        let shards: Vec<ShardAggregator> = self
-            .workers
-            .iter_mut()
-            .filter_map(|worker| worker.shard.take())
-            .collect();
-        Ok(ShardAggregator::merge_tree(shards)?.expect("fleet has at least one worker"))
+        let mut merged = template;
+        for shard in self.workers.iter_mut().filter_map(|w| w.shard.take()) {
+            merged.merge(&shard)?;
+        }
+        Ok(merged)
     }
 
     /// Drives a session to completion: broadcast, answer-and-aggregate

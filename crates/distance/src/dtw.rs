@@ -11,82 +11,32 @@
 /// `O(n·m)` time, `O(min(n, m))` memory. Empty inputs yield `f64::INFINITY`
 /// (no alignment exists).
 pub fn dtw(a: &[f64], b: &[f64]) -> f64 {
-    dtw_banded(a, b, None)
+    Dtw::new().dist(a, b)
 }
 
-/// DTW with an optional Sakoe–Chiba band of half-width `band`.
-///
-/// Cells with `|i − j| > band` are excluded from the alignment. A band
-/// narrower than `|n − m|` can make alignment infeasible, in which case the
-/// result is `f64::INFINITY`.
-pub fn dtw_banded(a: &[f64], b: &[f64], band: Option<usize>) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return f64::INFINITY;
-    }
-    // Keep the shorter sequence as the inner (column) dimension so the
-    // rolling rows stay small.
-    let (outer, inner) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let m = inner.len();
-
-    let mut prev = vec![f64::INFINITY; m];
-    let mut curr = vec![f64::INFINITY; m];
-
-    for (i, &x) in outer.iter().enumerate() {
-        curr.fill(f64::INFINITY);
-        let (lo, hi) = match band {
-            Some(r) => (i.saturating_sub(r), (i + r + 1).min(m)),
-            None => (0, m),
-        };
-        for j in lo..hi {
-            let cost = (x - inner[j]).abs();
-            let best = if i == 0 && j == 0 {
-                0.0
-            } else {
-                let up = if i > 0 { prev[j] } else { f64::INFINITY };
-                let left = if j > lo { curr[j - 1] } else { f64::INFINITY };
-                let diag = if i > 0 && j > 0 {
-                    prev[j - 1]
-                } else {
-                    f64::INFINITY
-                };
-                up.min(left).min(diag)
-            };
-            curr[j] = cost + best;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m - 1]
-}
-
-/// Reusable DTW engine: configuration (band) plus scratch buffers, avoiding
-/// per-call allocation in hot population loops.
+/// Reusable DTW engine: two rolling DP rows kept across calls, avoiding
+/// per-call allocation in hot population loops. This flat DP is the
+/// reference the prefix-resumable table scorers are property-tested
+/// against.
 #[derive(Debug, Clone, Default)]
 pub struct Dtw {
-    band: Option<usize>,
     prev: Vec<f64>,
     curr: Vec<f64>,
 }
 
 impl Dtw {
-    /// Full-window DTW engine.
+    /// An engine with empty rows; they grow on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Engine with a Sakoe–Chiba band of half-width `band`.
-    pub fn with_band(band: usize) -> Self {
-        Self {
-            band: Some(band),
-            ..Self::default()
-        }
-    }
-
-    /// Computes the DTW distance, reusing internal buffers.
-    #[allow(clippy::needless_range_loop)] // banded DP indexes a window, not the full row
+    /// Computes the DTW distance (see [`dtw`]), reusing internal buffers.
     pub fn dist(&mut self, a: &[f64], b: &[f64]) -> f64 {
         if a.is_empty() || b.is_empty() {
             return f64::INFINITY;
         }
+        // Keep the shorter sequence as the inner (column) dimension so the
+        // rolling rows stay small.
         let (outer, inner) = if a.len() >= b.len() { (a, b) } else { (b, a) };
         let m = inner.len();
         self.prev.clear();
@@ -95,30 +45,21 @@ impl Dtw {
         self.curr.resize(m, f64::INFINITY);
 
         for (i, &x) in outer.iter().enumerate() {
-            self.curr.fill(f64::INFINITY);
-            let (lo, hi) = match self.band {
-                Some(r) => (i.saturating_sub(r), (i + r + 1).min(m)),
-                None => (0, m),
-            };
-            for j in lo..hi {
-                let cost = (x - inner[j]).abs();
+            for (j, &y) in inner.iter().enumerate() {
                 let best = if i == 0 && j == 0 {
                     0.0
                 } else {
-                    let up = if i > 0 { self.prev[j] } else { f64::INFINITY };
-                    let left = if j > lo {
-                        self.curr[j - 1]
+                    // Row 0 reads `prev`'s infinite fill as its missing
+                    // `up` and `diag` predecessors.
+                    let up = self.prev[j];
+                    let (left, diag) = if j > 0 {
+                        (self.curr[j - 1], self.prev[j - 1])
                     } else {
-                        f64::INFINITY
-                    };
-                    let diag = if i > 0 && j > 0 {
-                        self.prev[j - 1]
-                    } else {
-                        f64::INFINITY
+                        (f64::INFINITY, f64::INFINITY)
                     };
                     up.min(left).min(diag)
                 };
-                self.curr[j] = cost + best;
+                self.curr[j] = (x - y).abs() + best;
             }
             std::mem::swap(&mut self.prev, &mut self.curr);
         }
@@ -166,28 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn band_zero_equals_pointwise_l1_for_equal_lengths() {
-        let a = [1.0f64, 5.0, 2.0];
-        let b = [2.0f64, 3.0, 2.5];
-        let want: f64 = a.iter().zip(&b).map(|(x, y)| (x - y).abs()).sum();
-        assert!((dtw_banded(&a, &b, Some(0)) - want).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wide_band_matches_full_window() {
-        let a = [0.0, 2.0, 1.0, 3.0, 0.5];
-        let b = [0.5, 1.5, 1.0, 2.0];
-        assert_eq!(dtw_banded(&a, &b, Some(100)), dtw(&a, &b));
-    }
-
-    #[test]
-    fn too_narrow_band_is_infeasible() {
-        let a = [1.0; 10];
-        let b = [1.0; 2];
-        assert!(dtw_banded(&a, &b, Some(1)).is_infinite());
-    }
-
-    #[test]
     fn engine_matches_free_function_and_reuses_buffers() {
         let mut eng = Dtw::new();
         let a = [0.0, 2.0, 1.0];
@@ -196,8 +115,6 @@ mod tests {
         // Different lengths on the second call exercise the buffer resize.
         let c = [4.0, 4.0, 4.0, 4.0, 4.0];
         assert_eq!(eng.dist(&a, &c), dtw(&a, &c));
-        let mut banded = Dtw::with_band(1);
-        assert_eq!(banded.dist(&a, &b), dtw_banded(&a, &b, Some(1)));
     }
 
     #[test]

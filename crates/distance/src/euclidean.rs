@@ -2,37 +2,20 @@
 //! unequal lengths (shapes after Compressive SAX frequently differ in
 //! length; §V-H still evaluates the Euclidean metric on them).
 
-/// Euclidean distance between equal-length sequences.
-///
-/// # Panics
-///
-/// Panics if the lengths differ; use [`euclidean_padded`] when they may.
-pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "euclidean requires equal lengths");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| {
-            let d = x - y;
-            d * d
-        })
-        .sum::<f64>()
-        .sqrt()
-}
-
 /// Euclidean distance where the shorter sequence is padded by repeating its
 /// final value (mirroring how Compressive SAX collapses dwell time: the last
-/// level is implicitly held).
+/// level is implicitly held). Equal-length inputs are compared pointwise.
 ///
 /// Empty inputs: two empties are at distance 0; one empty is `f64::INFINITY`.
 pub fn euclidean_padded(a: &[f64], b: &[f64]) -> f64 {
-    match (a.is_empty(), b.is_empty()) {
-        (true, true) => return 0.0,
-        (true, false) | (false, true) => return f64::INFINITY,
-        _ => {}
-    }
+    let (Some(&last_a), Some(&last_b)) = (a.last(), b.last()) else {
+        return if a.is_empty() && b.is_empty() {
+            0.0
+        } else {
+            f64::INFINITY
+        };
+    };
     let n = a.len().max(b.len());
-    let last_a = *a.last().expect("checked non-empty");
-    let last_b = *b.last().expect("checked non-empty");
     let mut sum = 0.0;
     for i in 0..n {
         let x = a.get(i).copied().unwrap_or(last_a);
@@ -48,22 +31,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn equal_length_basics() {
-        assert_eq!(euclidean(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
-        assert_eq!(euclidean(&[1.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn equal_length_is_enforced() {
-        euclidean(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
     fn padded_matches_unpadded_on_equal_lengths() {
         let a = [1.0, -2.0, 0.5];
         let b = [0.0, 1.0, 2.0];
-        assert_eq!(euclidean_padded(&a, &b), euclidean(&a, &b));
+        let pointwise = a
+            .iter()
+            .zip(&b)
+            .map(|(x, y)| (x - y) * (x - y))
+            .sum::<f64>()
+            .sqrt();
+        assert_eq!(euclidean_padded(&a, &b), pointwise);
     }
 
     #[test]

@@ -135,8 +135,7 @@ impl DistanceKind {
         derive: impl FnOnce(&mut [f64], &mut Vec<f64>),
     ) -> &'w [f64] {
         ws.count_rows(*self, own, table.len());
-        ws.memo.retarget(*self, table);
-        ws.memo.resalt(salt);
+        ws.memo.retarget(*self, table, salt);
         if let Some(span) = ws.memo.row(own) {
             return ws.memo.values(span);
         }
@@ -177,70 +176,23 @@ impl DistanceKind {
     /// `(row, distance)` of the first table row nearest to `own` under
     /// this measure, or `None` for an empty table.
     ///
-    /// Equivalent to a full [`DistanceKind::dist_batch_table`] scan
-    /// followed by a first-strict-minimum fold, but the argmin-only
-    /// contract enables **early abandoning** on top of prefix reuse: DP
-    /// values only grow with candidate depth, so once a shared row's
-    /// minimum exceeds the running best, every candidate extending that
-    /// prefix is skipped without touching its suffix. Ties resolve to the
-    /// earlier row, exactly like the full scan. Repeats are answered from
-    /// the workspace's memo, like [`DistanceKind::table_row`].
+    /// The first strict minimum of the [`DistanceKind::dist_batch_table`]
+    /// row, so ties go to the earlier row and a repeat of `own` folds the
+    /// memoized distances without scoring.
     pub fn argmin_table(
         &self,
         ws: &mut DistanceWorkspace,
         own: &[Symbol],
         table: &Arc<CandidateTable>,
     ) -> Option<(usize, f64)> {
-        if table.is_empty() {
-            return None;
+        let dists = self.dist_batch_table(ws, own, table);
+        let mut best = (0, *dists.first()?);
+        for (i, &d) in dists.iter().enumerate().skip(1) {
+            if d < best.1 {
+                best = (i, d);
+            }
         }
-        ws.count_rows(*self, own, table.len());
-        ws.memo.retarget(*self, table);
-        if let Some(best) = ws.memo.argmin(own) {
-            return Some(best);
-        }
-        let best = self.scan_argmin(ws, own, table);
-        ws.memo.insert_argmin(own, best);
         Some(best)
-    }
-
-    /// Finds the first nearest row of a non-empty table afresh.
-    fn scan_argmin(
-        &self,
-        ws: &mut DistanceWorkspace,
-        own: &[Symbol],
-        table: &CandidateTable,
-    ) -> (usize, f64) {
-        match self {
-            DistanceKind::Dtw => {
-                ws.load_own(own);
-                let DistanceWorkspace {
-                    stack, mins, ia, ..
-                } = ws;
-                prefix::dtw_argmin(stack, mins, ia, table)
-            }
-            DistanceKind::Sed => {
-                let DistanceWorkspace { stack, mins, .. } = ws;
-                prefix::sed_argmin(stack, mins, own, table)
-            }
-            DistanceKind::Euclidean => {
-                ws.load_own(own);
-                let DistanceWorkspace {
-                    stack, mins, ia, ..
-                } = ws;
-                prefix::euc_argmin(stack, mins, ia, table)
-            }
-            DistanceKind::Hausdorff => {
-                let mut best = (0usize, f64::INFINITY);
-                for (i, row) in table.rows().enumerate() {
-                    let d = self.dist_with(ws, own, row);
-                    if d < best.1 {
-                        best = (i, d);
-                    }
-                }
-                best
-            }
-        }
     }
 
     /// Short lowercase name used in experiment output (`dtw`, `sed`, …).

@@ -17,17 +17,17 @@
 //! [`DistanceKind::dist`] is a convenience wrapper over the same code
 //! path, so both produce bit-identical results. Whole candidate batches
 //! are scored with [`DistanceKind::table_row`] /
-//! [`DistanceKind::dist_batch_table`] / [`DistanceKind::argmin_table`],
-//! which exploit the packed table's LCP index to resume
-//! dynamic-programming state shared between prefix-ordered candidates
-//! (one trie walk instead of one DP table per sibling) — still
-//! bit-identical to the flat path. The workspace also remembers each own
-//! sequence's result per table: `table_row` keeps the row a caller
-//! derives from the distances (a device keeps its Exponential-Mechanism
-//! selection row), named by a salt, so a sequence many users share is
-//! scored and derived once per table and later answered with a borrowed
-//! slice. Tables are passed as the broadcast's `Arc` and recognised by
-//! pointer.
+//! [`DistanceKind::dist_batch_table`], which exploit the packed table's
+//! LCP index to resume dynamic-programming state shared between
+//! prefix-ordered candidates (one trie walk instead of one DP table per
+//! sibling) — still bit-identical to the flat path. The workspace also
+//! remembers each own sequence's row per table: `table_row` keeps the row
+//! a caller derives from the distances (a device keeps its
+//! Exponential-Mechanism selection row), named by a salt, so a sequence
+//! many users share is scored and derived once per table and later
+//! answered with a borrowed slice. [`DistanceKind::argmin_table`] folds
+//! the distance row `dist_batch_table` keeps. Tables are passed as the
+//! broadcast's `Arc` and recognised by pointer.
 //!
 //! # Example
 //!
@@ -41,6 +41,12 @@
 //! assert_eq!(em_score(0.0), 1.0); // exact match ⇒ maximal EM score
 //! ```
 
+// Library code returns no panicking shortcuts; tests may.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod dtw;
 mod euclidean;
 mod hausdorff;
@@ -50,10 +56,10 @@ mod score;
 mod sed;
 mod workspace;
 
-pub use dtw::{dtw, dtw_banded, Dtw};
-pub use euclidean::{euclidean, euclidean_padded};
+pub use dtw::{dtw, Dtw};
+pub use euclidean::euclidean_padded;
 pub use hausdorff::hausdorff;
 pub use kind::DistanceKind;
-pub use score::{em_score, em_scores};
+pub use score::em_score;
 pub use sed::sed;
 pub use workspace::{DistanceWorkspace, ScanStats};

@@ -28,12 +28,6 @@
 //! * **Hausdorff** has no prefix decomposition (its directed max–min scans
 //!   the whole point set per row), so [`crate::DistanceKind`] routes it to
 //!   the flat path.
-//!
-//! The stacks also power early-abandoned argmin scans
-//! ([`crate::DistanceKind::argmin_table`]): DP values only grow with depth
-//! (all cost increments are non-negative, and IEEE-754 addition of
-//! non-negatives is monotone), so a row whose minimum already exceeds the
-//! running best proves every candidate extending that prefix is worse.
 
 use privshape_timeseries::{CandidateTable, Symbol};
 
@@ -53,19 +47,11 @@ fn fmin(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Grows `mins` to hold index `d` and records the row minimum there.
-fn record_min(mins: &mut Vec<f64>, d: usize, rmin: f64) {
-    if mins.len() <= d {
-        mins.resize(d + 1, f64::INFINITY);
-    }
-    mins[d] = rmin;
-}
-
 /// Extends the DTW stack with the row at outer index `i` (candidate depth
-/// `i + 1`), returning the new row's minimum. `own` is the inner (column)
-/// dimension; `m = own.len()` must be non-zero.
+/// `i + 1`). `own` is the inner (column) dimension; `m = own.len()` must
+/// be non-zero.
 #[inline(always)]
-fn dtw_extend(stack: &mut Vec<f64>, own: &[f64], i: usize, sym: f64) -> f64 {
+fn dtw_extend(stack: &mut Vec<f64>, own: &[f64], i: usize, sym: f64) {
     let m = own.len();
     let need = (i + 1) * m;
     if stack.len() < need {
@@ -73,7 +59,6 @@ fn dtw_extend(stack: &mut Vec<f64>, own: &[f64], i: usize, sym: f64) -> f64 {
     }
     let (prev_part, curr_part) = stack.split_at_mut(i * m);
     let curr = &mut curr_part[..m];
-    let mut rmin = f64::INFINITY;
     let mut left = f64::INFINITY;
     if i == 0 {
         for (j, &x) in own.iter().enumerate() {
@@ -83,7 +68,6 @@ fn dtw_extend(stack: &mut Vec<f64>, own: &[f64], i: usize, sym: f64) -> f64 {
             let v = if j == 0 { cost } else { cost + left };
             curr[j] = v;
             left = v;
-            rmin = fmin(rmin, v);
         }
     } else {
         let prev = &prev_part[(i - 1) * m..];
@@ -95,17 +79,15 @@ fn dtw_extend(stack: &mut Vec<f64>, own: &[f64], i: usize, sym: f64) -> f64 {
             diag = up;
             curr[j] = v;
             left = v;
-            rmin = fmin(rmin, v);
         }
     }
-    rmin
 }
 
 /// Extends the SED stack with the row at candidate depth `d ≥ 1` (the
-/// depth-0 base row `0..=m` must already be present), returning the new
-/// row's minimum. Rows have width `own.len() + 1`.
+/// depth-0 base row `0..=m` must already be present). Rows have width
+/// `own.len() + 1`.
 #[inline(always)]
-fn sed_extend(stack: &mut Vec<f64>, own: &[Symbol], d: usize, sym: Symbol) -> f64 {
+fn sed_extend(stack: &mut Vec<f64>, own: &[Symbol], d: usize, sym: Symbol) {
     let w = own.len() + 1;
     let need = (d + 1) * w;
     if stack.len() < need {
@@ -116,7 +98,6 @@ fn sed_extend(stack: &mut Vec<f64>, own: &[Symbol], d: usize, sym: Symbol) -> f6
     let curr = &mut curr_part[..w];
     let mut left = d as f64;
     curr[0] = left;
-    let mut rmin = left;
     for (j, &o) in own.iter().enumerate() {
         let sub = prev[j] + if sym == o { 0.0 } else { 1.0 };
         let del = prev[j + 1] + 1.0;
@@ -124,9 +105,7 @@ fn sed_extend(stack: &mut Vec<f64>, own: &[Symbol], d: usize, sym: Symbol) -> f6
         let v = fmin(fmin(sub, del), ins);
         curr[j + 1] = v;
         left = v;
-        rmin = fmin(rmin, v);
     }
-    rmin
 }
 
 /// Writes the SED base row (`stack[j] = j` for the empty candidate prefix).
@@ -140,9 +119,9 @@ fn sed_base(stack: &mut Vec<f64>, m: usize) {
     }
 }
 
-/// Extends the Euclidean prefix-sum stack to candidate depth `d ≥ 1` and
-/// returns the new partial sum. `own` must be non-empty.
-fn euc_extend(stack: &mut Vec<f64>, own: &[f64], d: usize, sym: f64) -> f64 {
+/// Extends the Euclidean prefix-sum stack to candidate depth `d ≥ 1`.
+/// `own` must be non-empty.
+fn euc_extend(stack: &mut Vec<f64>, own: &[f64], d: usize, sym: f64) {
     let n = own.len();
     let x = if d - 1 < n { own[d - 1] } else { own[n - 1] };
     let diff = x - sym;
@@ -151,7 +130,6 @@ fn euc_extend(stack: &mut Vec<f64>, own: &[f64], d: usize, sym: f64) -> f64 {
         stack.resize(d + 1, 0.0);
     }
     stack[d] = v;
-    v
 }
 
 /// Finishes a Euclidean distance for a candidate of length `l ≥ 1` whose
@@ -257,160 +235,6 @@ pub(crate) fn euc_batch(
     }
 }
 
-/// `(row, distance)` of the first row minimizing DTW distance to `own`,
-/// with prefix-stack reuse *and* early abandoning: once a DP row's minimum
-/// exceeds the running best, no candidate extending that prefix can win,
-/// so the whole subtree is skipped. The skip is strict (`> best`), so ties
-/// resolve to the earlier row, exactly like a full scan with `d < best`.
-pub(crate) fn dtw_argmin(
-    stack: &mut Vec<f64>,
-    mins: &mut Vec<f64>,
-    own: &[f64],
-    table: &CandidateTable,
-) -> (usize, f64) {
-    let m = own.len();
-    let mut best = (0usize, f64::INFINITY);
-    if m == 0 {
-        return best;
-    }
-    let mut valid = 0usize;
-    for (ci, cand) in table.rows().enumerate() {
-        let l = cand.len();
-        if l == 0 {
-            valid = 0;
-            continue; // infinite distance can never beat `best` strictly
-        }
-        let start = table.lcp(ci).min(valid);
-        if start > 0 && mins[start - 1] > best.1 {
-            valid = start;
-            continue;
-        }
-        let mut abandoned = false;
-        for (d, &sym) in cand.iter().enumerate().skip(start) {
-            let rmin = dtw_extend(stack, own, d, sym.index() as f64);
-            record_min(mins, d, rmin);
-            if rmin > best.1 {
-                valid = d + 1;
-                abandoned = true;
-                break;
-            }
-        }
-        if abandoned {
-            continue;
-        }
-        valid = l;
-        let dist = stack[(l - 1) * m + m - 1];
-        if dist < best.1 {
-            best = (ci, dist);
-        }
-    }
-    best
-}
-
-/// Early-abandoned SED argmin (see [`dtw_argmin`]).
-pub(crate) fn sed_argmin(
-    stack: &mut Vec<f64>,
-    mins: &mut Vec<f64>,
-    own: &[Symbol],
-    table: &CandidateTable,
-) -> (usize, f64) {
-    let m = own.len();
-    let w = m + 1;
-    sed_base(stack, m);
-    let mut best = (0usize, f64::INFINITY);
-    let mut valid = 0usize;
-    for (ci, cand) in table.rows().enumerate() {
-        let l = cand.len();
-        if l == 0 {
-            // Distance to the empty candidate is |own| — finite, so it
-            // competes like any other row.
-            valid = 0;
-            let dist = m as f64;
-            if dist < best.1 {
-                best = (ci, dist);
-            }
-            continue;
-        }
-        let start = table.lcp(ci).min(valid);
-        if start > 0 && mins[start - 1] > best.1 {
-            valid = start;
-            continue;
-        }
-        let mut abandoned = false;
-        for (d, &sym) in cand.iter().enumerate().skip(start) {
-            let rmin = sed_extend(stack, own, d + 1, sym);
-            record_min(mins, d, rmin);
-            if rmin > best.1 {
-                valid = d + 1;
-                abandoned = true;
-                break;
-            }
-        }
-        if abandoned {
-            continue;
-        }
-        valid = l;
-        let dist = stack[l * w + w - 1];
-        if dist < best.1 {
-            best = (ci, dist);
-        }
-    }
-    best
-}
-
-/// Early-abandoned padded-Euclidean argmin (see [`dtw_argmin`]); the
-/// per-depth lower bound is the square root of the running prefix sum.
-pub(crate) fn euc_argmin(
-    stack: &mut Vec<f64>,
-    mins: &mut Vec<f64>,
-    own: &[f64],
-    table: &CandidateTable,
-) -> (usize, f64) {
-    let n = own.len();
-    let mut best = (0usize, f64::INFINITY);
-    if stack.is_empty() {
-        stack.push(0.0);
-    }
-    stack[0] = 0.0;
-    let mut valid = 0usize;
-    for (ci, cand) in table.rows().enumerate() {
-        let l = cand.len();
-        if l == 0 || n == 0 {
-            valid = 0;
-            let dist = if l == 0 && n == 0 { 0.0 } else { f64::INFINITY };
-            if dist < best.1 {
-                best = (ci, dist);
-            }
-            continue;
-        }
-        let start = table.lcp(ci).min(valid);
-        if start > 0 && mins[start - 1] > best.1 {
-            valid = start;
-            continue;
-        }
-        let mut abandoned = false;
-        for (d, &sym) in cand.iter().enumerate().skip(start) {
-            let sum = euc_extend(stack, own, d + 1, sym.index() as f64);
-            let rmin = sum.sqrt();
-            record_min(mins, d, rmin);
-            if rmin > best.1 {
-                valid = d + 1;
-                abandoned = true;
-                break;
-            }
-        }
-        if abandoned {
-            continue;
-        }
-        valid = l;
-        let dist = euc_finish(stack, own, cand);
-        if dist < best.1 {
-            best = (ci, dist);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,8 +307,9 @@ mod tests {
 
     #[test]
     fn argmin_abandons_but_still_finds_a_late_winner() {
-        // Best row appears last, after a deep shared prefix of bad rows —
-        // abandoning the bad subtree must not lose the winner.
+        // Best row appears last, after a deep shared prefix of worse rows:
+        // the first-minimum fold must reach it (the test's name is
+        // historical; nothing is abandoned).
         let t = table(&["fefefe", "fefefa", "fefeb", "ab"]);
         let own = SymbolSeq::parse("aba").unwrap();
         let mut ws = DistanceWorkspace::new();

@@ -20,11 +20,6 @@ pub fn em_score(dist: f64) -> f64 {
     }
 }
 
-/// Scores a batch of distances.
-pub fn em_scores(dists: &[f64]) -> Vec<f64> {
-    dists.iter().map(|&d| em_score(d)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -36,7 +31,7 @@ mod tests {
 
     #[test]
     fn monotone_decreasing() {
-        let scores = em_scores(&[0.0, 0.5, 1.0, 3.0, 100.0]);
+        let scores: Vec<f64> = [0.0, 0.5, 1.0, 3.0, 100.0].map(em_score).to_vec();
         for w in scores.windows(2) {
             assert!(w[0] > w[1]);
         }

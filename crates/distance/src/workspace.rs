@@ -23,21 +23,22 @@ use std::sync::Arc;
 /// [`DistanceKind::argmin_table`](crate::DistanceKind::argmin_table)).
 ///
 /// Holds the DTW rolling rows, the two symbol→`f64` index buffers, a
-/// batch-score output buffer, and the depth-indexed DP row stack (plus its
-/// per-depth minima) that lets table scoring resume shared state across
-/// prefix-ordered candidates. Buffers only ever grow, so a workspace that
-/// has seen the longest sequence in a population allocates again only to
-/// remember new sequences. Results are bit-identical to the allocating
-/// path (enforced by the workspace-equality property test).
+/// batch-score output buffer, and the depth-indexed DP row stack that
+/// lets table scoring resume shared state across prefix-ordered
+/// candidates. Buffers only ever grow, so a workspace that has seen the
+/// longest sequence in a population allocates again only to remember new
+/// sequences. Results are bit-identical to the allocating path (enforced
+/// by the workspace-equality property test).
 ///
-/// The table scorers also remember each own sequence's result against the
-/// last (kind, table) pair scored — for `table_row`, the derived row
-/// under the last salt — so a population whose members share sequences
-/// scores and derives each distinct one once per table. The memo resets
-/// whenever the kind, the table or the salt changes; it recognises a table
-/// by its `Arc` pointer, exact because it holds a clone of that `Arc`, so
-/// the address cannot be reused and the content cannot change. It stops
-/// taking new entries at about 1 MiB of stored values.
+/// The table scorers also remember each own sequence's derived row
+/// against the last (kind, table, salt) scored — `argmin_table` folds the
+/// distance row `dist_batch_table` keeps — so a population whose members
+/// share sequences scores and derives each distinct one once per table.
+/// The memo resets whenever the kind, the table or the salt changes; it
+/// recognises a table by its `Arc` pointer, exact because it holds a
+/// clone of that `Arc`, so the address cannot be reused and the content
+/// cannot change. It stops taking new entries at about 1 MiB of stored
+/// values.
 ///
 /// # Example
 ///
@@ -62,9 +63,7 @@ pub struct DistanceWorkspace {
     /// Depth-indexed DP rows (DTW / SED) or prefix sums (Euclidean) for
     /// the prefix-resumable table scorers.
     pub(crate) stack: Vec<f64>,
-    /// Per-depth row minima backing early-abandoned argmin scans.
-    pub(crate) mins: Vec<f64>,
-    /// Table-scorer results by own sequence.
+    /// Derived rows by own sequence.
     pub(crate) memo: Memo,
     /// Counters for the table scorers; purely observational, never part
     /// of a result.
@@ -90,49 +89,36 @@ impl ScanStats {
     }
 }
 
-/// Values the memo holds at most: about 1 MiB of `f64`s (an argmin counts
-/// as one).
+/// Values the memo holds at most: about 1 MiB of `f64`s.
 const MEMO_CAP: usize = (1 << 20) / std::mem::size_of::<f64>();
 
-/// Table-scorer results remembered per own sequence, all against one
-/// (kind, table) pair; the derived rows also under one derivation salt.
+/// Derived rows remembered per own sequence, all against one
+/// (kind, table) pair and under one derivation salt.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Memo {
-    /// The kind every entry was scored under (`None` before the first).
+    /// The kind every row was scored under (`None` before the first).
     kind: Option<DistanceKind>,
-    /// The table every entry was scored against. Holding a clone keeps
+    /// The table every row was scored against. Holding a clone keeps
     /// the allocation alive and immutable, so a caller's `Arc` that
     /// points at it is this very table: no other table can take its
     /// address while the memo holds it.
     table: Option<Arc<CandidateTable>>,
-    /// The derivation every row in `rows` was derived under.
+    /// The derivation every row was derived under.
     salt: u64,
     /// Own sequence → its derived row's span in `values`.
     rows: HashMap<Box<[Symbol]>, (usize, usize)>,
-    /// Own sequence → its `argmin_table` result.
-    argmins: HashMap<Box<[Symbol]>, (usize, f64)>,
     /// Every remembered row, back to back.
     values: Vec<f64>,
 }
 
 impl Memo {
-    /// Forgets every entry unless they were scored under `kind` against
-    /// this very table (pointer identity, O(1)).
-    pub(crate) fn retarget(&mut self, kind: DistanceKind, table: &Arc<CandidateTable>) {
+    /// Forgets every row unless it was derived under `salt` from scores
+    /// under `kind` against this very table (pointer identity, O(1)).
+    pub(crate) fn retarget(&mut self, kind: DistanceKind, table: &Arc<CandidateTable>, salt: u64) {
         let same_table = self.table.as_ref().is_some_and(|t| Arc::ptr_eq(t, table));
-        if self.kind != Some(kind) || !same_table {
+        if self.kind != Some(kind) || !same_table || self.salt != salt {
             self.kind = Some(kind);
             self.table = Some(Arc::clone(table));
-            self.rows.clear();
-            self.argmins.clear();
-            self.values.clear();
-        }
-    }
-
-    /// Forgets every derived row unless it was derived under `salt`
-    /// (argmins do not depend on it).
-    pub(crate) fn resalt(&mut self, salt: u64) {
-        if self.salt != salt {
             self.salt = salt;
             self.rows.clear();
             self.values.clear();
@@ -149,30 +135,14 @@ impl Memo {
         &self.values[start..end]
     }
 
-    /// Remembers `own`'s row unless the memo is full.
+    /// Remembers `own`'s row unless it would take the memo past
+    /// [`MEMO_CAP`] values.
     pub(crate) fn insert_row(&mut self, own: &[Symbol], row: &[f64]) {
-        if self.has_room(row.len()) {
-            let start = self.values.len();
+        let start = self.values.len();
+        if start + row.len() <= MEMO_CAP {
             self.rows.insert(own.into(), (start, start + row.len()));
             self.values.extend_from_slice(row);
         }
-    }
-
-    /// The remembered argmin of `own`, if any.
-    pub(crate) fn argmin(&self, own: &[Symbol]) -> Option<(usize, f64)> {
-        self.argmins.get(own).copied()
-    }
-
-    /// Remembers `own`'s argmin unless the memo is full.
-    pub(crate) fn insert_argmin(&mut self, own: &[Symbol], best: (usize, f64)) {
-        if self.has_room(1) {
-            self.argmins.insert(own.into(), best);
-        }
-    }
-
-    /// Whether `n` more values fit under [`MEMO_CAP`].
-    fn has_room(&self, n: usize) -> bool {
-        self.values.len() + self.argmins.len() + n <= MEMO_CAP
     }
 }
 

@@ -1,16 +1,15 @@
 //! Property tests for the prefix-resumable table scorers: resuming shared
-//! DP state across candidates, and abandoning a shared prefix early in an
-//! argmin scan, must be pure optimizations — bit-identical distances and
-//! identical argmins versus the flat per-candidate path, for every
-//! distance kind.
+//! DP state across candidates must be a pure optimization — bit-identical
+//! distances and identical argmins versus the flat per-candidate path, for
+//! every distance kind.
 //!
 //! Each property runs on two table shapes: free rows, and sibling runs
 //! (1–5 children under each shared parent, the shape of a trie level).
 //! Each shape is fed trie-ordered, in insertion order, and shuffled, with
 //! one workspace reused throughout. The workspace's memo of earlier
-//! results must be invisible too: a workspace fed repeated owns,
-//! revisited tables and changing derivations answers and counts exactly
-//! like fresh ones.
+//! rows must be invisible too: a workspace fed repeated owns, revisited
+//! tables, changing derivations and argmins folded from the remembered
+//! distance rows answers and counts exactly like fresh ones.
 
 use privshape_distance::{DistanceKind, DistanceWorkspace};
 use privshape_timeseries::{CandidateTable, Symbol, SymbolSeq};
@@ -132,7 +131,7 @@ fn check_batch_matches_flat(
     fresh_rows
 }
 
-/// Early-abandoned argmin returns exactly what a full scan folded with
+/// `argmin_table` returns exactly what the flat path folded with
 /// first-strict-minimum returns (same row index, same distance), for each
 /// own against each non-empty table, in the loop order of
 /// [`check_batch_matches_flat`]. Returns the rows fresh workspaces count.
@@ -174,9 +173,16 @@ fn check_argmin_matches_full_scan(
     fresh_rows
 }
 
-/// A derivation `table_row` may be asked for: a salt and what it derives
-/// from the distances. `None` stands for `dist_batch_table`.
-type Derivation = Option<(u64, fn(&mut [f64], &mut Vec<f64>))>;
+/// A table-scorer call sharing the workspace's row memo.
+#[derive(Clone, Copy)]
+enum Call {
+    /// `dist_batch_table`.
+    Batch,
+    /// `table_row` under a salt, with what it derives from the distances.
+    Row(u64, fn(&mut [f64], &mut Vec<f64>)),
+    /// `argmin_table`, folded from the remembered distance row.
+    Argmin,
+}
 
 /// Shifted distances, one value per table row.
 fn shifted(d: &mut [f64], row: &mut Vec<f64>) {
@@ -192,19 +198,23 @@ fn summed(d: &mut [f64], row: &mut Vec<f64>) {
     row.extend_from_slice(d);
 }
 
-/// `kind`'s derived row of `own` against `table` through `ws`.
+/// What `call` answers for `own` against `table` through `ws`, as values
+/// (an argmin as its row index, exact in `f64`, then its distance).
 fn derived(
     ws: &mut DistanceWorkspace,
     kind: DistanceKind,
     own: &SymbolSeq,
     table: &Arc<CandidateTable>,
-    derivation: Derivation,
+    call: Call,
 ) -> Vec<f64> {
-    match derivation {
-        None => kind.dist_batch_table(ws, own.symbols(), table).to_vec(),
-        Some((salt, derive)) => kind
+    match call {
+        Call::Batch => kind.dist_batch_table(ws, own.symbols(), table).to_vec(),
+        Call::Row(salt, derive) => kind
             .table_row(ws, own.symbols(), table, salt, derive)
             .to_vec(),
+        Call::Argmin => kind
+            .argmin_table(ws, own.symbols(), table)
+            .map_or_else(Vec::new, |(i, d)| vec![i as f64, d]),
     }
 }
 
@@ -212,11 +222,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// One workspace serving `table_row` under two salts with two
-    /// derivations, interleaved with `dist_batch_table`, returns what
-    /// fresh workspaces return and counts the same rows. The tables are
-    /// A, B, A again (the same `Arc`), A rebuilt in a new `Arc` and A
-    /// with one symbol changed; every derivation runs once per own in
-    /// turn, then over all owns one derivation at a time.
+    /// derivations, interleaved with `dist_batch_table` and
+    /// `argmin_table` (which share one row map), returns what fresh
+    /// workspaces return and counts the same rows. The tables are A, B,
+    /// A again (the same `Arc`), A rebuilt in a new `Arc` and A with one
+    /// symbol changed; every call kind runs once per own in turn, then
+    /// over all owns one call kind at a time.
     #[test]
     fn derived_rows_equal_fresh_workspaces(
         owns in prop::collection::vec(seq_strategy(), 1..4),
@@ -241,25 +252,25 @@ proptest! {
             table_of(&rows),
             table_of(&changed),
         ];
-        let derivations: [Derivation; 3] = [Some((1, shifted)), None, Some((2, summed))];
+        let call_kinds = [Call::Row(1, shifted), Call::Batch, Call::Argmin, Call::Row(2, summed)];
         // Each table's calls end under the salt the next table's begin
         // with, so only the table's identity can tell them apart.
         let mut calls = Vec::new();
         for table in &tables {
             for own in &owns {
-                calls.extend(derivations.iter().map(|&d| (table, own, d)));
+                calls.extend(call_kinds.iter().map(|&call| (table, own, call)));
             }
-            for &d in derivations.iter().rev() {
-                calls.extend(owns.iter().map(|own| (table, own, d)));
+            for &call in call_kinds.iter().rev() {
+                calls.extend(owns.iter().map(|own| (table, own, call)));
             }
         }
         for kind in DistanceKind::ALL {
             let mut ws = DistanceWorkspace::new();
             let mut fresh_rows = 0;
-            for &(table, own, derivation) in &calls {
-                let got = derived(&mut ws, kind, own, table, derivation);
+            for &(table, own, call) in &calls {
+                let got = derived(&mut ws, kind, own, table, call);
                 let mut fresh = DistanceWorkspace::new();
-                let want = derived(&mut fresh, kind, own, table, derivation);
+                let want = derived(&mut fresh, kind, own, table, call);
                 fresh_rows += fresh.stats().rows;
                 prop_assert_eq!(got.len(), want.len());
                 for (g, w) in got.iter().zip(&want) {
@@ -316,8 +327,9 @@ proptest! {
         }
     }
 
-    /// Early-abandoned argmin returns exactly what a full scan folded with
-    /// first-strict-minimum returns: same row index, same distance.
+    /// `argmin_table` returns exactly what a full flat scan folded with
+    /// first-strict-minimum returns: same row index, same distance (the
+    /// test's name is historical; nothing is abandoned).
     #[test]
     fn early_abandon_argmin_equals_full_scan(
         own in seq_strategy(),

@@ -11,8 +11,8 @@ use std::sync::Arc;
 pub struct NearestShape {
     shapes: Vec<(SymbolSeq, usize)>,
     /// The prototypes packed once at construction, so every query scores
-    /// through the prefix-resumable, early-abandoned table scorer (which
-    /// recognizes the table by its `Arc`).
+    /// through the prefix-resumable table scorer (which recognizes the
+    /// table by its `Arc`).
     table: Arc<CandidateTable>,
     distance: DistanceKind,
 }
@@ -69,10 +69,9 @@ impl NearestShape {
     /// [`NearestShape::nearest`] scoring through a caller-provided
     /// workspace (batch loops keep one workspace across all queries).
     ///
-    /// Runs the prefix-resumable argmin scan over the packed prototype
-    /// table — shared-prefix prototypes reuse DP rows, and subtrees whose
-    /// shared rows already exceed the running best are abandoned early.
-    /// Ties resolve to the earlier prototype, as before.
+    /// Folds the prefix-resumable distance row over the packed prototype
+    /// table (shared-prefix prototypes reuse DP rows) to its first
+    /// minimum, so ties resolve to the earlier prototype.
     pub fn nearest_with(
         &self,
         ws: &mut DistanceWorkspace,

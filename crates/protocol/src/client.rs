@@ -410,11 +410,10 @@ impl UserClient {
             )));
         }
         // Nearest candidate under the configured distance (ties toward the
-        // earlier candidate — deterministic). Same batch scorer as
-        // `em_select`, plus early abandoning: only the argmin is reported,
-        // so candidate subtrees whose shared DP rows already exceed the
-        // running best are skipped outright. An empty table degrades to
-        // candidate 0 (the report then carries no candidate information).
+        // earlier candidate — deterministic): the first minimum of the
+        // distance row the workspace memoizes per sequence. An empty table
+        // degrades to candidate 0 (the report then carries no candidate
+        // information).
         let best_c = self
             .distance
             .argmin_table(ws, self.seq.symbols(), candidates)

@@ -79,15 +79,20 @@ pub struct IngestStats {
 
 impl IngestStats {
     /// Accumulates another round's counters (sessions sum across rounds).
-    /// Counts add; the queue high-water mark, being a maximum, absorbs by
-    /// `max`.
+    /// Counts add, saturating at `u64::MAX` (a restored snapshot's
+    /// counters are untrusted input); the queue high-water mark, being a
+    /// maximum, absorbs by `max`.
     pub fn absorb(&mut self, other: &IngestStats) {
-        self.accepted_reports += other.accepted_reports;
-        self.rejected_frames += other.rejected_frames;
-        self.duplicate_reports += other.duplicate_reports;
+        self.accepted_reports = self.accepted_reports.saturating_add(other.accepted_reports);
+        self.rejected_frames = self.rejected_frames.saturating_add(other.rejected_frames);
+        self.duplicate_reports = self
+            .duplicate_reports
+            .saturating_add(other.duplicate_reports);
         self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
-        self.backpressure_stalls += other.backpressure_stalls;
-        self.worker_panics += other.worker_panics;
+        self.backpressure_stalls = self
+            .backpressure_stalls
+            .saturating_add(other.backpressure_stalls);
+        self.worker_panics = self.worker_panics.saturating_add(other.worker_panics);
     }
 }
 

@@ -1020,6 +1020,46 @@ mod tests {
         refused(forge(&log[..3], 1, &[]), "complete flag");
         // (e) Trailing bytes after the complete flag.
         refused(forge(&log, 1, &[0]), "trailing bytes");
+        // (f) A length round holding more reports than the 500 users; at
+        // u64::MAX the next absorb would overflow its count.
+        let length_state = |reports: u64| {
+            let mut state = Vec::new();
+            crate::wire::put_varint(&mut state, reports);
+            state.extend_from_slice(&[1, 1]); // length round, GRR oracle
+            crate::wire::put_varint(&mut state, reports); // GRR total
+            crate::wire::put_varint(&mut state, 6); // lengths 1..=6
+            crate::wire::put_varint(&mut state, reports); // all at length 1
+            state.extend_from_slice(&[0; 5]);
+            state
+        };
+        assert!(forge(&[&length_state(500)], 0, &[]).is_ok());
+        for reports in [501, u64::MAX] {
+            refused(
+                forge(&[&length_state(reports)], 0, &[]),
+                "reports from 500 users",
+            );
+        }
+    }
+
+    /// Restored ingest counters are untrusted input too: a session
+    /// restored with every counter at `u64::MAX` still folds another
+    /// round's stats, saturating.
+    #[test]
+    fn restored_counters_at_max_still_fold_a_round() {
+        let counters = |v: u64| IngestStats {
+            accepted_reports: v,
+            rejected_frames: v,
+            duplicate_reports: v,
+            queue_high_water: v,
+            backpressure_stalls: v,
+            worker_panics: v,
+        };
+        let mut s = Session::privshape(config(), 500).unwrap();
+        s.next_round().unwrap();
+        s.ingest = counters(u64::MAX);
+        let mut restored = Session::restore(&s.snapshot()).unwrap();
+        restored.record_ingest_stats(&counters(1));
+        assert_eq!(restored.ingest_stats(), counters(u64::MAX));
     }
 
     #[test]

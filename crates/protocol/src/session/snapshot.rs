@@ -26,8 +26,9 @@
 //! The checksum is no MAC, so the bytes are *untrusted input*: the
 //! constructor re-validates the config, each aggregate must match the
 //! round the replay opened (kind, oracle, domain, candidate-table
-//! generation, count invariants), and a log longer than the protocol, a
-//! complete flag with rounds left, or trailing bytes are typed errors.
+//! generation, count invariants) and hold at most `n` reports, and a log
+//! longer than the protocol, a complete flag with rounds left, or
+//! trailing bytes are typed errors.
 
 use super::{Mode, Origin, Phase, Session};
 use crate::config::{
@@ -395,6 +396,15 @@ impl Session {
                 return Err(bad("more logged rounds than the protocol opens"));
             };
             open.agg.restore_state(body, pos)?;
+            // Each user reports at most once per round, so a round holding
+            // more reports than the population is forged; refusing it also
+            // keeps later absorbs clear of count overflow.
+            if open.agg.reports() > n as u64 {
+                return Err(bad(format!(
+                    "a logged round holds {} reports from {n} users",
+                    open.agg.reports()
+                )));
+            }
         }
         if read_bool(body, pos)? && session.next_round()?.is_some() {
             return Err(bad("complete flag on a session with rounds left"));

@@ -571,29 +571,6 @@ impl ShardAggregator {
         Ok(())
     }
 
-    /// Reduces a set of per-worker shards to one aggregate with a balanced
-    /// binary merge tree (pairs, then pairs of pairs, …). Because
-    /// [`ShardAggregator::merge`] is exact integer addition, the tree shape
-    /// is unobservable — the result is bit-identical to any sequential fold
-    /// — but the log-depth reduction is the natural close step for a
-    /// multi-worker ingest round and keeps each merge operand small.
-    ///
-    /// Returns `None` for an empty input.
-    pub fn merge_tree(mut shards: Vec<ShardAggregator>) -> Result<Option<ShardAggregator>> {
-        while shards.len() > 1 {
-            let mut next = Vec::with_capacity(shards.len().div_ceil(2));
-            let mut iter = shards.into_iter();
-            while let Some(mut left) = iter.next() {
-                if let Some(right) = iter.next() {
-                    left.merge(&right)?;
-                }
-                next.push(left);
-            }
-            shards = next;
-        }
-        Ok(shards.pop())
-    }
-
     /// The length estimate once all shards are in: `ℓ_S = lo + argmax`
     /// of the oracle's frequency estimates, except under the piecewise
     /// oracle, where the mean estimate is mapped back from `[−1, 1]` onto
@@ -1199,24 +1176,6 @@ mod tests {
             mine.merge(&at(&spec, &reports, 1.0)).unwrap();
             assert_eq!(mine.reports(), 2 * reports.len() as u64);
         }
-    }
-
-    #[test]
-    fn merge_tree_equals_sequential_fold() {
-        let spec = expand_spec(4);
-        let mut whole = ShardAggregator::for_round(&spec, eps()).unwrap();
-        let mut shards = Vec::new();
-        for shard_idx in 0..5 {
-            let mut shard = ShardAggregator::for_round(&spec, eps()).unwrap();
-            for i in 0..=shard_idx {
-                shard.absorb(&Report::Expand(i % 4)).unwrap();
-                whole.absorb(&Report::Expand(i % 4)).unwrap();
-            }
-            shards.push(shard);
-        }
-        let merged = ShardAggregator::merge_tree(shards).unwrap().unwrap();
-        assert_eq!(merged, whole);
-        assert!(ShardAggregator::merge_tree(Vec::new()).unwrap().is_none());
     }
 
     #[test]
