@@ -56,9 +56,10 @@ impl SimulatedFleet {
     /// an explicit count is clamped to [`privshape_protocol::MAX_THREADS`];
     /// the fleet enrolls and answers on that many threads. A series past the
     /// session's population (`user >= params.n`) enrolls unassigned, so no
-    /// round addresses it, and a user without a label (`labels` shorter
-    /// than `series`) enrolls with none, so a labeled round it is
-    /// addressed by fails with [`Error::BadLabels`].
+    /// round addresses it, as does every series of a population too large
+    /// to index ([`GroupAssignment::derive_all`]). A user without a label
+    /// (`labels` shorter than `series`) enrolls with none, so a labeled
+    /// round it is addressed by fails with [`Error::BadLabels`].
     pub fn new(
         series: &[TimeSeries],
         labels: Option<&[usize]>,
@@ -454,6 +455,19 @@ mod tests {
             session.submit_shard(&shard).unwrap();
         }
         session.finish().unwrap();
+    }
+
+    #[test]
+    fn unindexable_populations_enroll_unassigned() {
+        let cfg = PrivShapeConfig::new(
+            Epsilon::new(4.0).unwrap(),
+            1,
+            SaxParams::new(10, 3).unwrap(),
+        );
+        let params = privshape_protocol::ProtocolParams::privshape(&cfg, usize::MAX);
+        let fleet = SimulatedFleet::new(&series(3), None, &params, 2);
+        assert_eq!(fleet.len(), 3);
+        assert!(fleet.clients.iter().all(|c| c.assignment().group.is_none()));
     }
 
     #[test]

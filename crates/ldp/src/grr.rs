@@ -9,7 +9,7 @@ use rand::{Rng, RngExt};
 /// Reports the true value with probability `p = e^ε / (e^ε + d − 1)` and
 /// each other value with probability `q = 1 / (e^ε + d − 1)`; the ratio
 /// `p / q = e^ε` gives exactly ε-LDP.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grr {
     domain: usize,
     eps: Epsilon,
@@ -80,33 +80,35 @@ impl Grr {
 
     /// Perturbs one value, panicking on out-of-domain input. Use in inner
     /// loops where the domain is enforced upstream.
+    #[allow(clippy::expect_used)] // the caller vouches for the domain
     pub fn perturb<R: Rng + ?Sized>(&self, rng: &mut R, value: usize) -> usize {
         self.try_perturb(rng, value)
             .expect("value within GRR domain")
     }
+
+    /// Unbiased estimate of how many of `total` users hold a value that
+    /// `count` of their reports named: `ĉ = (count − total·q) / (p − q)`.
+    pub fn estimate(&self, count: u64, total: u64) -> f64 {
+        (count as f64 - total as f64 * self.q) / (self.p - self.q)
+    }
 }
 
-/// Server-side accumulator producing unbiased count estimates
-/// `ĉ(v) = (n_v − n·q) / (p − q)` from GRR reports.
-///
-/// `PartialEq` compares the raw counts (and the mechanism constants), so
-/// two aggregation pipelines can be asserted bit-identical.
+/// Server-side accumulator of GRR reports: the per-value counts that
+/// [`Grr::estimate`] turns into unbiased count estimates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GrrAggregator {
+    grr: Grr,
     counts: Vec<u64>,
     total: u64,
-    p: f64,
-    q: f64,
 }
 
 impl GrrAggregator {
     /// Creates an aggregator matched to a [`Grr`] instance.
     pub fn new(grr: &Grr) -> Self {
         Self {
+            grr: grr.clone(),
             counts: vec![0; grr.domain],
             total: 0,
-            p: grr.p,
-            q: grr.q,
         }
     }
 
@@ -126,68 +128,9 @@ impl GrrAggregator {
         self.counts.len()
     }
 
-    /// Folds another aggregator's counts into this one. Raw counts are
-    /// plain integer sums, so merging is associative and commutative —
-    /// shards can aggregate independently and combine in any order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two aggregators were built for different domains
-    /// (merging them would be meaningless).
-    pub fn merge(&mut self, other: &GrrAggregator) {
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "cannot merge GRR aggregators over different domains"
-        );
-        debug_assert!(self.p == other.p && self.q == other.q);
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-    }
-
-    /// Raw per-value report counts — the full dynamic state of the
-    /// aggregator (the mechanism constants are derivable from the round
-    /// spec). Exposed for snapshot serialization.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Overwrites the dynamic state from snapshotted raw counts.
-    ///
-    /// The mechanism constants stay as constructed; only the counts and
-    /// report total are replaced. Untrusted snapshot bytes are validated
-    /// against the GRR structural invariants: the count vector must match
-    /// this aggregator's domain and sum exactly to `total` (every report
-    /// increments exactly one count).
-    pub fn restore_counts(&mut self, counts: &[u64], total: u64) -> Result<()> {
-        if counts.len() != self.counts.len() {
-            return Err(LdpError::MalformedReport(format!(
-                "GRR snapshot domain {} != aggregator domain {}",
-                counts.len(),
-                self.counts.len()
-            )));
-        }
-        let Some(sum) = counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c)) else {
-            return Err(LdpError::MalformedReport(
-                "GRR snapshot counts overflow u64".into(),
-            ));
-        };
-        if sum != total {
-            return Err(LdpError::MalformedReport(format!(
-                "GRR snapshot counts sum to {sum} but claim {total} reports"
-            )));
-        }
-        self.counts.copy_from_slice(counts);
-        self.total = total;
-        Ok(())
-    }
-
     /// Unbiased estimate of the number of users holding `v`.
     pub fn estimate(&self, v: usize) -> f64 {
-        let n = self.total as f64;
-        (self.counts[v] as f64 - n * self.q) / (self.p - self.q)
+        self.grr.estimate(self.counts[v], self.total)
     }
 
     /// Unbiased estimates for the full domain.
@@ -195,27 +138,9 @@ impl GrrAggregator {
         (0..self.counts.len()).map(|v| self.estimate(v)).collect()
     }
 
-    /// The domain item with the largest estimated count (ties broken toward
-    /// the smaller index, keeping results deterministic).
-    pub fn argmax(&self) -> usize {
-        let est = self.estimates();
-        let mut best = 0;
-        for (i, &e) in est.iter().enumerate() {
-            if e > est[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Indices of the `m` largest estimates, descending (deterministic
-    /// tie-break toward smaller indices).
+    /// Indices of the `m` largest estimates ([`crate::top_m`]).
     pub fn top_m(&self, m: usize) -> Vec<usize> {
-        let est = self.estimates();
-        let mut idx: Vec<usize> = (0..est.len()).collect();
-        idx.sort_by(|&a, &b| est[b].total_cmp(&est[a]).then(a.cmp(&b)));
-        idx.truncate(m);
-        idx
+        crate::top_m(&self.estimates(), m)
     }
 }
 
@@ -284,7 +209,7 @@ mod tests {
         assert!((agg.estimate(0) - 0.7 * n as f64).abs() < 0.03 * n as f64);
         assert!((agg.estimate(1) - 0.3 * n as f64).abs() < 0.03 * n as f64);
         assert!(agg.estimate(2).abs() < 0.03 * n as f64);
-        assert_eq!(agg.argmax(), 0);
+        assert_eq!(agg.top_m(1), vec![0]);
         assert_eq!(agg.top_m(2), vec![0, 1]);
     }
 
@@ -299,37 +224,6 @@ mod tests {
         }
         let sum: f64 = agg.estimates().iter().sum();
         assert!((sum - 5000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn merge_equals_single_aggregation() {
-        let g = Grr::new(5, eps(1.0)).unwrap();
-        let mut rng = ChaCha12Rng::seed_from_u64(6);
-        let reports: Vec<usize> = (0..999).map(|i| g.perturb(&mut rng, i % 5)).collect();
-        let mut whole = GrrAggregator::new(&g);
-        for &r in &reports {
-            whole.add(r);
-        }
-        // Split into three shards, merge the last two into the first in
-        // reverse order.
-        let mut shards: Vec<GrrAggregator> = (0..3).map(|_| GrrAggregator::new(&g)).collect();
-        for (i, &r) in reports.iter().enumerate() {
-            shards[i % 3].add(r);
-        }
-        let (first, rest) = shards.split_at_mut(1);
-        for shard in rest.iter().rev() {
-            first[0].merge(shard);
-        }
-        assert_eq!(first[0].total(), whole.total());
-        assert_eq!(first[0].estimates(), whole.estimates());
-    }
-
-    #[test]
-    #[should_panic(expected = "different domains")]
-    fn merge_rejects_mismatched_domains() {
-        let mut a = GrrAggregator::new(&Grr::new(3, eps(1.0)).unwrap());
-        let b = GrrAggregator::new(&Grr::new(4, eps(1.0)).unwrap());
-        a.merge(&b);
     }
 
     #[test]

@@ -79,6 +79,20 @@ impl Olh {
             value: reported,
         }
     }
+
+    /// Whether `report` supports `value`: its seed hashes `value` to the
+    /// bucket it reports.
+    pub fn supports(&self, report: &OlhReport, value: usize) -> bool {
+        self.hash(report.seed, value) == report.value
+    }
+
+    /// Unbiased estimate of how many of `total` users hold a value that
+    /// `support` of their reports supported:
+    /// `ĉ = (support − total/g) / (p − 1/g)`.
+    pub fn estimate(&self, support: u64, total: u64) -> f64 {
+        let g = self.g as f64;
+        (support as f64 - total as f64 / g) / (self.p - 1.0 / g)
+    }
 }
 
 /// SplitMix64 finalizer (shared convention across the workspace).
@@ -113,11 +127,11 @@ impl OlhAggregator {
         })
     }
 
-    /// Ingests one report: every domain value whose hash under the
-    /// report's seed equals the reported bucket gains support.
+    /// Ingests one report: every domain value it supports
+    /// ([`Olh::supports`]) gains support.
     pub fn add(&mut self, report: &OlhReport) {
         for (v, support) in self.support.iter_mut().enumerate() {
-            if self.olh.hash(report.seed, v) == report.value {
+            if self.olh.supports(report, v) {
                 *support += 1;
             }
         }
@@ -134,72 +148,9 @@ impl OlhAggregator {
         self.support.len()
     }
 
-    /// The mechanism this aggregator expects reports from.
-    pub fn olh(&self) -> &Olh {
-        &self.olh
-    }
-
-    /// Folds another aggregator's support counts into this one. Support is
-    /// a plain integer sum over the same hash family, so merging is
-    /// associative and commutative — shards can aggregate independently
-    /// and combine in any order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two aggregators were built for different domains or
-    /// different hash ranges (merging them would be meaningless).
-    pub fn merge(&mut self, other: &OlhAggregator) {
-        assert_eq!(
-            self.support.len(),
-            other.support.len(),
-            "cannot merge OLH aggregators over different domains"
-        );
-        assert_eq!(
-            self.olh.g, other.olh.g,
-            "cannot merge OLH aggregators over different hash ranges"
-        );
-        debug_assert!(self.olh.p == other.olh.p);
-        for (mine, theirs) in self.support.iter_mut().zip(&other.support) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-    }
-
-    /// Raw per-value support counts — the full dynamic state of the
-    /// aggregator. Exposed for snapshot serialization.
-    pub fn support(&self) -> &[u64] {
-        &self.support
-    }
-
-    /// Overwrites the dynamic state from snapshotted support counts.
-    ///
-    /// Validated against the OLH structural invariants: the support vector
-    /// must match this aggregator's domain and no value can be supported by
-    /// more reports than were ingested.
-    pub fn restore_support(&mut self, support: &[u64], total: u64) -> Result<()> {
-        if support.len() != self.support.len() {
-            return Err(LdpError::MalformedReport(format!(
-                "OLH snapshot domain {} != aggregator domain {}",
-                support.len(),
-                self.support.len()
-            )));
-        }
-        if let Some(&s) = support.iter().find(|&&s| s > total) {
-            return Err(LdpError::MalformedReport(format!(
-                "OLH snapshot support {s} exceeds {total} reports"
-            )));
-        }
-        self.support.copy_from_slice(support);
-        self.total = total;
-        Ok(())
-    }
-
-    /// Unbiased count estimate:
-    /// `ĉ(v) = (support(v) − n/g) / (p − 1/g)`.
+    /// Unbiased count estimate of `v` ([`Olh::estimate`]).
     pub fn estimate(&self, v: usize) -> f64 {
-        let n = self.total as f64;
-        let g = self.olh.g as f64;
-        (self.support[v] as f64 - n / g) / (self.olh.p - 1.0 / g)
+        self.olh.estimate(self.support[v], self.total)
     }
 
     /// Estimates for the full domain.
@@ -207,14 +158,9 @@ impl OlhAggregator {
         (0..self.support.len()).map(|v| self.estimate(v)).collect()
     }
 
-    /// Indices of the `m` largest estimates, descending (ties toward the
-    /// smaller index).
+    /// Indices of the `m` largest estimates ([`crate::top_m`]).
     pub fn top_m(&self, m: usize) -> Vec<usize> {
-        let est = self.estimates();
-        let mut idx: Vec<usize> = (0..est.len()).collect();
-        idx.sort_by(|&a, &b| est[b].total_cmp(&est[a]).then(a.cmp(&b)));
-        idx.truncate(m);
-        idx
+        crate::top_m(&self.estimates(), m)
     }
 }
 
@@ -306,48 +252,5 @@ mod tests {
     #[test]
     fn rejects_degenerate_domain() {
         assert!(OlhAggregator::new(Olh::new(eps(1.0)), 1).is_err());
-    }
-
-    #[test]
-    fn merged_shards_equal_single_aggregator() {
-        let olh = Olh::new(eps(1.5));
-        let mut rng = ChaCha12Rng::seed_from_u64(5);
-        let reports: Vec<OlhReport> = (0..600).map(|i| olh.perturb(&mut rng, i % 7)).collect();
-
-        let mut whole = OlhAggregator::new(olh.clone(), 9).unwrap();
-        for r in &reports {
-            whole.add(r);
-        }
-
-        let mut shards: Vec<OlhAggregator> = (0..3)
-            .map(|_| OlhAggregator::new(olh.clone(), 9).unwrap())
-            .collect();
-        for (i, r) in reports.iter().enumerate() {
-            shards[i % 3].add(r);
-        }
-        // Fold in a non-sequential order; counts are integers, so the
-        // result is exact, not approximately equal.
-        let mut merged = shards[2].clone();
-        merged.merge(&shards[0]);
-        merged.merge(&shards[1]);
-        assert_eq!(merged, whole);
-        assert_eq!(merged.total(), 600);
-    }
-
-    #[test]
-    #[should_panic(expected = "different domains")]
-    fn merge_rejects_mismatched_domains() {
-        let olh = Olh::new(eps(1.0));
-        let mut a = OlhAggregator::new(olh.clone(), 4).unwrap();
-        let b = OlhAggregator::new(olh, 5).unwrap();
-        a.merge(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "different hash ranges")]
-    fn merge_rejects_mismatched_hash_ranges() {
-        let mut a = OlhAggregator::new(Olh::new(eps(1.0)), 4).unwrap();
-        let b = OlhAggregator::new(Olh::new(eps(3.0)), 4).unwrap();
-        a.merge(&b);
     }
 }

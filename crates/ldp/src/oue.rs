@@ -39,7 +39,7 @@ impl OueReport {
 }
 
 /// The OUE mechanism over a domain of `d ≥ 2` items.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Oue {
     domain: usize,
     eps: Epsilon,
@@ -100,57 +100,41 @@ impl Oue {
     }
 
     /// Panicking variant of [`Oue::try_perturb`] for validated inner loops.
+    #[allow(clippy::expect_used)] // the caller vouches for the domain
     pub fn perturb<R: Rng + ?Sized>(&self, rng: &mut R, value: usize) -> OueReport {
         self.try_perturb(rng, value)
             .expect("value within OUE domain")
     }
+
+    /// Unbiased estimate of how many of `total` users hold a value whose
+    /// bit `count` of their reports set: `ĉ = (count − total·q) / (p − q)`.
+    pub fn estimate(&self, count: u64, total: u64) -> f64 {
+        (count as f64 - total as f64 * self.q) / (Self::P - self.q)
+    }
 }
 
-/// Server-side accumulator for OUE reports with the unbiased estimator
-/// `ĉ(v) = (n_v − n·q) / (p − q)`.
-///
-/// `PartialEq` compares the raw counts (and the mechanism constants), so
-/// two aggregation pipelines can be asserted bit-identical.
+/// Server-side accumulator of OUE reports: the per-bit counts that
+/// [`Oue::estimate`] turns into unbiased count estimates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OueAggregator {
+    oue: Oue,
     counts: Vec<u64>,
     total: u64,
-    q: f64,
 }
 
 impl OueAggregator {
     /// Creates an aggregator matched to an [`Oue`] instance.
     pub fn new(oue: &Oue) -> Self {
         Self {
+            oue: oue.clone(),
             counts: vec![0; oue.domain],
             total: 0,
-            q: oue.q,
         }
     }
 
     /// Ingests one report.
     pub fn add(&mut self, report: &OueReport) {
         for &bit in &report.set_bits {
-            self.counts[bit] += 1;
-        }
-        self.total += 1;
-    }
-
-    /// Ingests one report given as raw set-bit positions — the
-    /// absorb-from-wire fast path: a decoder can stream positions straight
-    /// off a byte buffer into the counts without materializing an
-    /// [`OueReport`] (and its heap allocation) per user.
-    ///
-    /// Exactly equivalent to [`OueAggregator::add`] on a report with the
-    /// same bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a position is outside the domain; callers validate
-    /// untrusted input first (as [`crate::GrrAggregator::add`] does for its
-    /// index).
-    pub fn add_bits(&mut self, bits: &[usize]) {
-        for &bit in bits {
             self.counts[bit] += 1;
         }
         self.total += 1;
@@ -166,59 +150,9 @@ impl OueAggregator {
         self.counts.len()
     }
 
-    /// Folds another aggregator's bit counts into this one. Raw counts are
-    /// plain integer sums, so merging is associative and commutative —
-    /// shards can aggregate independently and combine in any order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two aggregators were built for different domains.
-    pub fn merge(&mut self, other: &OueAggregator) {
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "cannot merge OUE aggregators over different domains"
-        );
-        debug_assert!(self.q == other.q);
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-    }
-
-    /// Raw per-bit counts — the full dynamic state of the aggregator.
-    /// Exposed for snapshot serialization.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Overwrites the dynamic state from snapshotted raw counts.
-    ///
-    /// Validated against the OUE structural invariants: the count vector
-    /// must match this aggregator's domain and no bit can have been set by
-    /// more reports than were ingested.
-    pub fn restore_counts(&mut self, counts: &[u64], total: u64) -> Result<()> {
-        if counts.len() != self.counts.len() {
-            return Err(LdpError::MalformedReport(format!(
-                "OUE snapshot domain {} != aggregator domain {}",
-                counts.len(),
-                self.counts.len()
-            )));
-        }
-        if let Some(&c) = counts.iter().find(|&&c| c > total) {
-            return Err(LdpError::MalformedReport(format!(
-                "OUE snapshot bit count {c} exceeds {total} reports"
-            )));
-        }
-        self.counts.copy_from_slice(counts);
-        self.total = total;
-        Ok(())
-    }
-
     /// Unbiased estimate of the number of users holding `v`.
     pub fn estimate(&self, v: usize) -> f64 {
-        let n = self.total as f64;
-        (self.counts[v] as f64 - n * self.q) / (Oue::P - self.q)
+        self.oue.estimate(self.counts[v], self.total)
     }
 
     /// Unbiased estimates for the full domain.
@@ -226,14 +160,9 @@ impl OueAggregator {
         (0..self.counts.len()).map(|v| self.estimate(v)).collect()
     }
 
-    /// Indices of the `m` largest estimates, descending (ties toward the
-    /// smaller index).
+    /// Indices of the `m` largest estimates ([`crate::top_m`]).
     pub fn top_m(&self, m: usize) -> Vec<usize> {
-        let est = self.estimates();
-        let mut idx: Vec<usize> = (0..est.len()).collect();
-        idx.sort_by(|&a, &b| est[b].total_cmp(&est[a]).then(a.cmp(&b)));
-        idx.truncate(m);
-        idx
+        crate::top_m(&self.estimates(), m)
     }
 }
 
@@ -316,27 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_single_aggregation() {
-        let o = Oue::new(6, eps(1.0)).unwrap();
-        let mut rng = ChaCha12Rng::seed_from_u64(4);
-        let reports: Vec<OueReport> = (0..500).map(|i| o.perturb(&mut rng, i % 6)).collect();
-        let mut whole = OueAggregator::new(&o);
-        let mut left = OueAggregator::new(&o);
-        let mut right = OueAggregator::new(&o);
-        for (i, r) in reports.iter().enumerate() {
-            whole.add(r);
-            if i % 2 == 0 {
-                left.add(r);
-            } else {
-                right.add(r);
-            }
-        }
-        right.merge(&left); // merge in the "wrong" order on purpose
-        assert_eq!(right.total(), whole.total());
-        assert_eq!(right.estimates(), whole.estimates());
-    }
-
-    #[test]
     fn from_set_bits_round_trips_and_validates() {
         let o = Oue::new(8, eps(1.0)).unwrap();
         let mut rng = ChaCha12Rng::seed_from_u64(7);
@@ -354,20 +262,6 @@ mod tests {
             Err(LdpError::MalformedReport(_))
         ));
         assert!(OueReport::from_set_bits(Vec::new()).is_ok());
-    }
-
-    #[test]
-    fn add_bits_equals_add() {
-        let o = Oue::new(10, eps(1.0)).unwrap();
-        let mut rng = ChaCha12Rng::seed_from_u64(8);
-        let mut via_report = OueAggregator::new(&o);
-        let mut via_bits = OueAggregator::new(&o);
-        for i in 0..200 {
-            let r = o.perturb(&mut rng, i % 10);
-            via_report.add(&r);
-            via_bits.add_bits(r.set_bits());
-        }
-        assert_eq!(via_report, via_bits);
     }
 
     #[test]

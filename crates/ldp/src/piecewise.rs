@@ -75,6 +75,11 @@ impl PiecewiseMechanism {
 
     /// Panicking variant for validated inner loops; clamps tiny numeric
     /// overshoot (±1e-12) before checking.
+    ///
+    /// # Panics
+    ///
+    /// If `t` is NaN, which no clamp brings into range.
+    #[allow(clippy::expect_used)] // the clamp puts every input but NaN in range
     pub fn perturb<R: Rng + ?Sized>(&self, rng: &mut R, t: f64) -> f64 {
         let clamped = t.clamp(-1.0, 1.0);
         self.try_perturb(rng, clamped)
@@ -97,15 +102,37 @@ impl PiecewiseMechanism {
     pub fn quantized_bound(&self) -> i64 {
         (self.c * Self::SCALE as f64).ceil() as i64
     }
+
+    /// Checks one quantized report (untrusted wire input) against the
+    /// mechanism's output range.
+    pub fn check(&self, report: i64) -> Result<()> {
+        // `unsigned_abs`: `i64::MIN` has no positive twin to compare.
+        if report.unsigned_abs() > self.quantized_bound().unsigned_abs() {
+            return Err(LdpError::ValueOutOfRange {
+                value: report as f64 / Self::SCALE as f64,
+                lo: -self.c,
+                hi: self.c,
+            });
+        }
+        Ok(())
+    }
+
+    /// Unbiased estimate of the mean true input from the exact `sum` of
+    /// `total` quantized reports, or `None` when there are none.
+    pub fn mean(&self, sum: i128, total: u64) -> Option<f64> {
+        if total == 0 {
+            return None;
+        }
+        Some(sum as f64 / total as f64 / Self::SCALE as f64)
+    }
 }
 
 /// Server-side aggregator for quantized Piecewise reports.
 ///
 /// Holds an exact integer sum (`i128`, so overflow is out of reach for any
-/// realistic population) plus a report count; the mean estimator is
-/// unbiased for the mean of the true inputs. Because the state is pure
-/// integer arithmetic, [`PiecewiseAggregator::merge`] is associative and
-/// commutative — shards combine in any order with bit-identical results.
+/// realistic population) plus a report count; the mean estimator
+/// [`PiecewiseMechanism::mean`] is unbiased for the mean of the true
+/// inputs, and integer sums come out the same in any order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PiecewiseAggregator {
     mechanism: PiecewiseMechanism,
@@ -123,29 +150,10 @@ impl PiecewiseAggregator {
         }
     }
 
-    /// The mechanism this aggregator expects reports from.
-    pub fn mechanism(&self) -> &PiecewiseMechanism {
-        &self.mechanism
-    }
-
-    /// Checks one quantized report against the mechanism's declared output
-    /// range (untrusted wire input) without ingesting it.
-    pub fn check(&self, report: i64) -> Result<()> {
-        // `unsigned_abs`: `i64::MIN` has no positive twin to compare.
-        if report.unsigned_abs() > self.mechanism.quantized_bound().unsigned_abs() {
-            return Err(LdpError::ValueOutOfRange {
-                value: report as f64 / PiecewiseMechanism::SCALE as f64,
-                lo: -self.mechanism.output_bound(),
-                hi: self.mechanism.output_bound(),
-            });
-        }
-        Ok(())
-    }
-
     /// Ingests one quantized report, rejecting what
-    /// [`PiecewiseAggregator::check`] rejects.
+    /// [`PiecewiseMechanism::check`] rejects.
     pub fn add(&mut self, report: i64) -> Result<()> {
-        self.check(report)?;
+        self.mechanism.check(report)?;
         self.sum += i128::from(report);
         self.total += 1;
         Ok(())
@@ -156,54 +164,10 @@ impl PiecewiseAggregator {
         self.total
     }
 
-    /// Folds another aggregator's exact integer state into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two aggregators were built for different mechanisms
-    /// (different ε means different output bounds, so the sums are not
-    /// comparable).
-    pub fn merge(&mut self, other: &PiecewiseAggregator) {
-        assert_eq!(
-            self.mechanism, other.mechanism,
-            "cannot merge piecewise aggregators over different mechanisms"
-        );
-        self.sum += other.sum;
-        self.total += other.total;
-    }
-
-    /// Exact integer sum of all quantized reports — the full dynamic state
-    /// alongside [`PiecewiseAggregator::total`]. Exposed for snapshot
-    /// serialization.
-    pub fn sum(&self) -> i128 {
-        self.sum
-    }
-
-    /// Overwrites the dynamic state from a snapshotted sum.
-    ///
-    /// Validated against the mechanism's declared output range: `total`
-    /// in-range reports can never sum past `total · quantized_bound` in
-    /// magnitude, so anything beyond that is a forged snapshot.
-    pub fn restore_sum(&mut self, sum: i128, total: u64) -> Result<()> {
-        let bound = i128::from(total) * i128::from(self.mechanism.quantized_bound());
-        // `unsigned_abs`: `i128::MIN` has no positive twin to compare.
-        if sum.unsigned_abs() > bound.unsigned_abs() {
-            return Err(LdpError::MalformedReport(format!(
-                "piecewise snapshot sum {sum} exceeds bound {bound} for {total} reports"
-            )));
-        }
-        self.sum = sum;
-        self.total = total;
-        Ok(())
-    }
-
     /// Unbiased estimate of the mean true input, or `None` when no reports
     /// have arrived.
     pub fn mean(&self) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        Some(self.sum as f64 / self.total as f64 / PiecewiseMechanism::SCALE as f64)
+        self.mechanism.mean(self.sum, self.total)
     }
 }
 
@@ -313,31 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_shards_equal_single_aggregator() {
-        let m = pm(1.5);
-        let mut rng = ChaCha12Rng::seed_from_u64(7);
-        let reports: Vec<i64> = (0..900)
-            .map(|i| m.quantize(m.perturb(&mut rng, -1.0 + 2.0 * (i as f64 / 899.0))))
-            .collect();
-
-        let mut whole = PiecewiseAggregator::new(m);
-        for &q in &reports {
-            whole.add(q).unwrap();
-        }
-        let mut shards: Vec<PiecewiseAggregator> =
-            (0..3).map(|_| PiecewiseAggregator::new(m)).collect();
-        for (i, &q) in reports.iter().enumerate() {
-            shards[i % 3].add(q).unwrap();
-        }
-        let mut merged = shards[1].clone();
-        merged.merge(&shards[2]);
-        merged.merge(&shards[0]);
-        // Integer state: exact equality, not approximate.
-        assert_eq!(merged, whole);
-        assert_eq!(merged.total(), 900);
-    }
-
-    #[test]
     fn add_rejects_out_of_bound_wire_values() {
         let m = pm(1.0);
         let mut agg = PiecewiseAggregator::new(m);
@@ -346,13 +285,5 @@ mod tests {
         // The one value whose magnitude overflows `i64`.
         assert!(agg.add(i64::MIN).is_err());
         assert_eq!(agg.total(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "different mechanisms")]
-    fn merge_rejects_mismatched_mechanisms() {
-        let mut a = PiecewiseAggregator::new(pm(1.0));
-        let b = PiecewiseAggregator::new(pm(2.0));
-        a.merge(&b);
     }
 }

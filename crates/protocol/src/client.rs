@@ -49,8 +49,17 @@ impl GroupAssignment {
     /// This replays the server's seeded Fisher–Yates shuffle, so it is a
     /// pure function of the broadcast parameters: any client (or shard)
     /// computes the identical partition without communication.
+    ///
+    /// A population too large to index (`params.n` past what memory can
+    /// hold, e.g. `usize::MAX`) gets no assignments: every device then
+    /// enrolls unassigned, and [`crate::Session`] refuses that population
+    /// with a typed error.
     pub fn derive_all(params: &ProtocolParams) -> Vec<GroupAssignment> {
-        let mut out = vec![GroupAssignment::default(); params.n];
+        let mut out = Vec::new();
+        if out.try_reserve_exact(params.n).is_err() {
+            return out;
+        }
+        out.resize(params.n, GroupAssignment::default());
         let mut place = |users: &[usize], group: GroupId| {
             for (rank, &user) in users.iter().enumerate() {
                 out[user] = GroupAssignment {
@@ -60,21 +69,23 @@ impl GroupAssignment {
                 };
             }
         };
-        match &params.kind {
-            MechanismKind::PrivShape { split } => {
-                let groups = split_population(params.n, split, params.seed)
-                    .expect("n user ids fit where the n assignments above did");
-                place(&groups.pa, GroupId::Pa);
-                place(&groups.pb, GroupId::Pb);
-                place(&groups.pc, GroupId::Pc);
-                place(&groups.pd, GroupId::Pd);
-            }
+        let placed = match &params.kind {
+            MechanismKind::PrivShape { split } => split_population(params.n, split, params.seed)
+                .map(|groups| {
+                    place(&groups.pa, GroupId::Pa);
+                    place(&groups.pb, GroupId::Pb);
+                    place(&groups.pc, GroupId::Pc);
+                    place(&groups.pd, GroupId::Pd);
+                }),
             MechanismKind::Baseline { pa } => {
-                let (group_a, group_b) = baseline_split(params.n, *pa, params.seed)
-                    .expect("n user ids fit where the n assignments above did");
-                place(&group_a, GroupId::Pa);
-                place(&group_b, GroupId::Pb);
+                baseline_split(params.n, *pa, params.seed).map(|(group_a, group_b)| {
+                    place(&group_a, GroupId::Pa);
+                    place(&group_b, GroupId::Pb);
+                })
             }
+        };
+        if placed.is_err() {
+            out = Vec::new();
         }
         out
     }
@@ -529,6 +540,27 @@ mod tests {
         let all = GroupAssignment::derive_all(&p);
         for (u, &a) in all.iter().enumerate() {
             assert_eq!(GroupAssignment::derive(&p, u), a);
+        }
+    }
+
+    #[test]
+    fn unindexable_populations_get_no_assignments() {
+        let baseline = crate::config::BaselineConfig::new(
+            Epsilon::new(4.0).unwrap(),
+            2,
+            SaxParams::new(10, 3).unwrap(),
+        );
+        for p in [
+            params(usize::MAX),
+            ProtocolParams::baseline(&baseline, usize::MAX),
+        ] {
+            assert!(GroupAssignment::derive_all(&p).is_empty());
+            for user in [0, usize::MAX - 1] {
+                assert_eq!(
+                    GroupAssignment::derive(&p, user),
+                    GroupAssignment::default()
+                );
+            }
         }
     }
 

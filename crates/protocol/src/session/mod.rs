@@ -411,12 +411,20 @@ impl Session {
 
     /// Ingests a batch of reports for the open round. May be called any
     /// number of times before the next [`Session::next_round`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Protocol`] for a report the round refuses, and, before
+    /// absorbing any of the batch, for a batch that would take the round
+    /// past one report per user of the population.
     pub fn submit(&mut self, reports: &[Report]) -> Result<()> {
+        let n = self.params.n;
         let Some(open) = self.open.as_mut() else {
             return Err(Error::Protocol(
                 "submit with no open round (call next_round first)".into(),
             ));
         };
+        check_room(&open.agg, reports.len() as u64, n)?;
         for report in reports {
             open.agg.absorb(report)?;
         }
@@ -425,12 +433,20 @@ impl Session {
 
     /// Merges a shard's partial aggregate into the open round. Chunking
     /// and merge order never change the outcome.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Protocol`], leaving the round unchanged, for a shard built
+    /// for another round and for one that would take the round past one
+    /// report per user of the population.
     pub fn submit_shard(&mut self, shard: &ShardAggregator) -> Result<()> {
+        let n = self.params.n;
         let Some(open) = self.open.as_mut() else {
             return Err(Error::Protocol(
                 "submit_shard with no open round (call next_round first)".into(),
             ));
         };
+        check_room(&open.agg, shard.reports(), n)?;
         open.agg.merge(shard)
     }
 
@@ -498,11 +514,11 @@ impl Session {
             RoundSpec::SubShape { alphabet, .. } => {
                 self.bigram_sets = open
                     .agg
-                    .finalize_subshape()?
-                    .iter()
-                    .map(|agg| {
+                    .finalize_subshape(self.top_m)?
+                    .into_iter()
+                    .map(|top| {
                         let mut set = BigramSet::new(alphabet);
-                        for idx in agg.top_m(self.top_m) {
+                        for idx in top {
                             let (x, y) = BigramSet::domain_index_to_pair(alphabet, idx)
                                 .expect("aggregator domain matches bigram domain");
                             set.insert(x, y);
@@ -783,6 +799,19 @@ fn frontier_has_allowed_edge(trie: &ShapeTrie, level: usize, set: &BigramSet) ->
     Ok(false)
 }
 
+/// Each user reports at most once per round, so a round can hold at most
+/// `n` reports: [`Session::restore`] refuses a logged round past that, and
+/// a live round never gets there.
+fn check_room(agg: &ShardAggregator, more: u64, n: usize) -> Result<()> {
+    let held = agg.reports();
+    if held.saturating_add(more) > n as u64 {
+        return Err(Error::Protocol(format!(
+            "{more} more reports would take a round holding {held} past its {n} users"
+        )));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1025,8 +1054,7 @@ mod tests {
         let length_state = |reports: u64| {
             let mut state = Vec::new();
             crate::wire::put_varint(&mut state, reports);
-            state.extend_from_slice(&[1, 1]); // length round, GRR oracle
-            crate::wire::put_varint(&mut state, reports); // GRR total
+            state.push(1); // length round, GRR oracle
             crate::wire::put_varint(&mut state, 6); // lengths 1..=6
             crate::wire::put_varint(&mut state, reports); // all at length 1
             state.extend_from_slice(&[0; 5]);
@@ -1039,6 +1067,32 @@ mod tests {
                 "reports from 500 users",
             );
         }
+    }
+
+    /// A round holds at most one report per user: a batch or a shard that
+    /// would take it past the population is refused whole, so the live
+    /// session never logs a round its own restore would refuse.
+    #[test]
+    fn rounds_refuse_more_reports_than_users() {
+        let mut s = Session::privshape(config(), 100).unwrap();
+        s.next_round().unwrap().expect("length round");
+        let held = |s: &Session| s.open.as_ref().unwrap().agg.reports();
+        let lengths = |n: usize| vec![Report::Length(0); n];
+        assert!(matches!(s.submit(&lengths(150)), Err(Error::Protocol(_))));
+        assert_eq!(held(&s), 0, "a refused batch absorbed reports");
+        let mut shard = s.shard_aggregator().unwrap();
+        for _ in 0..101 {
+            shard.absorb(&Report::Length(0)).unwrap();
+        }
+        assert!(matches!(s.submit_shard(&shard), Err(Error::Protocol(_))));
+        assert_eq!(held(&s), 0, "a refused shard was merged");
+        // Up to the population is fine, and the snapshot restores.
+        s.submit(&lengths(60)).unwrap();
+        assert!(s.submit(&lengths(41)).is_err());
+        s.submit(&lengths(40)).unwrap();
+        assert_eq!(held(&s), 100);
+        let restored = Session::restore(&s.snapshot()).unwrap();
+        assert_eq!(held(&restored), 100);
     }
 
     /// Restored ingest counters are untrusted input too: a session

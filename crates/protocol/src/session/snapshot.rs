@@ -12,23 +12,29 @@
 //! # Format
 //!
 //! ```text
-//! 0xF7  u8(version=3)  varint(body_len)  u64_le(fnv1a64(body))  body
+//! 0xF7  u8(version=4)  varint(body_len)  u64_le(fnv1a64(body))  body
 //! body = origin · varint(n) · mode · ingest counters
 //!      · varint(rounds) · aggregate × rounds · u8(complete)
+//! aggregate = varint(reports) · u8(kind) · [varint(table generation)]
+//!           · varint(len) · varint(count)* · [i128_le(sum)]
 //! ```
 //!
 //! `rounds` counts the rounds opened so far; an open round's aggregate is
-//! the last. `complete` marks a session whose `next_round` returned
-//! `None`. Length before checksum before body, as in the sealed report
-//! frames (`0xF5`), so truncation and bit-flips are rejected before any
-//! field is parsed.
+//! the last. Every round kind stores its counts the same way; the table
+//! generation is present in the candidate-table rounds and the sum in the
+//! piecewise length round. `complete` marks a session whose `next_round`
+//! returned `None`. Length before checksum before body, as in the sealed
+//! report frames (`0xF5`), so truncation and bit-flips are rejected before
+//! any field is parsed.
 //!
 //! The checksum is no MAC, so the bytes are *untrusted input*: the
 //! constructor re-validates the config, each aggregate must match the
-//! round the replay opened (kind, oracle, domain, candidate-table
-//! generation, count invariants) and hold at most `n` reports, and a log
-//! longer than the protocol, a complete flag with rounds left, or
-//! trailing bytes are typed errors.
+//! round the replay opened (kind and oracle, count vector length,
+//! candidate-table generation), its counts must be ones its declared
+//! reports could produce (the invariants of
+//! [`crate::ShardAggregator`]'s restore), and it must hold at most `n`
+//! reports; a log longer than the protocol, a complete flag with rounds
+//! left, or trailing bytes are typed errors.
 
 use super::{Mode, Origin, Phase, Session};
 use crate::config::{
@@ -47,10 +53,11 @@ use privshape_timeseries::SaxParams;
 const SNAPSHOT_MAGIC: u8 = 0xF7;
 
 /// Version byte of the snapshot format this build writes and accepts.
-/// Version 3 is the round-aggregate log; every other version, including
-/// version 2's derived-state snapshots, is rejected with a typed
-/// [`Error::UnsupportedVersion`].
-pub const SNAPSHOT_VERSION: u8 = 3;
+/// Version 4 is the round-aggregate log with one count-vector layout for
+/// every round kind; every other version, including version 3's per-kind
+/// aggregate layouts and version 2's derived-state snapshots, is rejected
+/// with a typed [`Error::UnsupportedVersion`].
+pub const SNAPSHOT_VERSION: u8 = 4;
 
 fn bad(msg: impl Into<String>) -> Error {
     Error::Protocol(format!("invalid session snapshot: {}", msg.into()))

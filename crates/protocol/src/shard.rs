@@ -3,19 +3,26 @@
 //! Reports from millions of users do not arrive as one slice: ingestion
 //! nodes (shards) each absorb their stream of reports into a local
 //! [`ShardAggregator`] and periodically ship the partial sums upstream.
-//! Every aggregate in the protocol is a vector of integer counts, so
-//! [`ShardAggregator::merge`] is associative and commutative — chunking
-//! and merge order can never change the final extraction (enforced by the
-//! shard-merge property test).
+//!
+//! Every aggregate in the protocol is a vector of integer counts: GRR hits
+//! per length value or per level × bigram, OUE bits per length value or
+//! per candidate × class cell, OLH support per length value, and EM
+//! selections per candidate. The piecewise length oracle keeps one exact
+//! integer sum instead. A [`ShardAggregator`] is that vector beside the
+//! static round it counts for, so every round kind merges, snapshots and
+//! restores the same way, and [`ShardAggregator::merge`] is an elementwise
+//! add: associative and commutative, so chunking and merge order can never
+//! change the final extraction (enforced by the shard-merge property
+//! test). The estimates are read off the counts by the mechanisms' own
+//! estimators ([`Grr::estimate`], [`Oue::estimate`], [`Olh::estimate`],
+//! [`PiecewiseMechanism::mean`]), the ones the `privshape-ldp` reference
+//! aggregators use.
 
 use crate::config::LengthOracle;
 use crate::error::{Error, Result};
 use crate::round::{Report, RoundSpec};
 use crate::wire;
-use privshape_ldp::{
-    Epsilon, Grr, GrrAggregator, LdpError, Olh, OlhAggregator, OlhReport, Oue, OueAggregator,
-    PiecewiseAggregator, PiecewiseMechanism,
-};
+use privshape_ldp::{top_m, Epsilon, Grr, LdpError, Olh, OlhReport, Oue, PiecewiseMechanism};
 
 /// Partial aggregation state for one round, mergeable across shards.
 ///
@@ -29,113 +36,77 @@ pub struct ShardAggregator {
     /// under different budgets count incomparable things, so
     /// [`ShardAggregator::merge`] refuses to mix them.
     epsilon: Epsilon,
-    inner: Inner,
+    round: Round,
+    /// Every count the round keeps, laid out as its [`Round`] variant
+    /// says.
+    counts: Vec<u64>,
+    /// The piecewise length oracle's exact sum of quantized reports; 0 in
+    /// every other round.
+    sum: i128,
 }
 
-/// Per-oracle aggregation state for a length round. Each variant is pure
-/// integer state (OLH support counts; piecewise reports are fixed-point
-/// quantized), so every oracle keeps the merge-order-insensitivity
-/// invariant exactly.
+/// The static part of a round's aggregate, which
+/// [`ShardAggregator::for_round`] builds from the spec alone: the round
+/// kind, the oracle's mechanism, the piecewise oracle's domain and the
+/// candidate-table generation. Every other domain is the length of the
+/// count vector, so two shards count the same things exactly when their
+/// rounds and their count vectors' lengths are equal.
 #[derive(Debug, Clone, PartialEq)]
-enum LengthAgg {
-    Grr(GrrAggregator),
-    Oue(OueAggregator),
-    Olh(OlhAggregator),
-    Piecewise(PiecewiseAggregator),
+enum Round {
+    /// One GRR count per length value.
+    LengthGrr(Grr),
+    /// One OUE bit count per length value.
+    LengthOue(Oue),
+    /// One OLH support count per length value.
+    LengthOlh(Olh),
+    /// No counts, only the sum, over `domain` length values.
+    LengthPiecewise {
+        pm: PiecewiseMechanism,
+        domain: usize,
+    },
+    /// One GRR count per level × bigram, level by level.
+    SubShape { grr: Grr, levels: usize },
+    /// One EM selection count per candidate. `table_gen` is the broadcast
+    /// candidate table's fingerprint: selection indices are only
+    /// meaningful relative to one table generation, so shards of two
+    /// generations never merge.
+    Expand { level: usize, table_gen: u64 },
+    /// One EM selection count per candidate of the unlabeled refinement.
+    RefineSelect { table_gen: u64 },
+    /// One OUE bit count per candidate × class cell (`candidate ·
+    /// n_classes + class`), or none on a grid of fewer than two cells
+    /// (`oue` is `None`), whose reports carry no information.
+    RefineLabeled {
+        oue: Option<Oue>,
+        n_candidates: usize,
+        n_classes: usize,
+        table_gen: u64,
+    },
 }
 
-impl LengthAgg {
-    fn same_oracle(&self, other: &LengthAgg) -> bool {
-        matches!(
-            (self, other),
-            (LengthAgg::Grr(_), LengthAgg::Grr(_))
-                | (LengthAgg::Oue(_), LengthAgg::Oue(_))
-                | (LengthAgg::Olh(_), LengthAgg::Olh(_))
-                | (LengthAgg::Piecewise(_), LengthAgg::Piecewise(_))
-        )
-    }
-
-    fn merge(&mut self, other: &LengthAgg) {
-        match (self, other) {
-            (LengthAgg::Grr(a), LengthAgg::Grr(b)) => a.merge(b),
-            (LengthAgg::Oue(a), LengthAgg::Oue(b)) => a.merge(b),
-            (LengthAgg::Olh(a), LengthAgg::Olh(b)) => a.merge(b),
-            (LengthAgg::Piecewise(a), LengthAgg::Piecewise(b)) => a.merge(b),
-            _ => unreachable!("same_oracle is checked before merging"),
+impl Round {
+    /// The round's snapshot kind byte and its name.
+    fn kind(&self) -> (u8, &'static str) {
+        match self {
+            Round::LengthGrr(_) => (1, "length GRR"),
+            Round::LengthOue(_) => (2, "length OUE"),
+            Round::LengthOlh(_) => (3, "length OLH"),
+            Round::LengthPiecewise { .. } => (4, "length piecewise"),
+            Round::SubShape { .. } => (5, "sub-shape"),
+            Round::Expand { .. } => (6, "expand"),
+            Round::RefineSelect { .. } => (7, "refine-select"),
+            Round::RefineLabeled { .. } => (8, "refine-labeled"),
         }
     }
-}
 
-/// Length-round absorption, split out of [`ShardAggregator::absorb`] and
-/// kept out of line: the length round fires once per session over a tiny
-/// domain, and folding its four-oracle dispatch into the hot absorb match
-/// measurably slows the expand/refine bulk (~10 ns/report).
-#[inline(never)]
-fn absorb_length(agg: &mut LengthAgg, domain: usize, report: &Report) -> Result<()> {
-    match (agg, report) {
-        (LengthAgg::Grr(agg), Report::Length(v)) => {
-            check_length(*v, domain)?;
-            agg.add(*v);
-        }
-        (LengthAgg::Oue(agg), Report::LengthOue(r)) => {
-            check_bits("length OUE", r.set_bits().last().copied(), domain)?;
-            agg.add(r);
-        }
-        (LengthAgg::Olh(agg), Report::LengthOlh(r)) => {
-            check_olh(r.value, agg)?;
-            agg.add(r);
-        }
-        (LengthAgg::Piecewise(agg), Report::LengthPiecewise(q)) => {
-            agg.add(*q).map_err(piecewise_err)?;
-        }
-        (_, report) => {
-            return Err(Error::Protocol(format!(
-                "report kind '{}' does not match round aggregate length",
-                report.kind(),
-            )));
+    fn table_gen(&self) -> Option<u64> {
+        match self {
+            Round::Expand { table_gen, .. }
+            | Round::RefineSelect { table_gen }
+            | Round::RefineLabeled { table_gen, .. } => Some(*table_gen),
+            _ => None,
         }
     }
-    Ok(())
-}
-
-/// Wire-side twin of [`absorb_length`] for [`ShardAggregator::check_wire`]
-/// (same once-per-session rationale).
-#[inline(never)]
-fn check_wire_length<'a>(
-    agg: &LengthAgg,
-    domain: usize,
-    tag: u8,
-    buf: &'a [u8],
-    pos: &mut usize,
-) -> Result<WireReport<'a>> {
-    Ok(match (agg, tag) {
-        (LengthAgg::Grr(_), wire::TAG_LENGTH) => {
-            let v = wire::read_usize(buf, pos)?;
-            check_length(v, domain)?;
-            WireReport::Length(v)
-        }
-        (LengthAgg::Oue(_), wire::TAG_LENGTH_OUE) => {
-            let start = *pos;
-            check_bits("length OUE", wire::walk_oue_bits(buf, pos, None)?, domain)?;
-            WireReport::Bits(&buf[start..*pos])
-        }
-        (LengthAgg::Olh(agg), wire::TAG_LENGTH_OLH) => {
-            let seed = wire::read_varint(buf, pos)?;
-            let value = wire::read_usize(buf, pos)?;
-            check_olh(value, agg)?;
-            WireReport::Olh(OlhReport { seed, value })
-        }
-        (LengthAgg::Piecewise(agg), wire::TAG_LENGTH_PIECEWISE) => {
-            let q = wire::unzigzag(wire::read_varint(buf, pos)?);
-            agg.check(q).map_err(piecewise_err)?;
-            WireReport::Piecewise(q)
-        }
-        (_, tag) => {
-            return Err(Error::Protocol(format!(
-                "report tag 0x{tag:02x} does not match round aggregate length"
-            )));
-        }
-    })
 }
 
 fn check_select(sel: usize, candidates: usize) -> Result<()> {
@@ -181,11 +152,11 @@ fn check_bits(what: &str, last: Option<usize>, domain: usize) -> Result<()> {
     Ok(())
 }
 
-fn check_olh(value: usize, agg: &OlhAggregator) -> Result<()> {
-    if value >= agg.olh().g() {
+fn check_olh(value: usize, olh: &Olh) -> Result<()> {
+    if value >= olh.g() {
         return Err(Error::Protocol(format!(
             "length OLH report bucket {value} outside hash range {}",
-            agg.olh().g()
+            olh.g()
         )));
     }
     Ok(())
@@ -195,10 +166,20 @@ fn piecewise_err(e: LdpError) -> Error {
     Error::Protocol(format!("length piecewise report rejected: {e}"))
 }
 
-fn unchecked_report(round: &str) -> Error {
-    Error::Protocol(format!(
-        "wire report was not checked against this {round} round"
-    ))
+/// Counts an OUE report's set bits, which were checked against `counts`.
+fn count_bits(counts: &mut [u64], bits: &[usize]) {
+    for &bit in bits {
+        counts[bit] += 1;
+    }
+}
+
+/// Counts an OLH report as support for every length value it supports.
+fn count_support(counts: &mut [u64], olh: &Olh, report: &OlhReport) {
+    for (v, support) in counts.iter_mut().enumerate() {
+        if olh.supports(report, v) {
+            *support += 1;
+        }
+    }
 }
 
 /// One wire report that [`ShardAggregator::check_wire`] accepted for a
@@ -220,56 +201,12 @@ pub(crate) enum WireReport<'a> {
     Bits(&'a [u8]),
 }
 
-/// Index of the largest estimate; ties go to the smaller index.
-/// `total_cmp` keeps the choice deterministic even if an estimate were
-/// ever NaN (it cannot be for integer counts, but the aggregator should
-/// not be the component that panics on it).
-fn argmax_f64(estimates: &[f64]) -> usize {
-    let mut best = 0usize;
-    for (i, v) in estimates.iter().enumerate().skip(1) {
-        if v.total_cmp(&estimates[best]) == std::cmp::Ordering::Greater {
-            best = i;
-        }
-    }
-    best
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Inner {
-    /// Frequency-oracle state over the clipped-length domain.
-    Length { agg: LengthAgg, domain: usize },
-    /// Per-level GRR counts over the distinct-bigram domain.
-    SubShape {
-        aggs: Vec<GrrAggregator>,
-        domain: usize,
-    },
-    /// EM selection counts for one expansion level. `table_gen` is the
-    /// broadcast candidate table's fingerprint: selection indices are only
-    /// meaningful relative to one table generation, so merging across
-    /// generations is refused.
-    Expand {
-        counts: Vec<u64>,
-        level: usize,
-        table_gen: u64,
-    },
-    /// EM selection counts for the unlabeled refinement.
-    RefineSelect { counts: Vec<u64>, table_gen: u64 },
-    /// OUE bit counts over the candidate × class grid (`None` for the
-    /// degenerate single-cell grid, whose reports carry no information).
-    RefineLabeled {
-        agg: Option<OueAggregator>,
-        n_candidates: usize,
-        n_classes: usize,
-        table_gen: u64,
-    },
-}
-
 impl ShardAggregator {
     /// Creates the empty aggregation state matching a round broadcast.
     /// Every shard answering the same round builds an identical (hence
     /// mergeable) state from the spec alone.
     pub fn for_round(spec: &RoundSpec, epsilon: Epsilon) -> Result<Self> {
-        let inner = match spec {
+        let (round, cells) = match spec {
             RoundSpec::Length { range, oracle, .. } => {
                 let (lo, hi) = *range;
                 if lo >= hi {
@@ -278,21 +215,15 @@ impl ShardAggregator {
                     )));
                 }
                 let domain = hi - lo + 1;
-                let agg = match oracle {
-                    LengthOracle::Grr => {
-                        LengthAgg::Grr(GrrAggregator::new(&Grr::new(domain, epsilon)?))
+                match oracle {
+                    LengthOracle::Grr => (Round::LengthGrr(Grr::new(domain, epsilon)?), domain),
+                    LengthOracle::Oue => (Round::LengthOue(Oue::new(domain, epsilon)?), domain),
+                    LengthOracle::Olh => (Round::LengthOlh(Olh::new(epsilon)), domain),
+                    LengthOracle::Piecewise => {
+                        let pm = PiecewiseMechanism::new(epsilon);
+                        (Round::LengthPiecewise { pm, domain }, 0)
                     }
-                    LengthOracle::Oue => {
-                        LengthAgg::Oue(OueAggregator::new(&Oue::new(domain, epsilon)?))
-                    }
-                    LengthOracle::Olh => {
-                        LengthAgg::Olh(OlhAggregator::new(Olh::new(epsilon), domain)?)
-                    }
-                    LengthOracle::Piecewise => LengthAgg::Piecewise(PiecewiseAggregator::new(
-                        PiecewiseMechanism::new(epsilon),
-                    )),
-                };
-                Inner::Length { agg, domain }
+                }
             }
             RoundSpec::SubShape {
                 ell_s, alphabet, ..
@@ -302,47 +233,51 @@ impl ShardAggregator {
                         "sub-shape round with ell_s = {ell_s} has no levels"
                     )));
                 }
-                let domain = alphabet * (alphabet - 1);
-                let grr = Grr::new(domain, epsilon)?;
-                Inner::SubShape {
-                    aggs: (0..ell_s - 1).map(|_| GrrAggregator::new(&grr)).collect(),
-                    domain,
-                }
+                let grr = Grr::new(alphabet * (alphabet - 1), epsilon)?;
+                let levels = ell_s - 1;
+                let cells = levels.checked_mul(grr.domain()).ok_or_else(|| {
+                    Error::Protocol(format!("sub-shape round of {levels} levels is too large"))
+                })?;
+                (Round::SubShape { grr, levels }, cells)
             }
             RoundSpec::Expand {
                 level, candidates, ..
-            } => Inner::Expand {
-                counts: vec![0; candidates.len()],
-                level: *level,
-                table_gen: candidates.fingerprint(),
-            },
-            RoundSpec::RefineUnlabeled { candidates, .. } => Inner::RefineSelect {
-                counts: vec![0; candidates.len()],
-                table_gen: candidates.fingerprint(),
-            },
+            } => (
+                Round::Expand {
+                    level: *level,
+                    table_gen: candidates.fingerprint(),
+                },
+                candidates.len(),
+            ),
+            RoundSpec::RefineUnlabeled { candidates, .. } => (
+                Round::RefineSelect {
+                    table_gen: candidates.fingerprint(),
+                },
+                candidates.len(),
+            ),
             RoundSpec::RefineLabeled {
                 candidates,
                 n_classes,
                 ..
             } => {
                 let cells = candidates.len() * n_classes;
-                let agg = if cells >= 2 {
-                    Some(OueAggregator::new(&Oue::new(cells, epsilon)?))
-                } else {
-                    None
-                };
-                Inner::RefineLabeled {
-                    agg,
+                let oue = (cells >= 2).then(|| Oue::new(cells, epsilon)).transpose()?;
+                let kept = oue.as_ref().map_or(0, Oue::domain);
+                let round = Round::RefineLabeled {
+                    oue,
                     n_candidates: candidates.len(),
                     n_classes: *n_classes,
                     table_gen: candidates.fingerprint(),
-                }
+                };
+                (round, kept)
             }
         };
         Ok(Self {
             reports: 0,
             epsilon,
-            inner,
+            round,
+            counts: vec![0; cells],
+            sum: 0,
         })
     }
 
@@ -354,36 +289,46 @@ impl ShardAggregator {
     /// Absorbs one report, validating that its kind and domain match the
     /// round this aggregator was built for.
     ///
-    /// Arm order matters here: expand / refine-select reports are the
-    /// per-user-per-level bulk of every session and absorption runs at
-    /// ~10 ns/report, so the hot arms come first and the once-per-session
-    /// length-oracle dispatch lives in a non-inlined helper — keeping this
-    /// body small enough to stay inlined into the absorb loops.
+    /// The expand / refine-select arm comes first: those reports are the
+    /// per-user-per-level bulk of every session.
     pub fn absorb(&mut self, report: &Report) -> Result<()> {
-        match (&mut self.inner, report) {
-            (Inner::Expand { counts, .. }, Report::Expand(sel))
-            | (Inner::RefineSelect { counts, .. }, Report::RefineSelect(sel)) => {
+        let counts = &mut self.counts;
+        match (&self.round, report) {
+            (Round::Expand { .. }, Report::Expand(sel))
+            | (Round::RefineSelect { .. }, Report::RefineSelect(sel)) => {
                 check_select(*sel, counts.len())?;
                 counts[*sel] += 1;
             }
-            (Inner::Length { agg, domain }, report) => {
-                absorb_length(agg, *domain, report)?;
+            (Round::SubShape { grr, levels }, Report::SubShape { level, value }) => {
+                check_subshape(*level, *value, *levels, grr.domain())?;
+                counts[(level - 1) * grr.domain() + value] += 1;
             }
-            (Inner::SubShape { aggs, domain }, Report::SubShape { level, value }) => {
-                check_subshape(*level, *value, aggs.len(), *domain)?;
-                aggs[*level - 1].add(*value);
+            (Round::RefineLabeled { oue: None, .. }, Report::RefineLabeled(_)) => {}
+            (Round::RefineLabeled { .. }, Report::RefineLabeled(r)) => {
+                check_bits("labeled", r.set_bits().last().copied(), counts.len())?;
+                count_bits(counts, r.set_bits());
             }
-            (Inner::RefineLabeled { agg, .. }, Report::RefineLabeled(r)) => {
-                if let Some(agg) = agg {
-                    check_bits("labeled", r.set_bits().last().copied(), agg.domain())?;
-                    agg.add(r);
-                }
+            (Round::LengthGrr(_), Report::Length(v)) => {
+                check_length(*v, counts.len())?;
+                counts[*v] += 1;
             }
-            (inner, report) => {
+            (Round::LengthOue(_), Report::LengthOue(r)) => {
+                check_bits("length OUE", r.set_bits().last().copied(), counts.len())?;
+                count_bits(counts, r.set_bits());
+            }
+            (Round::LengthOlh(olh), Report::LengthOlh(r)) => {
+                check_olh(r.value, olh)?;
+                count_support(counts, olh, r);
+            }
+            (Round::LengthPiecewise { pm, .. }, Report::LengthPiecewise(q)) => {
+                pm.check(*q).map_err(piecewise_err)?;
+                self.sum += i128::from(*q);
+            }
+            (round, report) => {
                 return Err(Error::Protocol(format!(
                     "report kind '{}' does not match round aggregate {}",
                     report.kind(),
-                    inner.kind(),
+                    round.kind().1,
                 )));
             }
         }
@@ -401,35 +346,56 @@ impl ShardAggregator {
     /// frame instead of failing the round.
     pub(crate) fn check_wire<'a>(&self, buf: &'a [u8], pos: &mut usize) -> Result<WireReport<'a>> {
         let tag = wire::read_tag(buf, pos)?;
+        let cells = self.counts.len();
         // Hot arms first: expand / refine-select / sub-shape reports are
         // the per-user-per-level bulk of every session, while each length
         // arm fires for at most one round.
-        Ok(match (&self.inner, tag) {
-            (Inner::Expand { counts, .. }, wire::TAG_EXPAND)
-            | (Inner::RefineSelect { counts, .. }, wire::TAG_REFINE_SELECT) => {
+        Ok(match (&self.round, tag) {
+            (Round::Expand { .. }, wire::TAG_EXPAND)
+            | (Round::RefineSelect { .. }, wire::TAG_REFINE_SELECT) => {
                 let sel = wire::read_usize(buf, pos)?;
-                check_select(sel, counts.len())?;
+                check_select(sel, cells)?;
                 WireReport::Select(sel)
             }
-            (Inner::SubShape { aggs, domain }, wire::TAG_SUB_SHAPE) => {
+            (Round::SubShape { grr, levels }, wire::TAG_SUB_SHAPE) => {
                 let level = wire::read_usize(buf, pos)?;
                 let value = wire::read_usize(buf, pos)?;
-                check_subshape(level, value, aggs.len(), *domain)?;
+                check_subshape(level, value, *levels, grr.domain())?;
                 WireReport::SubShape { level, value }
             }
-            (Inner::RefineLabeled { agg, .. }, wire::TAG_REFINE_LABELED) => {
+            (Round::RefineLabeled { oue, .. }, wire::TAG_REFINE_LABELED) => {
                 let start = *pos;
                 let last = wire::walk_oue_bits(buf, pos, None)?;
-                if let Some(agg) = agg {
-                    check_bits("labeled", last, agg.domain())?;
+                if oue.is_some() {
+                    check_bits("labeled", last, cells)?;
                 }
                 WireReport::Bits(&buf[start..*pos])
             }
-            (Inner::Length { agg, domain }, tag) => check_wire_length(agg, *domain, tag, buf, pos)?,
-            (inner, tag) => {
+            (Round::LengthGrr(_), wire::TAG_LENGTH) => {
+                let v = wire::read_usize(buf, pos)?;
+                check_length(v, cells)?;
+                WireReport::Length(v)
+            }
+            (Round::LengthOue(_), wire::TAG_LENGTH_OUE) => {
+                let start = *pos;
+                check_bits("length OUE", wire::walk_oue_bits(buf, pos, None)?, cells)?;
+                WireReport::Bits(&buf[start..*pos])
+            }
+            (Round::LengthOlh(olh), wire::TAG_LENGTH_OLH) => {
+                let seed = wire::read_varint(buf, pos)?;
+                let value = wire::read_usize(buf, pos)?;
+                check_olh(value, olh)?;
+                WireReport::Olh(OlhReport { seed, value })
+            }
+            (Round::LengthPiecewise { pm, .. }, wire::TAG_LENGTH_PIECEWISE) => {
+                let q = wire::unzigzag(wire::read_varint(buf, pos)?);
+                pm.check(q).map_err(piecewise_err)?;
+                WireReport::Piecewise(q)
+            }
+            (round, tag) => {
                 return Err(Error::Protocol(format!(
                     "report tag 0x{tag:02x} does not match round aggregate {}",
-                    inner.kind(),
+                    round.kind().1,
                 )));
             }
         })
@@ -440,33 +406,28 @@ impl ShardAggregator {
     /// nothing: a report checked against another round is refused only
     /// when its kind differs.
     pub(crate) fn add_wire(&mut self, report: WireReport<'_>, bits: &mut Vec<usize>) -> Result<()> {
-        match (&mut self.inner, report) {
-            (
-                Inner::Expand { counts, .. } | Inner::RefineSelect { counts, .. },
-                WireReport::Select(sel),
-            ) => counts[sel] += 1,
-            (Inner::SubShape { aggs, .. }, WireReport::SubShape { level, value }) => {
-                aggs[level - 1].add(value);
+        let counts = &mut self.counts;
+        match (&self.round, report) {
+            (Round::Expand { .. } | Round::RefineSelect { .. }, WireReport::Select(sel))
+            | (Round::LengthGrr(_), WireReport::Length(sel)) => counts[sel] += 1,
+            (Round::SubShape { grr, .. }, WireReport::SubShape { level, value }) => {
+                counts[(level - 1) * grr.domain() + value] += 1;
             }
-            (Inner::RefineLabeled { agg, .. }, WireReport::Bits(body)) => {
-                if let Some(agg) = agg {
-                    wire::read_oue_bits(body, &mut 0, bits)?;
-                    agg.add_bits(bits);
-                }
+            (Round::RefineLabeled { oue: None, .. }, WireReport::Bits(_)) => {}
+            (Round::RefineLabeled { .. } | Round::LengthOue(_), WireReport::Bits(body)) => {
+                wire::read_oue_bits(body, &mut 0, bits)?;
+                count_bits(counts, bits);
             }
-            (Inner::Length { agg, .. }, report) => match (agg, report) {
-                (LengthAgg::Grr(agg), WireReport::Length(v)) => agg.add(v),
-                (LengthAgg::Oue(agg), WireReport::Bits(body)) => {
-                    wire::read_oue_bits(body, &mut 0, bits)?;
-                    agg.add_bits(bits);
-                }
-                (LengthAgg::Olh(agg), WireReport::Olh(r)) => agg.add(&r),
-                (LengthAgg::Piecewise(agg), WireReport::Piecewise(q)) => {
-                    agg.add(q).map_err(piecewise_err)?;
-                }
-                _ => return Err(unchecked_report("length")),
-            },
-            (inner, _) => return Err(unchecked_report(inner.kind())),
+            (Round::LengthOlh(olh), WireReport::Olh(r)) => count_support(counts, olh, &r),
+            (Round::LengthPiecewise { .. }, WireReport::Piecewise(q)) => {
+                self.sum += i128::from(q);
+            }
+            (round, _) => {
+                return Err(Error::Protocol(format!(
+                    "wire report was not checked against this {} round",
+                    round.kind().1
+                )));
+            }
         }
         self.reports += 1;
         Ok(())
@@ -488,85 +449,18 @@ impl ShardAggregator {
                 other.epsilon, self.epsilon
             )));
         }
-        match (&mut self.inner, &other.inner) {
-            (
-                Inner::Length { agg, domain },
-                Inner::Length {
-                    agg: other_agg,
-                    domain: other_domain,
-                },
-            ) if domain == other_domain && agg.same_oracle(other_agg) => agg.merge(other_agg),
-            (
-                Inner::SubShape { aggs, domain },
-                Inner::SubShape {
-                    aggs: other_aggs,
-                    domain: other_domain,
-                },
-            ) if aggs.len() == other_aggs.len() && domain == other_domain => {
-                for (mine, theirs) in aggs.iter_mut().zip(other_aggs) {
-                    mine.merge(theirs);
-                }
-            }
-            (
-                Inner::Expand {
-                    counts,
-                    level,
-                    table_gen,
-                },
-                Inner::Expand {
-                    counts: other_counts,
-                    level: other_level,
-                    table_gen: other_gen,
-                },
-            ) if counts.len() == other_counts.len()
-                && level == other_level
-                && table_gen == other_gen =>
-            {
-                for (mine, theirs) in counts.iter_mut().zip(other_counts) {
-                    *mine += theirs;
-                }
-            }
-            (
-                Inner::RefineSelect { counts, table_gen },
-                Inner::RefineSelect {
-                    counts: other_counts,
-                    table_gen: other_gen,
-                },
-            ) if counts.len() == other_counts.len() && table_gen == other_gen => {
-                for (mine, theirs) in counts.iter_mut().zip(other_counts) {
-                    *mine += theirs;
-                }
-            }
-            (
-                Inner::RefineLabeled {
-                    agg,
-                    n_candidates,
-                    n_classes,
-                    table_gen,
-                },
-                Inner::RefineLabeled {
-                    agg: other_agg,
-                    n_candidates: other_cand,
-                    n_classes: other_classes,
-                    table_gen: other_gen,
-                },
-            ) if n_candidates == other_cand
-                && n_classes == other_classes
-                && table_gen == other_gen =>
-            {
-                if let (Some(mine), Some(theirs)) = (agg.as_mut(), other_agg.as_ref()) {
-                    mine.merge(theirs);
-                }
-            }
-            (mine, theirs) => {
-                return Err(Error::Protocol(format!(
-                    "cannot merge shard aggregate {} into {} (different rounds, domains, \
-                     or candidate-table generations)",
-                    theirs.kind(),
-                    mine.kind(),
-                )));
-            }
+        if self.round != other.round || self.counts.len() != other.counts.len() {
+            return Err(Error::Protocol(format!(
+                "cannot merge shard aggregate {} into {} (different rounds, domains, \
+                 or candidate-table generations)",
+                other.round.kind().1,
+                self.round.kind().1,
+            )));
         }
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.sum += other.sum;
         self.reports += other.reports;
         Ok(())
     }
@@ -576,40 +470,49 @@ impl ShardAggregator {
     /// oracle, where the mean estimate is mapped back from `[−1, 1]` onto
     /// the length range, rounded, and clamped.
     pub fn finalize_length(&self, lo: usize) -> Result<usize> {
-        match &self.inner {
-            Inner::Length { agg, domain } => Ok(match agg {
-                LengthAgg::Grr(agg) => lo + agg.argmax(),
-                LengthAgg::Oue(agg) => lo + argmax_f64(&agg.estimates()),
-                LengthAgg::Olh(agg) => lo + argmax_f64(&agg.estimates()),
-                LengthAgg::Piecewise(agg) => {
-                    // mean ∈ [−1, 1] → offset ∈ [0, domain − 1]; no
-                    // reports estimates the bottom of the range, matching
-                    // the all-zero-counts argmax of the other oracles.
-                    let mean = agg.mean().unwrap_or(-1.0);
-                    let offset = (mean + 1.0) / 2.0 * (*domain as f64 - 1.0);
-                    lo + (offset.round().max(0.0) as usize).min(*domain - 1)
-                }
-            }),
-            other => Err(wrong_finalize("length", other)),
-        }
+        let (counts, total) = (&self.counts, self.reports);
+        let estimates = match &self.round {
+            Round::LengthGrr(grr) => estimates(counts, total, |c, t| grr.estimate(c, t)),
+            Round::LengthOue(oue) => estimates(counts, total, |c, t| oue.estimate(c, t)),
+            Round::LengthOlh(olh) => estimates(counts, total, |c, t| olh.estimate(c, t)),
+            Round::LengthPiecewise { pm, domain } => {
+                // mean ∈ [−1, 1] → offset ∈ [0, domain − 1]; no reports
+                // estimates the bottom of the range, matching the
+                // all-zero-counts argmax of the other oracles.
+                let mean = pm.mean(self.sum, total).unwrap_or(-1.0);
+                let offset = (mean + 1.0) / 2.0 * (*domain as f64 - 1.0);
+                return Ok(lo + (offset.round().max(0.0) as usize).min(domain - 1));
+            }
+            round => return Err(wrong_finalize("length", round)),
+        };
+        Ok(lo + top_m(&estimates, 1).first().copied().unwrap_or(0))
     }
 
-    /// The per-level GRR aggregators of a sub-shape round.
-    pub fn finalize_subshape(&self) -> Result<&[GrrAggregator]> {
-        match &self.inner {
-            Inner::SubShape { aggs, .. } => Ok(aggs),
-            other => Err(wrong_finalize("sub-shape", other)),
-        }
+    /// The indices of each level's `m` most frequent bigrams in a
+    /// sub-shape round, each level's GRR estimates read against its own
+    /// report count.
+    pub fn finalize_subshape(&self, m: usize) -> Result<Vec<Vec<usize>>> {
+        let Round::SubShape { grr, .. } = &self.round else {
+            return Err(wrong_finalize("sub-shape", &self.round));
+        };
+        Ok(self
+            .counts
+            .chunks_exact(grr.domain())
+            .map(|level| {
+                let total = level.iter().sum();
+                top_m(&estimates(level, total, |c, t| grr.estimate(c, t)), m)
+            })
+            .collect())
     }
 
     /// The per-candidate selection counts of an expand / unlabeled-refine
     /// round, as the f64 counts the trie and post-processing consume.
     pub fn finalize_selections(&self) -> Result<Vec<f64>> {
-        match &self.inner {
-            Inner::Expand { counts, .. } | Inner::RefineSelect { counts, .. } => {
-                Ok(counts.iter().map(|&c| c as f64).collect())
+        match &self.round {
+            Round::Expand { .. } | Round::RefineSelect { .. } => {
+                Ok(self.counts.iter().map(|&c| c as f64).collect())
             }
-            other => Err(wrong_finalize("selection", other)),
+            round => Err(wrong_finalize("selection", round)),
         }
     }
 
@@ -618,132 +521,77 @@ impl ShardAggregator {
     /// used verbatim for the degenerate single-cell grid (whose reports
     /// carry no information).
     pub fn finalize_labeled(&self, group_len: usize) -> Result<Vec<Vec<f64>>> {
-        match &self.inner {
-            Inner::RefineLabeled {
-                agg,
-                n_candidates,
-                n_classes,
-                ..
-            } => {
-                let mut freqs = vec![vec![0.0; *n_candidates]; *n_classes];
-                if let Some(agg) = agg {
-                    for (class, class_freqs) in freqs.iter_mut().enumerate() {
-                        for (cand, slot) in class_freqs.iter_mut().enumerate() {
-                            *slot = agg.estimate(cand * n_classes + class);
-                        }
-                    }
-                } else if *n_candidates == 1 && *n_classes == 1 {
-                    // One candidate, one class: everyone matches it.
-                    freqs[0][0] = group_len as f64;
+        let Round::RefineLabeled {
+            oue,
+            n_candidates,
+            n_classes,
+            ..
+        } = &self.round
+        else {
+            return Err(wrong_finalize("labeled", &self.round));
+        };
+        let mut freqs = vec![vec![0.0; *n_candidates]; *n_classes];
+        if let Some(oue) = oue {
+            let cells = estimates(&self.counts, self.reports, |c, t| oue.estimate(c, t));
+            for (class, class_freqs) in freqs.iter_mut().enumerate() {
+                for (cand, slot) in class_freqs.iter_mut().enumerate() {
+                    *slot = cells[cand * n_classes + class];
                 }
-                Ok(freqs)
             }
-            other => Err(wrong_finalize("labeled", other)),
+        } else if *n_candidates == 1 && *n_classes == 1 {
+            // One candidate, one class: everyone matches it.
+            freqs[0][0] = group_len as f64;
         }
+        Ok(freqs)
     }
 }
 
-/// Appends one LDP-aggregator count vector: `varint(total) varint(len)
-/// varint(count)*`.
-fn put_counts(buf: &mut Vec<u8>, counts: &[u64], total: u64) {
-    wire::put_varint(buf, total);
-    wire::put_varint(buf, counts.len() as u64);
-    for &c in counts {
-        wire::put_varint(buf, c);
-    }
-}
-
-/// Inverse of [`put_counts`].
-fn read_counts(buf: &[u8], pos: &mut usize) -> Result<(Vec<u64>, u64)> {
-    let total = wire::read_varint(buf, pos)?;
-    let len = wire::read_usize(buf, pos)?;
-    // Every count needs at least one byte, so a length beyond the
-    // remaining buffer is a truncation — refuse before reserving memory.
-    if len > buf.len() - *pos {
-        return Err(Error::Protocol(format!(
-            "truncated snapshot: {len} counts claimed, {} bytes left",
-            buf.len() - *pos
-        )));
-    }
-    let mut counts = Vec::with_capacity(len);
-    for _ in 0..len {
-        counts.push(wire::read_varint(buf, pos)?);
-    }
-    Ok((counts, total))
+/// The unbiased estimates of `counts`, a run of a round's counts drawn
+/// from `total` reports, by one frequency oracle's `estimate`.
+fn estimates(counts: &[u64], total: u64, estimate: impl Fn(u64, u64) -> f64) -> Vec<f64> {
+    counts.iter().map(|&c| estimate(c, total)).collect()
 }
 
 fn snapshot_err(msg: impl Into<String>) -> Error {
     Error::Protocol(format!("invalid aggregator snapshot: {}", msg.into()))
 }
 
-/// Snapshot codec for the aggregator's dynamic state. The *static* shape
-/// (round kind, domain, mechanism constants) is never serialized — the
-/// restoring side rebuilds it from the round spec via
-/// [`ShardAggregator::for_round`] and these methods only move the counts,
-/// validating every structural invariant on the way in. Raw integer counts
-/// round-trip exactly, so a restored aggregator is bit-identical to the
-/// one dumped.
+fn wrong_finalize(wanted: &str, got: &Round) -> Error {
+    Error::Protocol(format!(
+        "finalizing {wanted} round but aggregate holds {} state",
+        got.kind().1
+    ))
+}
+
+/// Snapshot codec for the aggregator's dynamic state, one layout for
+/// every round kind:
+///
+/// ```text
+/// varint(reports) · u8(kind) · [varint(table generation)]
+///     · varint(len) · varint(count)* · [i128_le(sum)]
+/// ```
+///
+/// The generation is present in the candidate-table rounds, the sum in
+/// the piecewise length round. The *static* round (domain, mechanism
+/// constants) is never serialized: the restoring side rebuilds it from
+/// the round spec via [`ShardAggregator::for_round`], and these methods
+/// only move the counts, validating them on the way in. Raw integer
+/// counts round-trip exactly, so a restored aggregator is bit-identical
+/// to the one dumped.
 impl ShardAggregator {
-    /// Appends the dynamic state (report total + raw counts) to `buf`
-    /// using the wire codec's varint idioms.
+    /// Appends the dynamic state to `buf`.
     pub(crate) fn snapshot_state_into(&self, buf: &mut Vec<u8>) {
         wire::put_varint(buf, self.reports);
-        match &self.inner {
-            Inner::Length { agg, .. } => {
-                buf.push(1);
-                match agg {
-                    LengthAgg::Grr(a) => {
-                        buf.push(1);
-                        put_counts(buf, a.counts(), a.total());
-                    }
-                    LengthAgg::Oue(a) => {
-                        buf.push(2);
-                        put_counts(buf, a.counts(), a.total());
-                    }
-                    LengthAgg::Olh(a) => {
-                        buf.push(3);
-                        put_counts(buf, a.support(), a.total());
-                    }
-                    LengthAgg::Piecewise(a) => {
-                        buf.push(4);
-                        wire::put_varint(buf, a.total());
-                        buf.extend_from_slice(&a.sum().to_le_bytes());
-                    }
-                }
-            }
-            Inner::SubShape { aggs, .. } => {
-                buf.push(2);
-                wire::put_varint(buf, aggs.len() as u64);
-                for a in aggs {
-                    put_counts(buf, a.counts(), a.total());
-                }
-            }
-            Inner::Expand {
-                counts, table_gen, ..
-            }
-            | Inner::RefineSelect { counts, table_gen } => {
-                buf.push(if matches!(self.inner, Inner::Expand { .. }) {
-                    3
-                } else {
-                    4
-                });
-                wire::put_varint(buf, *table_gen);
-                wire::put_varint(buf, counts.len() as u64);
-                for &c in counts {
-                    wire::put_varint(buf, c);
-                }
-            }
-            Inner::RefineLabeled { agg, table_gen, .. } => {
-                buf.push(5);
-                wire::put_varint(buf, *table_gen);
-                match agg {
-                    Some(a) => {
-                        buf.push(1);
-                        put_counts(buf, a.counts(), a.total());
-                    }
-                    None => buf.push(0),
-                }
-            }
+        buf.push(self.round.kind().0);
+        if let Some(table_gen) = self.round.table_gen() {
+            wire::put_varint(buf, table_gen);
+        }
+        wire::put_varint(buf, self.counts.len() as u64);
+        for &c in &self.counts {
+            wire::put_varint(buf, c);
+        }
+        if let Round::LengthPiecewise { .. } = self.round {
+            buf.extend_from_slice(&self.sum.to_le_bytes());
         }
     }
 
@@ -753,169 +601,79 @@ impl ShardAggregator {
     ///
     /// # Errors
     ///
-    /// [`Error::Protocol`] when the snapshot's round kind, oracle, domain,
-    /// or candidate-table generation disagrees with the round this
-    /// aggregator was built for, when a count vector violates an LDP
-    /// structural invariant, or on truncation. On error the aggregator is
-    /// left unusable for the round (partially restored) — callers discard
-    /// it.
+    /// [`Error::Protocol`] on truncation, when the snapshot's kind, count
+    /// vector length or candidate-table generation disagrees with the
+    /// round this aggregator was built for, or when its counts could not
+    /// have come from its declared reports:
+    ///
+    /// * GRR length, sub-shape and selection rounds count each report
+    ///   once, so their counts sum to the reports;
+    /// * OUE length, OLH length and labeled-grid rounds count each report
+    ///   at most once per cell, so no count exceeds the reports;
+    /// * in-range piecewise reports cannot sum past reports × the
+    ///   mechanism's quantized bound.
+    ///
+    /// On error the aggregator is left unusable for the round (partially
+    /// restored) — callers discard it.
     pub(crate) fn restore_state(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
         let reports = wire::read_varint(buf, pos)?;
-        let tag = wire::read_tag(buf, pos)?;
-        match (&mut self.inner, tag) {
-            (Inner::Length { agg, .. }, 1) => {
-                let oracle_tag = wire::read_tag(buf, pos)?;
-                match (agg, oracle_tag) {
-                    (LengthAgg::Grr(a), 1) => {
-                        let (counts, total) = read_counts(buf, pos)?;
-                        a.restore_counts(&counts, total)?;
-                        check_total(total, reports)?;
-                    }
-                    (LengthAgg::Oue(a), 2) => {
-                        let (counts, total) = read_counts(buf, pos)?;
-                        a.restore_counts(&counts, total)?;
-                        check_total(total, reports)?;
-                    }
-                    (LengthAgg::Olh(a), 3) => {
-                        let (support, total) = read_counts(buf, pos)?;
-                        a.restore_support(&support, total)?;
-                        check_total(total, reports)?;
-                    }
-                    (LengthAgg::Piecewise(a), 4) => {
-                        let total = wire::read_varint(buf, pos)?;
-                        let Some(bytes) = buf.get(*pos..*pos + 16) else {
-                            return Err(snapshot_err("truncated piecewise sum"));
-                        };
-                        *pos += 16;
-                        let sum = i128::from_le_bytes(bytes.try_into().expect("16-byte slice"));
-                        a.restore_sum(sum, total)?;
-                        check_total(total, reports)?;
-                    }
-                    (_, t) => {
-                        return Err(snapshot_err(format!(
-                            "length oracle tag {t} does not match the round's oracle"
-                        )));
-                    }
-                }
-            }
-            (Inner::SubShape { aggs, .. }, 2) => {
-                let n = wire::read_usize(buf, pos)?;
-                if n != aggs.len() {
-                    return Err(snapshot_err(format!(
-                        "sub-shape snapshot has {n} levels, round has {}",
-                        aggs.len()
-                    )));
-                }
-                let mut sum = 0u64;
-                for a in aggs.iter_mut() {
-                    let (counts, total) = read_counts(buf, pos)?;
-                    a.restore_counts(&counts, total)?;
-                    sum = sum
-                        .checked_add(total)
-                        .ok_or_else(|| snapshot_err("sub-shape report totals overflow u64"))?;
-                }
-                check_total(sum, reports)?;
-            }
-            (
-                Inner::Expand {
-                    counts, table_gen, ..
-                },
-                3,
-            )
-            | (Inner::RefineSelect { counts, table_gen }, 4) => {
-                let gen = wire::read_varint(buf, pos)?;
-                if gen != *table_gen {
-                    return Err(snapshot_err(format!(
-                        "candidate-table generation {gen:#x} does not match the rebuilt \
-                         round's {:#x}",
-                        table_gen
-                    )));
-                }
-                let len = wire::read_usize(buf, pos)?;
-                if len > buf.len() - *pos {
-                    return Err(snapshot_err("truncated selection counts"));
-                }
-                let mut vals = Vec::with_capacity(len);
-                for _ in 0..len {
-                    vals.push(wire::read_varint(buf, pos)?);
-                }
-                if vals.len() != counts.len() {
-                    return Err(snapshot_err(format!(
-                        "{} selection counts, round has {}",
-                        vals.len(),
-                        counts.len()
-                    )));
-                }
-                let sum = vals
-                    .iter()
-                    .try_fold(0u64, |sum, &v| sum.checked_add(v))
-                    .ok_or_else(|| snapshot_err("selection counts overflow u64"))?;
-                check_total(sum, reports)?;
-                counts.copy_from_slice(&vals);
-            }
-            (Inner::RefineLabeled { agg, table_gen, .. }, 5) => {
-                let gen = wire::read_varint(buf, pos)?;
-                if gen != *table_gen {
-                    return Err(snapshot_err(format!(
-                        "candidate-table generation {gen:#x} does not match the rebuilt \
-                         round's {:#x}",
-                        table_gen
-                    )));
-                }
-                let has_agg = wire::read_tag(buf, pos)?;
-                match (agg.as_mut(), has_agg) {
-                    (Some(a), 1) => {
-                        let (counts, total) = read_counts(buf, pos)?;
-                        a.restore_counts(&counts, total)?;
-                        check_total(total, reports)?;
-                    }
-                    (None, 0) => {}
-                    _ => {
-                        return Err(snapshot_err(
-                            "labeled-grid presence flag disagrees with the round",
-                        ));
-                    }
-                }
-            }
-            (inner, tag) => {
+        let (tag, kind) = self.round.kind();
+        let got = wire::read_tag(buf, pos)?;
+        if got != tag {
+            return Err(snapshot_err(format!(
+                "snapshot kind tag {got} does not match round aggregate {kind}"
+            )));
+        }
+        if let Some(table_gen) = self.round.table_gen() {
+            let got = wire::read_varint(buf, pos)?;
+            if got != table_gen {
                 return Err(snapshot_err(format!(
-                    "snapshot kind tag {tag} does not match round aggregate {}",
-                    inner.kind()
+                    "candidate-table generation {got:#x} does not match the rebuilt \
+                     round's {table_gen:#x}"
                 )));
             }
         }
+        let len = wire::read_usize(buf, pos)?;
+        if len != self.counts.len() {
+            return Err(snapshot_err(format!(
+                "{len} counts, the {kind} round has {}",
+                self.counts.len()
+            )));
+        }
+        for c in &mut self.counts {
+            *c = wire::read_varint(buf, pos)?;
+        }
+        if let Round::LengthPiecewise { .. } = self.round {
+            let Some((sum, _)) = buf.get(*pos..).and_then(<[u8]>::split_first_chunk) else {
+                return Err(snapshot_err("truncated piecewise sum"));
+            };
+            *pos += 16;
+            self.sum = i128::from_le_bytes(*sum);
+        }
+        let consistent = match &self.round {
+            Round::LengthGrr(_)
+            | Round::SubShape { .. }
+            | Round::Expand { .. }
+            | Round::RefineSelect { .. } => {
+                let total = self.counts.iter().try_fold(0u64, |t, &c| t.checked_add(c));
+                total == Some(reports)
+            }
+            Round::LengthOue(_) | Round::LengthOlh(_) | Round::RefineLabeled { .. } => {
+                self.counts.iter().all(|&c| c <= reports)
+            }
+            Round::LengthPiecewise { pm, .. } => {
+                // `unsigned_abs`: `i128::MIN` has no positive twin.
+                let bound = i128::from(reports) * i128::from(pm.quantized_bound());
+                self.sum.unsigned_abs() <= bound.unsigned_abs()
+            }
+        };
+        if !consistent {
+            return Err(snapshot_err(format!(
+                "the {kind} counts cannot come from the declared {reports} reports"
+            )));
+        }
         self.reports = reports;
         Ok(())
-    }
-}
-
-/// A snapshot whose per-oracle report total disagrees with its declared
-/// overall report count is forged or corrupted.
-fn check_total(total: u64, reports: u64) -> Result<()> {
-    if total != reports {
-        return Err(snapshot_err(format!(
-            "aggregate holds {total} reports but the snapshot declares {reports}"
-        )));
-    }
-    Ok(())
-}
-
-fn wrong_finalize(wanted: &str, got: &Inner) -> Error {
-    Error::Protocol(format!(
-        "finalizing {wanted} round but aggregate holds {} state",
-        got.kind()
-    ))
-}
-
-impl Inner {
-    fn kind(&self) -> &'static str {
-        match self {
-            Inner::Length { .. } => "length",
-            Inner::SubShape { .. } => "sub-shape",
-            Inner::Expand { .. } => "expand",
-            Inner::RefineSelect { .. } => "refine-select",
-            Inner::RefineLabeled { .. } => "refine-labeled",
-        }
     }
 }
 
@@ -1002,6 +760,38 @@ mod tests {
         let c = ShardAggregator::for_round(&expand_spec(3), eps()).unwrap();
         let mut d = ShardAggregator::for_round(&expand_spec(2), eps()).unwrap();
         assert!(matches!(d.merge(&c), Err(Error::Protocol(_))));
+        // Length shards of one oracle and ε over two ranges count two
+        // domains: no oracle may add the shorter one into the longer.
+        for oracle in [
+            LengthOracle::Grr,
+            LengthOracle::Oue,
+            LengthOracle::Olh,
+            LengthOracle::Piecewise,
+        ] {
+            let over = |range| {
+                let spec = RoundSpec::Length {
+                    audience: Audience::group(GroupId::Pa),
+                    range,
+                    oracle,
+                };
+                ShardAggregator::for_round(&spec, eps()).unwrap()
+            };
+            let (mut short, mut long) = (over((1, 6)), over((1, 10)));
+            let before = (short.clone(), long.clone());
+            assert!(
+                matches!(short.merge(&long), Err(Error::Protocol(_))),
+                "{oracle:?}"
+            );
+            assert!(
+                matches!(long.merge(&short), Err(Error::Protocol(_))),
+                "{oracle:?}"
+            );
+            assert_eq!(
+                (short, long),
+                before,
+                "{oracle:?}: a refused merge changed a shard"
+            );
+        }
     }
 
     #[test]
@@ -1143,7 +933,7 @@ mod tests {
         }
         // Every round accepted something, so the comparison had teeth.
         for (round, sink) in rounds.iter().zip(&sinks) {
-            assert!(sink.reports() > round.reports(), "{}", round.inner.kind());
+            assert!(sink.reports() > round.reports(), "{}", round.round.kind().1);
         }
     }
 
@@ -1375,6 +1165,170 @@ mod tests {
         }
     }
 
+    /// The same perturbed reports, absorbed by a round's count vector and
+    /// by the `privshape-ldp` reference aggregators, estimate the same
+    /// numbers bit for bit: each length oracle, the sub-shape grid (one
+    /// reference per level, each read against its own report count) and
+    /// the labeled grid (candidate-major cells).
+    #[test]
+    fn estimates_equal_the_ldp_reference_aggregators() {
+        use privshape_ldp::{GrrAggregator, OlhAggregator, OueAggregator, PiecewiseAggregator};
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(24);
+        let truth = |i: usize| [2, 2, 2, 3, 0, 5, 2, 1][i % 8];
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        let absorbed = |spec: &RoundSpec, reports: &[Report]| {
+            let mut shard = ShardAggregator::for_round(spec, eps()).unwrap();
+            for r in reports {
+                shard.absorb(r).unwrap();
+            }
+            shard
+        };
+        // A length round's estimates, by the mechanism its spec built.
+        let estimated = |s: &ShardAggregator| {
+            let (counts, total) = (&s.counts, s.reports);
+            bits(&match &s.round {
+                Round::LengthGrr(grr) => estimates(counts, total, |c, t| grr.estimate(c, t)),
+                Round::LengthOue(oue) => estimates(counts, total, |c, t| oue.estimate(c, t)),
+                Round::LengthOlh(olh) => estimates(counts, total, |c, t| olh.estimate(c, t)),
+                round => panic!("{} round has no frequency oracle", round.kind().1),
+            })
+        };
+
+        // The length oracles over lengths 1..=6.
+        let grr = Grr::new(6, eps()).unwrap();
+        let mut reference = GrrAggregator::new(&grr);
+        let reports: Vec<Report> = (0..700)
+            .map(|i| {
+                let v = grr.perturb(&mut rng, truth(i));
+                reference.add(v);
+                Report::Length(v)
+            })
+            .collect();
+        let shard = absorbed(&oracle_spec(LengthOracle::Grr), &reports);
+        assert_eq!(estimated(&shard), bits(&reference.estimates()));
+        assert_eq!(shard.finalize_length(1).unwrap(), 1 + reference.top_m(1)[0]);
+
+        let oue = Oue::new(6, eps()).unwrap();
+        let mut reference = OueAggregator::new(&oue);
+        let reports: Vec<Report> = (0..700)
+            .map(|i| {
+                let r = oue.perturb(&mut rng, truth(i));
+                reference.add(&r);
+                Report::LengthOue(r)
+            })
+            .collect();
+        let shard = absorbed(&oracle_spec(LengthOracle::Oue), &reports);
+        assert_eq!(estimated(&shard), bits(&reference.estimates()));
+        assert_eq!(shard.finalize_length(1).unwrap(), 1 + reference.top_m(1)[0]);
+
+        let olh = Olh::new(eps());
+        let mut reference = OlhAggregator::new(olh.clone(), 6).unwrap();
+        let reports: Vec<Report> = (0..700)
+            .map(|i| {
+                let r = olh.perturb(&mut rng, truth(i));
+                reference.add(&r);
+                Report::LengthOlh(r)
+            })
+            .collect();
+        let shard = absorbed(&oracle_spec(LengthOracle::Olh), &reports);
+        assert_eq!(estimated(&shard), bits(&reference.estimates()));
+        assert_eq!(shard.finalize_length(1).unwrap(), 1 + reference.top_m(1)[0]);
+
+        let pm = PiecewiseMechanism::new(eps());
+        let mut reference = PiecewiseAggregator::new(pm);
+        let reports: Vec<Report> = (0..700)
+            .map(|i| {
+                let t = -1.0 + 2.0 * truth(i) as f64 / 5.0;
+                let q = pm.quantize(pm.perturb(&mut rng, t));
+                reference.add(q).unwrap();
+                Report::LengthPiecewise(q)
+            })
+            .collect();
+        let shard = absorbed(&oracle_spec(LengthOracle::Piecewise), &reports);
+        let mean = reference.mean().unwrap();
+        assert_eq!(pm.mean(shard.sum, shard.reports), Some(mean));
+        let offset = ((mean + 1.0) / 2.0 * 5.0).round().max(0.0) as usize;
+        assert_eq!(shard.finalize_length(1).unwrap(), 1 + offset.min(5));
+
+        // Two sub-shape levels over the 12 bigrams of 4 symbols, with
+        // twice as many level-1 reports as level-2 ones.
+        let grr = Grr::new(12, eps()).unwrap();
+        let mut references = [GrrAggregator::new(&grr), GrrAggregator::new(&grr)];
+        let reports: Vec<Report> = (0..900)
+            .map(|i| {
+                let level = 1 + usize::from(i % 3 == 0);
+                let value = grr.perturb(&mut rng, (truth(i) + 4 * level) % 12);
+                references[level - 1].add(value);
+                Report::SubShape { level, value }
+            })
+            .collect();
+        let spec = RoundSpec::SubShape {
+            audience: Audience::group(GroupId::Pb),
+            ell_s: 3,
+            alphabet: 4,
+        };
+        let shard = absorbed(&spec, &reports);
+        let Round::SubShape { grr, .. } = &shard.round else {
+            panic!("a sub-shape spec builds a sub-shape round");
+        };
+        for (level, reference) in shard.counts.chunks_exact(12).zip(&references) {
+            let est = estimates(level, level.iter().sum(), |c, t| grr.estimate(c, t));
+            assert_eq!(bits(&est), bits(&reference.estimates()));
+        }
+        let top: Vec<Vec<usize>> = references.iter().map(|r| r.top_m(3)).collect();
+        assert_eq!(shard.finalize_subshape(3).unwrap(), top);
+
+        // Three candidates × two classes.
+        let spec = RoundSpec::RefineLabeled {
+            audience: Audience::group(GroupId::Pd),
+            candidates: std::sync::Arc::new(
+                CandidateTable::parse_rows(&["ab", "cb", "ba"]).unwrap(),
+            ),
+            n_classes: 2,
+        };
+        let oue = Oue::new(6, eps()).unwrap();
+        let mut reference = OueAggregator::new(&oue);
+        let reports: Vec<Report> = (0..700)
+            .map(|i| {
+                let r = oue.perturb(&mut rng, truth(i));
+                reference.add(&r);
+                Report::RefineLabeled(r)
+            })
+            .collect();
+        let freqs = absorbed(&spec, &reports).finalize_labeled(0).unwrap();
+        for (class, class_freqs) in freqs.iter().enumerate() {
+            let want: Vec<f64> = (0..3).map(|c| reference.estimate(c * 2 + class)).collect();
+            assert_eq!(bits(class_freqs), bits(&want), "class {class}");
+        }
+    }
+
+    /// An aggregate state in the snapshot layout: `varint(reports) ·
+    /// u8(kind) · [varint(table generation)] · varint(len) ·
+    /// varint(count)* · [i128 sum]`.
+    fn state(
+        reports: u64,
+        kind: u8,
+        table_gen: Option<u64>,
+        counts: &[u64],
+        sum: Option<i128>,
+    ) -> Vec<u8> {
+        let mut buf = Vec::new();
+        wire::put_varint(&mut buf, reports);
+        buf.push(kind);
+        if let Some(table_gen) = table_gen {
+            wire::put_varint(&mut buf, table_gen);
+        }
+        wire::put_varint(&mut buf, counts.len() as u64);
+        for &c in counts {
+            wire::put_varint(&mut buf, c);
+        }
+        if let Some(sum) = sum {
+            buf.extend_from_slice(&sum.to_le_bytes());
+        }
+        buf
+    }
+
     #[test]
     fn restore_state_rejects_forged_snapshots() {
         // Snapshot a GRR length round, then try to load it into rounds and
@@ -1427,45 +1381,118 @@ mod tests {
             "expected generation mismatch, got: {err}"
         );
 
-        // Sums past u64::MAX are refused, not added. Each state declares
-        // one report, then its kind (and oracle or level count) bytes.
-        let forged = |spec: &RoundSpec, head: &[u8], rest: &dyn Fn(&mut Vec<u8>)| {
-            let mut state = [&[1], head].concat();
-            rest(&mut state);
+        // Counts that no report stream could produce are refused. Each
+        // case first restores a consistent state of the same shape, so the
+        // refusal is the invariant's.
+        let load = |spec: &RoundSpec, state: &[u8]| {
             let mut fresh = ShardAggregator::for_round(spec, eps()).unwrap();
-            assert!(
-                fresh.restore_state(&state, &mut 0).is_err(),
-                "{}",
-                spec.name()
-            );
+            let mut pos = 0;
+            fresh.restore_state(state, &mut pos).map(|()| pos)
         };
-        // GRR length counts.
-        forged(&length_spec(), &[1, 1], &|b| {
-            put_counts(b, &[u64::MAX, 1, 0, 0, 0, 0], 1)
-        });
-        // Sub-shape level totals.
+        let check = |spec: &RoundSpec, good: &[u8], bad: &[u8], fault: &str| {
+            assert_eq!(load(spec, good).unwrap(), good.len(), "{}", spec.name());
+            let err = load(spec, bad).unwrap_err().to_string();
+            assert!(err.contains(fault), "{}: {err}", spec.name());
+        };
+        let impossible = "cannot come from";
+        let gen = |spec: &RoundSpec| match spec {
+            RoundSpec::Expand { candidates, .. } | RoundSpec::RefineLabeled { candidates, .. } => {
+                Some(candidates.fingerprint())
+            }
+            _ => None,
+        };
+        // GRR length counts sum to the reports; past u64::MAX they are
+        // refused, not wrapped to the declared 0.
+        let grr = length_spec();
+        check(
+            &grr,
+            &state(2, 1, None, &[1, 0, 1, 0, 0, 0], None),
+            &state(2, 1, None, &[1, 0, 2, 0, 0, 0], None),
+            impossible,
+        );
+        check(
+            &grr,
+            &state(0, 1, None, &[0; 6], None),
+            &state(0, 1, None, &[u64::MAX, 1, 0, 0, 0, 0], None),
+            impossible,
+        );
+        // A count vector of the wrong length.
+        check(
+            &grr,
+            &state(0, 1, None, &[0; 6], None),
+            &state(0, 1, None, &[0; 5], None),
+            "5 counts",
+        );
+        // Sub-shape counts sum to the reports over every level.
         let subshape = RoundSpec::SubShape {
             audience: Audience::group(GroupId::Pb),
             ell_s: 3,
             alphabet: 3,
         };
-        forged(&subshape, &[2, 2], &|b| {
-            put_counts(b, &[u64::MAX, 0, 0, 0, 0, 0], u64::MAX);
-            put_counts(b, &[1, 0, 0, 0, 0, 0], 1);
-        });
+        let mut levels = [0u64; 12];
+        levels[0] = 1;
+        levels[7] = 1;
+        let mut overflow = [0u64; 12];
+        overflow[0] = u64::MAX;
+        overflow[6] = 1;
+        check(
+            &subshape,
+            &state(2, 5, None, &levels, None),
+            &state(0, 5, None, &overflow, None),
+            impossible,
+        );
         // Selection counts, under the table's own generation.
-        let spec = expand_spec(2);
-        let RoundSpec::Expand { candidates, .. } = &spec else {
-            unreachable!()
-        };
-        forged(&spec, &[3], &|b| {
-            for v in [candidates.fingerprint(), 2, u64::MAX, 1] {
-                wire::put_varint(b, v);
-            }
-        });
-        // A piecewise sum of i128::MIN has no absolute value to bound.
-        forged(&oracle_spec(LengthOracle::Piecewise), &[1, 4, 1], &|b| {
-            b.extend_from_slice(&i128::MIN.to_le_bytes())
-        });
+        let expand = expand_spec(2);
+        check(
+            &expand,
+            &state(3, 6, gen(&expand), &[2, 1], None),
+            &state(0, 6, gen(&expand), &[u64::MAX, 1], None),
+            impossible,
+        );
+        // OUE length bits and OLH support: at most one per report.
+        let oue = oracle_spec(LengthOracle::Oue);
+        check(
+            &oue,
+            &state(2, 2, None, &[2, 1, 0, 0, 0, 2], None),
+            &state(2, 2, None, &[3, 1, 0, 0, 0, 2], None),
+            impossible,
+        );
+        let olh = oracle_spec(LengthOracle::Olh);
+        check(
+            &olh,
+            &state(2, 3, None, &[2, 2, 1, 0, 0, 0], None),
+            &state(2, 3, None, &[2, 2, 3, 0, 0, 0], None),
+            impossible,
+        );
+        // Labeled-grid cells: at most one per report, and one per cell.
+        let (labeled, _) = every_round_kind().pop().unwrap();
+        check(
+            &labeled,
+            &state(2, 8, gen(&labeled), &[1, 0, 2, 0], None),
+            &state(2, 8, gen(&labeled), &[1, 0, 0, 3], None),
+            impossible,
+        );
+        check(
+            &labeled,
+            &state(2, 8, gen(&labeled), &[1, 0, 2, 0], None),
+            &state(2, 8, gen(&labeled), &[1, 0, 2], None),
+            "3 counts",
+        );
+        // The piecewise sum stays within reports × the quantized bound; a
+        // sum of i128::MIN has no absolute value to bound.
+        let piecewise = oracle_spec(LengthOracle::Piecewise);
+        let bound = i128::from(PiecewiseMechanism::new(eps()).quantized_bound());
+        check(
+            &piecewise,
+            &state(2, 4, None, &[], Some(-2 * bound)),
+            &state(2, 4, None, &[], Some(-2 * bound - 1)),
+            impossible,
+        );
+        check(
+            &piecewise,
+            &state(2, 4, None, &[], Some(2 * bound)),
+            &state(2, 4, None, &[], Some(i128::MIN)),
+            impossible,
+        );
     }
 }

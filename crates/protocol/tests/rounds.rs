@@ -112,8 +112,8 @@ fn subshape_round_recovers_planted_bigrams() {
     };
     let mut clients = clients_for(&seqs, GroupId::Pb, &p);
     let agg = aggregate(&mut clients, &spec, &p);
-    let aggs = agg.finalize_subshape().unwrap();
-    assert_eq!(aggs.len(), 2);
+    let top = agg.finalize_subshape(2).unwrap();
+    assert_eq!(top.len(), 2);
     let ab = privshape_trie::BigramSet::pair_to_domain_index(
         3,
         privshape_timeseries::Symbol::from_char('a').unwrap(),
@@ -126,16 +126,8 @@ fn subshape_round_recovers_planted_bigrams() {
         privshape_timeseries::Symbol::from_char('c').unwrap(),
     )
     .unwrap();
-    assert!(
-        aggs[0].top_m(2).contains(&ab),
-        "level 1 should keep (a,b): {:?}",
-        aggs[0].estimates()
-    );
-    assert!(
-        aggs[1].top_m(2).contains(&bc),
-        "level 2 should keep (b,c): {:?}",
-        aggs[1].estimates()
-    );
+    assert!(top[0].contains(&ab), "level 1 should keep (a,b): {top:?}");
+    assert!(top[1].contains(&bc), "level 2 should keep (b,c): {top:?}");
 }
 
 #[test]
@@ -151,11 +143,9 @@ fn subshape_padding_spreads_over_pairs_with_the_real_prefix() {
     };
     let mut clients = clients_for(&seqs, GroupId::Pb, &p);
     let agg = aggregate(&mut clients, &spec, &p);
-    let aggs = agg.finalize_subshape().unwrap();
-    let top: Vec<(char, char)> = aggs[0]
-        .top_m(2)
-        .into_iter()
-        .map(|idx| {
+    let top: Vec<(char, char)> = agg.finalize_subshape(2).unwrap()[0]
+        .iter()
+        .map(|&idx| {
             let (x, y) = privshape_trie::BigramSet::domain_index_to_pair(3, idx).unwrap();
             (x.as_char(), y.as_char())
         })

@@ -317,12 +317,15 @@ fn hostile_snapshots_are_rejected() {
         Session::restore(&wrong),
         Err(Error::UnsupportedVersion { .. })
     ));
-    // Version 2 stored derived state; this build only replays round logs.
-    wrong[1] = 2;
-    assert!(matches!(
-        Session::restore(&wrong),
-        Err(Error::UnsupportedVersion { got: 2 })
-    ));
+    // Version 2 stored derived state and version 3 a layout per round
+    // kind; this build only replays version 4's count-vector logs.
+    for old in [2, 3] {
+        wrong[1] = old;
+        assert!(matches!(
+            Session::restore(&wrong),
+            Err(Error::UnsupportedVersion { got }) if got == old
+        ));
+    }
     // 20 bytes: magic, version, varint(2^64 − 1) as the body length, and
     // a checksum.
     let huge = [&[0xF7, SNAPSHOT_VERSION][..], &[0xFF; 9], &[0x01], &[0; 8]].concat();
