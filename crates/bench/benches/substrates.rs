@@ -386,11 +386,11 @@ fn bench_sealed_submit(
     let eps = Epsilon::new(4.0).unwrap();
     group.throughput(Throughput::Elements(reports as u64));
     group.bench_function(id, |bch| {
-        let round = IngestPipeline::for_round(spec, eps, INGEST_FRAMES * reports, None).unwrap();
+        let round = IngestPipeline::for_round(spec, eps, INGEST_FRAMES * reports).unwrap();
         let mut unsent = frames.iter();
         bch.iter(|| {
             let frame = unsent.next().expect("more frames than samples");
-            round.submit_sealed_frame(frame).unwrap();
+            round.submit_sealed_frame(frame, None).unwrap();
         });
         let (merged, stats) = round.finish();
         merged.unwrap();

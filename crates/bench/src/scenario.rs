@@ -2,8 +2,8 @@
 //! scenario cells for the quality gate.
 //!
 //! Each cell drives a full PrivShape session **end-to-end through the
-//! streaming sealed-frame ingest path** (`Session::ingest_pipeline` +
-//! `IngestPipeline::submit_sealed_frame`) over a generated Trace-like
+//! streaming sealed-frame ingest path** (`Session::submit_sealed_frame`)
+//! over a generated Trace-like
 //! population, then scores the extracted shapes against the generator's
 //! noiseless ground truth with [`crate::quality::shape_quality`]. The axes:
 //!
@@ -25,7 +25,7 @@
 //! lower-is-better direction).
 
 use crate::quality::{shape_quality, trace_ground_truth, Quality};
-use privshape::protocol::{seal_frame, IngestStats, LengthOracle, Report, Session, UserClient};
+use privshape::protocol::{seal_frame, LengthOracle, Report, Session, UserClient};
 use privshape::{Extraction, PrivShapeConfig};
 use privshape_datasets::{
     generate_leak_series, generate_trace_like_counts, leak_template, zipf_counts, TraceLikeConfig,
@@ -242,15 +242,12 @@ fn cell_population(sc: &Scenario) -> Vec<TimeSeries> {
     series
 }
 
-/// Drives one session over `series` with every round fed through the
-/// sealed-frame ingest pipeline. With `inject`, each frame is also
-/// replayed verbatim and submitted once more with one bit flipped — the
-/// transport adversary the boundary must shed.
-fn drive_sealed(
-    cfg: PrivShapeConfig,
-    series: &[TimeSeries],
-    inject: bool,
-) -> (Extraction, IngestStats) {
+/// Drives one session over `series` with every round fed through its
+/// sealed-frame boundary. With `inject`, each frame is also replayed
+/// verbatim and submitted once more with one bit flipped — the transport
+/// adversary the boundary must shed, counted in the extraction's
+/// diagnostics.
+fn drive_sealed(cfg: PrivShapeConfig, series: &[TimeSeries], inject: bool) -> Extraction {
     let mut session = Session::privshape(cfg, series.len()).expect("valid session");
     let params = session.params().clone();
     let mut clients: Vec<UserClient> = series
@@ -258,47 +255,45 @@ fn drive_sealed(
         .enumerate()
         .map(|(u, s)| UserClient::new(u, s, &params))
         .collect();
-    let mut totals = IngestStats::default();
     while let Some(spec) = session.next_round().expect("protocol advances") {
         let entries: Vec<(usize, Report)> = clients
             .iter_mut()
             .enumerate()
             .filter_map(|(u, c)| c.answer(&spec).expect("client answers").map(|r| (u, r)))
             .collect();
-        let pipeline = session.ingest_pipeline(None).expect("open round");
+        // No chaos plan, so the round cannot fail.
         for (i, chunk) in entries.chunks(FRAME_REPORTS).enumerate() {
             let frame = seal_frame(chunk);
-            pipeline.submit_sealed_frame(&frame).expect("pipeline open");
+            session
+                .submit_sealed_frame(&frame, None)
+                .expect("round open");
             if inject {
-                pipeline.submit_sealed_frame(&frame).expect("pipeline open");
+                session
+                    .submit_sealed_frame(&frame, None)
+                    .expect("round open");
                 let mut bad = frame.clone();
                 let pos = (i * 31) % bad.len();
                 bad[pos] ^= 1u8 << (i % 8);
-                pipeline.submit_sealed_frame(&bad).expect("pipeline open");
+                session.submit_sealed_frame(&bad, None).expect("round open");
             }
         }
-        let (shard, stats) = pipeline.finish();
-        let shard = shard.expect("no chaos plan, so the round cannot fail");
-        totals.absorb(&stats);
-        session.record_ingest_stats(&stats);
-        session.submit_shard(&shard).expect("shards merge");
     }
-    (session.finish().expect("session complete"), totals)
+    session.finish().expect("session complete")
 }
 
 /// Runs one cell to completion.
 pub fn run_cell(sc: &Scenario) -> CellOutcome {
     let series = cell_population(sc);
-    let (extraction, stats) = drive_sealed(
+    let extraction = drive_sealed(
         cell_config(sc),
         &series,
         sc.kind == ScenarioKind::Adversarial,
     );
 
     let clean_twin_match = if sc.kind == ScenarioKind::Adversarial {
-        let (clean, clean_stats) = drive_sealed(cell_config(sc), &series, false);
-        clean_stats.rejected_frames == 0
-            && clean_stats.duplicate_reports == 0
+        let clean = drive_sealed(cell_config(sc), &series, false);
+        clean.diagnostics.rejected_frames == 0
+            && clean.diagnostics.duplicate_reports == 0
             && clean.shapes == extraction.shapes
     } else {
         true
@@ -317,8 +312,8 @@ pub fn run_cell(sc: &Scenario) -> CellOutcome {
         scenario: *sc,
         quality: shape_quality(&extracted, &trace_ground_truth(&params)),
         shapes,
-        rejected_frames: stats.rejected_frames,
-        duplicate_reports: stats.duplicate_reports,
+        rejected_frames: extraction.diagnostics.rejected_frames,
+        duplicate_reports: extraction.diagnostics.duplicate_reports,
         unassigned_users: extraction.diagnostics.unassigned_users,
         clean_twin_match,
         leak_surfaced,

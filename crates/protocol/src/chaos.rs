@@ -11,11 +11,13 @@
 //! so every chaos run is replayable bit-for-bit from a single integer.
 //!
 //! The plan is a **runtime hook**, not a cargo feature: pass
-//! `Some(Arc<FaultPlan>)` to [`crate::IngestPipeline::for_round`] (or
-//! [`crate::Session::ingest_pipeline`]) and the pipeline consults it at
-//! each sequence point; pass `None` and the hook costs one branch on an
-//! absent `Option`. Production code paths therefore carry no chaos
-//! machinery at all.
+//! `Some(&plan)` to each [`crate::Session::submit_sealed_frame`] (or
+//! [`crate::IngestPipeline::submit_sealed_frame`]) call of a round and the
+//! boundary consults it at each sequence point; pass `None` and the hook
+//! costs one branch on an absent `Option`. Production code paths
+//! therefore carry no chaos machinery at all. The service registry keeps
+//! a round's plan beside its session and passes it with every routed
+//! frame.
 //!
 //! The ingest boundary has two sequence points. The **submit** point is
 //! consulted first on every [`crate::IngestPipeline::submit_sealed_frame`]
@@ -27,7 +29,7 @@
 //! there, in the call of the producer that absorbs the frame.
 //!
 //! Every fault point fires **exactly once**. Sequence counters are global
-//! to the plan and monotone across pipelines, so a recovery that replays
+//! to the plan and monotone across rounds, so a recovery that replays
 //! a round advances the counters past the already-fired point instead of
 //! re-tripping it forever — exactly how a transient real-world fault
 //! behaves. Persistent faults are modeled by scheduling many points

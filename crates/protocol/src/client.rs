@@ -14,16 +14,16 @@
 //!
 //! Raw series and symbol sequences never cross this boundary.
 
-use crate::config::{length_domain, LengthOracle, MAX_LENGTH_DOMAIN};
+use crate::config::LengthOracle;
 use crate::error::{Error, Result};
 use crate::params::{MechanismKind, ProtocolParams};
 use crate::population::{chunk_of_rank, shuffled_users, split_population};
 use crate::rng::{user_rng, Stage};
-use crate::round::{Audience, GroupId, Report, RoundSpec};
+use crate::round::{length_round_domain, subshape_grr, Audience, GroupId, Report, RoundSpec};
 use crate::transform::transform_series;
 use privshape_distance::{em_score, DistanceKind, DistanceWorkspace};
 use privshape_ldp::{Epsilon, ExpMech, Grr, Olh, Oue, PiecewiseMechanism};
-use privshape_timeseries::{CandidateTable, Symbol, SymbolSeq, TimeSeries, MAX_ALPHABET};
+use privshape_timeseries::{CandidateTable, Symbol, SymbolSeq, TimeSeries};
 use privshape_trie::BigramSet;
 use rand::{Rng, RngExt};
 use std::sync::Arc;
@@ -282,17 +282,8 @@ impl UserClient {
     /// oracle draws from the same `(seed, Length, user)` stream, so a
     /// session is deterministic given its params regardless of oracle.
     fn answer_length(&self, range: (usize, usize), oracle: LengthOracle) -> Result<Report> {
+        let domain = length_round_domain(range)?;
         let (lo, hi) = range;
-        if lo >= hi {
-            return Err(Error::Protocol(format!(
-                "length round needs a non-degenerate range, got [{lo}, {hi}]"
-            )));
-        }
-        let Some(domain) = length_domain(lo, hi) else {
-            return Err(Error::Protocol(format!(
-                "length round over [{lo}, {hi}] spans more than {MAX_LENGTH_DOMAIN} lengths"
-            )));
-        };
         let clipped = self.seq.len().clamp(lo, hi);
         let offset = clipped - lo;
         let mut rng = user_rng(self.seed, Stage::Length, self.user);
@@ -329,16 +320,7 @@ impl UserClient {
     /// or one the device's own symbols do not fit in, is refused before
     /// any draw.
     fn answer_subshape(&self, ell_s: usize, alphabet: usize) -> Result<Report> {
-        if ell_s <= 1 {
-            return Err(Error::Protocol(format!(
-                "sub-shape round with ell_s = {ell_s} has no levels to sample"
-            )));
-        }
-        if !(2..=MAX_ALPHABET).contains(&alphabet) {
-            return Err(Error::Protocol(format!(
-                "sub-shape round over an alphabet of {alphabet} symbols (must be 2..={MAX_ALPHABET})"
-            )));
-        }
+        let grr = subshape_grr(ell_s, alphabet, self.epsilon)?;
         if let Some(s) = self.seq.symbols().iter().find(|s| s.index() >= alphabet) {
             return Err(Error::Protocol(format!(
                 "user {} holds symbol {s}, outside the broadcast alphabet of {alphabet} symbols",
@@ -346,7 +328,6 @@ impl UserClient {
             )));
         }
         let levels = ell_s - 1;
-        let grr = Grr::new(alphabet * (alphabet - 1), self.epsilon)?;
         let mut rng = user_rng(self.seed, Stage::SubShape, self.user);
         // Uniform level choice (independent of the data).
         let level = rng.random_range(1..=levels);

@@ -6,6 +6,9 @@
 //! producer threads. [`IngestPipeline`] is that boundary as a library:
 //! each [`IngestPipeline::submit_sealed_frame`] call absorbs its frame in
 //! place, in the producer's own call, in two passes over the frame body.
+//! A [`crate::Session`]'s open round is one such pipeline, fed through
+//! [`crate::Session::submit_sealed_frame`]; a standalone pipeline is the
+//! boundary of an ingestion node that ships its aggregate upstream.
 //!
 //! ```text
 //!  producers (any thread, each in its own submit call)
@@ -33,7 +36,7 @@
 //! its cause: that call, every later submit and [`IngestPipeline::finish`]
 //! return [`Error::PipelinePoisoned`] carrying it.
 //!
-//! **Chaos.** [`IngestPipeline::for_round`] takes an optional
+//! **Chaos.** [`IngestPipeline::submit_sealed_frame`] takes an optional
 //! [`FaultPlan`], consulted at two sequence points (the submit, and the
 //! absorb of a frame that claimed a user) to fire deterministic injected
 //! faults; see [`crate::chaos`].
@@ -45,7 +48,7 @@ use crate::shard::{ShardAggregator, WireReport};
 use crate::wire;
 use privshape_ldp::Epsilon;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Counters from the sealed-frame boundary of an [`IngestPipeline`],
 /// surfaced per session in [`crate::Diagnostics`].
@@ -71,7 +74,7 @@ pub struct IngestStats {
     pub backpressure_stalls: u64,
     /// Panics caught at the absorb and converted into a poisoned round.
     /// Every panic also fails the round, so a nonzero count always pairs
-    /// with a failed [`IngestPipeline::finish`] — the counter tells a
+    /// with a failed round — the counter tells a
     /// supervisor *how often* a session crashes, which its failure budget
     /// is priced in.
     pub worker_panics: u64,
@@ -145,24 +148,36 @@ fn entries<'a>(
 
 /// What the round lock guards.
 #[derive(Debug)]
-struct Round {
-    agg: ShardAggregator,
+pub(crate) struct Round {
+    pub(crate) agg: ShardAggregator,
     /// One bit per user of the population (`population / 8` bytes), set
     /// by the first accepted report of that user this round.
     claimed: Vec<u64>,
-    stats: IngestStats,
-    /// Scratch for OUE bit lists, reused across frames.
-    bits: Vec<usize>,
+    pub(crate) stats: IngestStats,
     /// The cause of the panic that failed the round.
     poisoned: Option<String>,
 }
 
+impl Round {
+    /// [`Error::PipelinePoisoned`] with its cause once a panic failed the
+    /// round.
+    pub(crate) fn health(&self) -> Result<()> {
+        match &self.poisoned {
+            Some(cause) => Err(Error::PipelinePoisoned {
+                cause: cause.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
 /// The ingest boundary of one open round.
 ///
-/// Create one per open round ([`IngestPipeline::for_round`] or
-/// [`crate::Session::ingest_pipeline`]), feed it sealed frames from any
-/// number of producer threads, then [`IngestPipeline::finish`] it into the
-/// round's aggregate to hand to [`crate::Session::submit_shard`].
+/// Create one per round ([`IngestPipeline::for_round`]), feed it sealed
+/// frames from any number of producer threads, then
+/// [`IngestPipeline::finish`] it into the round's aggregate, for example
+/// to hand to [`crate::Session::submit_shard`]. A session builds its own
+/// for each round it opens ([`crate::Session::submit_sealed_frame`]).
 ///
 /// # Example
 ///
@@ -178,15 +193,15 @@ struct Round {
 ///     candidates: Arc::new(CandidateTable::parse_rows(&["a", "b", "c"]).unwrap()),
 /// };
 /// let eps = Epsilon::new(2.0).unwrap();
-/// let pipeline = IngestPipeline::for_round(&spec, eps, 100, None).unwrap();
+/// let pipeline = IngestPipeline::for_round(&spec, eps, 100).unwrap();
 /// // Frames arrive in any order, from any producer.
 /// for users in [[0usize, 1], [2, 3], [4, 5]] {
 ///     let entries = users.map(|u| (u, Report::Expand(u % 3)));
-///     pipeline.submit_sealed_frame(&seal_frame(&entries)).unwrap();
+///     pipeline.submit_sealed_frame(&seal_frame(&entries), None).unwrap();
 /// }
 /// // A replayed frame and a report outside the 3-row table are shed.
-/// pipeline.submit_sealed_frame(&seal_frame(&[(0, Report::Expand(0))])).unwrap();
-/// pipeline.submit_sealed_frame(&seal_frame(&[(6, Report::Expand(3))])).unwrap();
+/// pipeline.submit_sealed_frame(&seal_frame(&[(0, Report::Expand(0))]), None).unwrap();
+/// pipeline.submit_sealed_frame(&seal_frame(&[(6, Report::Expand(3))]), None).unwrap();
 /// let (merged, stats) = pipeline.finish();
 /// let merged = merged.unwrap();
 /// assert_eq!(merged.reports(), 6);
@@ -199,18 +214,14 @@ pub struct IngestPipeline {
     /// so pass 1 needs no lock.
     shape: ShardAggregator,
     /// The session's population: sealed frames may name users
-    /// `0..population` only.
+    /// `0..population` only, and the round holds at most that many
+    /// reports.
     population: usize,
-    /// Chaos hook, consulted at every submit and every absorb that claimed
-    /// a user. `None` in production.
-    chaos: Option<Arc<FaultPlan>>,
     round: Mutex<Round>,
 }
 
 impl IngestPipeline {
-    /// The boundary for one round of a session over `population` users,
-    /// with an optional [`FaultPlan`] that fires its scheduled faults at
-    /// the submit and absorb sequence points (see [`crate::chaos`]).
+    /// The boundary for one round of a session over `population` users.
     ///
     /// Sealed frames may name users `0..population` only: a frame that
     /// declares any other id is rejected whole and counted in
@@ -221,12 +232,7 @@ impl IngestPipeline {
     ///
     /// [`Error::Protocol`] for a population whose bitset cannot be
     /// allocated; the aggregator's error for a spec it rejects.
-    pub fn for_round(
-        spec: &RoundSpec,
-        epsilon: Epsilon,
-        population: usize,
-        chaos: Option<Arc<FaultPlan>>,
-    ) -> Result<Self> {
+    pub fn for_round(spec: &RoundSpec, epsilon: Epsilon, population: usize) -> Result<Self> {
         let words = population.div_ceil(64);
         let mut claimed = Vec::new();
         claimed.try_reserve_exact(words).map_err(|_| {
@@ -241,12 +247,10 @@ impl IngestPipeline {
                 agg: shape.clone(),
                 claimed,
                 stats: IngestStats::default(),
-                bits: Vec::new(),
                 poisoned: None,
             }),
             shape,
             population,
-            chaos,
         })
     }
 
@@ -266,18 +270,21 @@ impl IngestPipeline {
     ///    the round's bitset and adds the report of every first claim to
     ///    the round's aggregate. A report whose user already reported in
     ///    this round (in this frame or any other) is counted in
-    ///    [`IngestStats::duplicate_reports`] and dropped.
+    ///    [`IngestStats::duplicate_reports`] and dropped. Next to reports
+    ///    that hold no claim, a frame whose entries would take the round
+    ///    past the population is rejected whole instead.
     ///
     /// Hostile input therefore never poisons the round: a bad frame
     /// returns `Ok(())` and only moves a counter. Errors are
     /// [`Error::PipelinePoisoned`] once a panic failed the round, and, on
-    /// a chaos run, a typed [`Error::FaultInjected`] when the
-    /// [`FaultPlan`] drops this frame in transit (the caller retries,
-    /// modeling a retransmission). Drops become producer-visible typed
-    /// errors and duplicates go through the dedup, so no injected fault
-    /// can silently change the aggregate.
-    pub fn submit_sealed_frame(&self, frame: &[u8]) -> Result<()> {
-        if let Some(plan) = self.chaos.as_deref() {
+    /// a chaos run (`chaos` is the round's [`FaultPlan`], see
+    /// [`crate::chaos`]), a typed [`Error::FaultInjected`] when it drops
+    /// this frame in transit (the caller retries, modeling a
+    /// retransmission). Drops become producer-visible typed errors and
+    /// duplicates go through the dedup, so no injected fault can silently
+    /// change the aggregate.
+    pub fn submit_sealed_frame(&self, frame: &[u8], chaos: Option<&FaultPlan>) -> Result<()> {
+        if let Some(plan) = chaos {
             match plan.next_submit() {
                 SubmitAction::Deliver => {}
                 SubmitAction::Stall(d) => std::thread::sleep(d),
@@ -289,29 +296,34 @@ impl IngestPipeline {
                 SubmitAction::Duplicate => {
                     // Deliver an extra copy first, as a confused transport
                     // would; the dedup sheds every report in it.
-                    self.absorb_sealed(frame)?;
+                    self.absorb_sealed(frame, chaos)?;
                 }
             }
         }
-        self.absorb_sealed(frame)
+        self.absorb_sealed(frame, chaos)
     }
 
-    fn absorb_sealed(&self, frame: &[u8]) -> Result<()> {
-        let body = self.check(frame);
+    fn absorb_sealed(&self, frame: &[u8], chaos: Option<&FaultPlan>) -> Result<()> {
+        let checked = self.check(frame);
         let mut guard = self.lock();
         let round = &mut *guard;
-        let Some(body) = body else {
+        let Some((body, entries)) = checked else {
             round.stats.rejected_frames += 1;
             return Ok(());
         };
-        if let Some(cause) = &round.poisoned {
-            return Err(Error::PipelinePoisoned {
-                cause: cause.clone(),
-            });
+        round.health()?;
+        // Claims bound the sealed reports to one per user; reports added
+        // without a claim leave less room than the bitset shows.
+        let held = round.agg.reports();
+        if held > round.stats.accepted_reports
+            && held.saturating_add(entries) > self.population as u64
+        {
+            round.stats.rejected_frames += 1;
+            return Ok(());
         }
         // The panic is caught inside the lock's scope, so the round state
         // stays consistent and the lock is never poisoned.
-        let cause = match catch_unwind(AssertUnwindSafe(|| self.absorb(round, body))) {
+        let cause = match catch_unwind(AssertUnwindSafe(|| self.absorb(round, body, chaos))) {
             Ok(Ok(())) => return Ok(()),
             // Pass 1 accepted every entry, so pass 2 cannot refuse one; if
             // it ever did, the round's counts are in doubt.
@@ -326,24 +338,26 @@ impl IngestPipeline {
         })
     }
 
-    /// Pass 1: checks the envelope and every entry, and returns the body,
-    /// or `None` to reject the frame. It claims no user, so a frame
-    /// rejected halfway through never burns its users' one-report-per-round
-    /// slots.
-    fn check<'a>(&self, frame: &'a [u8]) -> Option<&'a [u8]> {
+    /// Pass 1: checks the envelope and every entry, and returns the body
+    /// with its number of entries, or `None` to reject the frame. It
+    /// claims no user, so a frame rejected halfway through never burns
+    /// its users' one-report-per-round slots.
+    fn check<'a>(&self, frame: &'a [u8]) -> Option<(&'a [u8], u64)> {
         let body = wire::unseal_frame(frame).ok()?;
+        let mut count = 0;
         for entry in entries(body, &self.shape) {
             if entry.ok()?.0 >= self.population {
                 return None;
             }
+            count += 1;
         }
-        Some(body)
+        Some((body, count))
     }
 
     /// Pass 2, under the round lock, over a body pass 1 accepted: claims
     /// each entry's user and adds the report of every first claim, then
     /// consults the chaos absorb point if the frame claimed anyone.
-    fn absorb(&self, round: &mut Round, body: &[u8]) -> Result<()> {
+    fn absorb(&self, round: &mut Round, body: &[u8], chaos: Option<&FaultPlan>) -> Result<()> {
         let (mut accepted, mut duplicates) = (0, 0);
         for entry in entries(body, &self.shape) {
             let (user, report) = entry?;
@@ -354,12 +368,12 @@ impl IngestPipeline {
             }
             *word |= mask;
             accepted += 1;
-            round.agg.add_wire(report, &mut round.bits)?;
+            round.agg.add_wire(report)?;
         }
         round.stats.accepted_reports += accepted;
         round.stats.duplicate_reports += duplicates;
         if accepted > 0 {
-            if let Some(plan) = self.chaos.as_deref() {
+            if let Some(plan) = chaos {
                 match plan.next_absorb() {
                     AbsorbAction::Absorb => {}
                     AbsorbAction::Stall(d) => std::thread::sleep(d),
@@ -372,31 +386,26 @@ impl IngestPipeline {
         Ok(())
     }
 
-    fn lock(&self) -> MutexGuard<'_, Round> {
+    /// The round state, under the round lock.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Round> {
         self.round.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Snapshot of the boundary's counters so far.
-    pub fn stats(&self) -> IngestStats {
-        self.lock().stats
+    /// The round state, through exclusive access: no lock is taken.
+    pub(crate) fn round_mut(&mut self) -> &mut Round {
+        self.round.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Closes the round: the round's aggregate, or
     /// [`Error::PipelinePoisoned`] with the cause of the panic that failed
     /// it, and the final counters in both arms — a failed round still
-    /// reports how it failed, so a supervisor can fold crash counts into
-    /// session health metrics before recovering the round
-    /// ([`crate::Session::record_ingest_stats`]).
+    /// reports how it failed.
     pub fn finish(self) -> (Result<ShardAggregator>, IngestStats) {
         let round = self
             .round
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        let result = match round.poisoned {
-            Some(cause) => Err(Error::PipelinePoisoned { cause }),
-            None => Ok(round.agg),
-        };
-        (result, round.stats)
+        (round.health().map(|()| round.agg), round.stats)
     }
 }
 
@@ -406,6 +415,7 @@ mod tests {
     use crate::chaos::FaultKind;
     use crate::round::{Audience, GroupId, Report};
     use privshape_timeseries::CandidateTable;
+    use std::sync::Arc;
 
     /// The population of most test rounds: each sealed user id is below it.
     const USERS: usize = 100;
@@ -425,8 +435,8 @@ mod tests {
         }
     }
 
-    fn pipeline(n: usize, population: usize, chaos: Option<Arc<FaultPlan>>) -> IngestPipeline {
-        IngestPipeline::for_round(&spec(n), eps(), population, chaos).unwrap()
+    fn pipeline(n: usize, population: usize) -> IngestPipeline {
+        IngestPipeline::for_round(&spec(n), eps(), population).unwrap()
     }
 
     /// One sealed frame of one report per user.
@@ -444,10 +454,10 @@ mod tests {
             serial.absorb(r).unwrap();
         }
         let entries: Vec<(usize, Report)> = reports.into_iter().enumerate().collect();
-        let pipeline = IngestPipeline::for_round(&spec, eps(), entries.len(), None).unwrap();
+        let pipeline = IngestPipeline::for_round(&spec, eps(), entries.len()).unwrap();
         for chunk in entries.chunks(13) {
             pipeline
-                .submit_sealed_frame(&wire::seal_frame(chunk))
+                .submit_sealed_frame(&wire::seal_frame(chunk), None)
                 .unwrap();
         }
         let (merged, stats) = pipeline.finish();
@@ -457,7 +467,7 @@ mod tests {
 
     #[test]
     fn concurrent_producers_are_exact() {
-        let pipeline = pipeline(3, 1000, None);
+        let pipeline = pipeline(3, 1000);
         std::thread::scope(|s| {
             for p in 0..4 {
                 let pipeline = &pipeline;
@@ -465,7 +475,7 @@ mod tests {
                     for i in 0..250 {
                         let user = p * 250 + i;
                         let frame = frame(user..user + 1, |_| Report::Expand((p + i) % 3));
-                        pipeline.submit_sealed_frame(&frame).unwrap();
+                        pipeline.submit_sealed_frame(&frame, None).unwrap();
                     }
                 });
             }
@@ -480,24 +490,24 @@ mod tests {
 
     #[test]
     fn worker_error_poisons_and_surfaces() {
-        let plan = Arc::new(FaultPlan::new([FaultKind::WorkerPanic { at_absorb: 1 }]));
-        let pipeline = pipeline(2, USERS, Some(plan));
+        let plan = FaultPlan::new([FaultKind::WorkerPanic { at_absorb: 1 }]);
+        let pipeline = pipeline(2, USERS);
         pipeline
-            .submit_sealed_frame(&frame(0..2, Report::Expand))
+            .submit_sealed_frame(&frame(0..2, Report::Expand), Some(&plan))
             .unwrap();
         // A report outside the 2-row table is the producer's fault: its
         // frame is rejected and the round stays healthy.
         pipeline
-            .submit_sealed_frame(&frame(2..3, |_| Report::Expand(9)))
+            .submit_sealed_frame(&frame(2..3, |_| Report::Expand(9)), Some(&plan))
             .unwrap();
         // The second absorb panics: the call that tripped it and every
         // later one fail, and so does the round.
         assert!(matches!(
-            pipeline.submit_sealed_frame(&frame(3..4, |_| Report::Expand(1))),
+            pipeline.submit_sealed_frame(&frame(3..4, |_| Report::Expand(1)), Some(&plan)),
             Err(Error::PipelinePoisoned { .. })
         ));
         assert!(matches!(
-            pipeline.submit_sealed_frame(&frame(4..5, |_| Report::Expand(1))),
+            pipeline.submit_sealed_frame(&frame(4..5, |_| Report::Expand(1)), Some(&plan)),
             Err(Error::PipelinePoisoned { .. })
         ));
         let (result, stats) = pipeline.finish();
@@ -510,12 +520,12 @@ mod tests {
 
     #[test]
     fn poisoned_submit_carries_the_cause() {
-        let plan = Arc::new(FaultPlan::new([FaultKind::WorkerPanic { at_absorb: 0 }]));
-        let pipeline = pipeline(2, USERS, Some(plan));
-        let _ = pipeline.submit_sealed_frame(&frame(0..1, |_| Report::Expand(0)));
+        let plan = FaultPlan::new([FaultKind::WorkerPanic { at_absorb: 0 }]);
+        let pipeline = pipeline(2, USERS);
+        let _ = pipeline.submit_sealed_frame(&frame(0..1, |_| Report::Expand(0)), Some(&plan));
         // The submit-time error names the panic that failed the round —
         // no "call finish for the cause" indirection.
-        match pipeline.submit_sealed_frame(&frame(1..2, |_| Report::Expand(1))) {
+        match pipeline.submit_sealed_frame(&frame(1..2, |_| Report::Expand(1)), Some(&plan)) {
             Err(Error::PipelinePoisoned { cause }) => {
                 assert!(cause.contains("absorb #0"), "cause: {cause}")
             }
@@ -525,22 +535,22 @@ mod tests {
 
     #[test]
     fn injected_worker_panic_is_caught_counted_and_typed() {
-        let plan = Arc::new(FaultPlan::new([
+        let plan = FaultPlan::new([
             FaultKind::WorkerPanic { at_absorb: 0 },
             FaultKind::WorkerPanic { at_absorb: 1 },
-        ]));
-        let pipeline = pipeline(2, USERS, Some(Arc::clone(&plan)));
-        match pipeline.submit_sealed_frame(&frame(0..1, |_| Report::Expand(0))) {
+        ]);
+        let pipeline = pipeline(2, USERS);
+        match pipeline.submit_sealed_frame(&frame(0..1, |_| Report::Expand(0)), Some(&plan)) {
             Err(Error::PipelinePoisoned { cause }) => {
                 assert!(cause.contains("panicked"), "cause: {cause}")
             }
             other => panic!("expected PipelinePoisoned, got {other:?}"),
         }
-        assert_eq!(pipeline.stats().worker_panics, 1);
+        assert_eq!(pipeline.lock().stats.worker_panics, 1);
         assert_eq!(plan.fired_counts().worker_panics, 1);
         // A poisoned round consults the absorb point no more, so the
         // second point stays armed.
-        let _ = pipeline.submit_sealed_frame(&frame(1..2, |_| Report::Expand(1)));
+        let _ = pipeline.submit_sealed_frame(&frame(1..2, |_| Report::Expand(1)), Some(&plan));
         assert_eq!(plan.fired_counts().worker_panics, 1);
         let (result, stats) = pipeline.finish();
         assert!(matches!(result, Err(Error::PipelinePoisoned { .. })));
@@ -555,19 +565,20 @@ mod tests {
         for (_, r) in &reports {
             serial.absorb(r).unwrap();
         }
-        let plan = Arc::new(FaultPlan::new([
+        let plan = FaultPlan::new([
             FaultKind::FrameDrop { at_submit: 1 },
             FaultKind::FrameDuplicate { at_submit: 3 },
-        ]));
-        let pipeline =
-            IngestPipeline::for_round(&spec, eps(), USERS, Some(Arc::clone(&plan))).unwrap();
+        ]);
+        let pipeline = IngestPipeline::for_round(&spec, eps(), USERS).unwrap();
         for chunk in reports.chunks(10) {
             let frame = wire::seal_frame(chunk);
-            match pipeline.submit_sealed_frame(&frame) {
+            match pipeline.submit_sealed_frame(&frame, Some(&plan)) {
                 Ok(()) => {}
                 // The dropped frame surfaces as a typed transient fault;
                 // retransmit it exactly as a supervisor would.
-                Err(Error::FaultInjected(_)) => pipeline.submit_sealed_frame(&frame).unwrap(),
+                Err(Error::FaultInjected(_)) => {
+                    pipeline.submit_sealed_frame(&frame, Some(&plan)).unwrap()
+                }
                 Err(other) => panic!("unexpected error: {other}"),
             }
         }
@@ -586,7 +597,7 @@ mod tests {
 
     #[test]
     fn empty_round_finishes_empty() {
-        let (merged, stats) = pipeline(2, USERS, None).finish();
+        let (merged, stats) = pipeline(2, USERS).finish();
         assert_eq!(merged.unwrap().reports(), 0);
         assert_eq!(stats, IngestStats::default());
     }
@@ -600,7 +611,7 @@ mod tests {
             serial.absorb(r).unwrap();
         }
 
-        let pipeline = IngestPipeline::for_round(&spec, eps(), USERS, None).unwrap();
+        let pipeline = IngestPipeline::for_round(&spec, eps(), USERS).unwrap();
         for chunk in reports.chunks(10) {
             // The chunk's first user reports again, with another value,
             // inside the same frame: only the first report counts.
@@ -608,14 +619,14 @@ mod tests {
             let mut entries = chunk.to_vec();
             entries.push((first, Report::Expand((first + 1) % 3)));
             let frame = wire::seal_frame(&entries);
-            pipeline.submit_sealed_frame(&frame).unwrap();
+            pipeline.submit_sealed_frame(&frame, None).unwrap();
             // Replaying the exact frame: every entry is a duplicate.
-            pipeline.submit_sealed_frame(&frame).unwrap();
+            pipeline.submit_sealed_frame(&frame, None).unwrap();
             // A bit-flip in transit: the whole frame is rejected.
             let mut bad = frame.clone();
             let mid = bad.len() / 2;
             bad[mid] ^= 0x40;
-            pipeline.submit_sealed_frame(&bad).unwrap();
+            pipeline.submit_sealed_frame(&bad, None).unwrap();
         }
         let (merged, stats) = pipeline.finish();
         assert_eq!(
@@ -641,25 +652,27 @@ mod tests {
 
     #[test]
     fn rejected_frames_claim_no_user() {
-        let pipeline = pipeline(3, USERS, None);
+        let pipeline = pipeline(3, USERS);
         // One user id past the population rejects the whole frame.
         let outside = wire::seal_frame(&[(5, Report::Expand(0)), (USERS, Report::Expand(1))]);
-        pipeline.submit_sealed_frame(&outside).unwrap();
+        pipeline.submit_sealed_frame(&outside, None).unwrap();
         // So does a malformed last entry under a valid checksum.
         let mut body = Vec::new();
         wire::put_varint(&mut body, 6);
         Report::Expand(2).encode_into(&mut body);
         wire::put_varint(&mut body, 7);
         body.push(0x7f); // no such report tag
-        pipeline.submit_sealed_frame(&seal_body(&body)).unwrap();
+        pipeline
+            .submit_sealed_frame(&seal_body(&body), None)
+            .unwrap();
         // And a last report the round refuses: outside the 3-row table,
         // or of another round's kind.
         for refused in [Report::Expand(3), Report::Length(0)] {
             let frame = wire::seal_frame(&[(5, Report::Expand(0)), (7, refused)]);
-            pipeline.submit_sealed_frame(&frame).unwrap();
+            pipeline.submit_sealed_frame(&frame, None).unwrap();
         }
-        assert_eq!(pipeline.stats().rejected_frames, 4);
-        assert_eq!(pipeline.stats().accepted_reports, 0);
+        assert_eq!(pipeline.lock().stats.rejected_frames, 4);
+        assert_eq!(pipeline.lock().stats.accepted_reports, 0);
         // Users 5, 6 and 7 still hold their slots, and the last id of the
         // population is inside it.
         let inside = wire::seal_frame(&[
@@ -668,7 +681,7 @@ mod tests {
             (7, Report::Expand(2)),
             (USERS - 1, Report::Expand(1)),
         ]);
-        pipeline.submit_sealed_frame(&inside).unwrap();
+        pipeline.submit_sealed_frame(&inside, None).unwrap();
         let (merged, stats) = pipeline.finish();
         assert_eq!(stats.accepted_reports, 4);
         assert_eq!(stats.duplicate_reports, 0);
@@ -684,23 +697,23 @@ mod tests {
         // 2^61 bytes of bitset: no allocator can serve it, so the
         // constructor returns an error instead of aborting.
         assert!(matches!(
-            IngestPipeline::for_round(&spec(2), eps(), usize::MAX, None),
+            IngestPipeline::for_round(&spec(2), eps(), usize::MAX),
             Err(Error::Protocol(_))
         ));
-        let empty = pipeline(2, 0, None);
+        let empty = pipeline(2, 0);
         empty
-            .submit_sealed_frame(&wire::seal_frame(&[(0, Report::Expand(0))]))
+            .submit_sealed_frame(&wire::seal_frame(&[(0, Report::Expand(0))]), None)
             .unwrap();
-        assert_eq!(empty.stats().rejected_frames, 1);
+        assert_eq!(empty.lock().stats.rejected_frames, 1);
     }
 
     #[test]
     fn stats_accumulate_across_rounds() {
-        let pipeline = pipeline(2, USERS, None);
+        let pipeline = pipeline(2, USERS);
         let frame = frame(0..3, |u| Report::Expand(u % 2));
-        pipeline.submit_sealed_frame(&frame).unwrap();
-        pipeline.submit_sealed_frame(&frame).unwrap();
-        pipeline.submit_sealed_frame(&frame[1..]).unwrap();
+        pipeline.submit_sealed_frame(&frame, None).unwrap();
+        pipeline.submit_sealed_frame(&frame, None).unwrap();
+        pipeline.submit_sealed_frame(&frame[1..], None).unwrap();
         let (_, stats) = pipeline.finish();
         // Session-level accumulation: counts add, the high-water mark maxes.
         let mut acc = IngestStats::default();

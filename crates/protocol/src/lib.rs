@@ -15,11 +15,12 @@
 //! * [`ShardAggregator`] — mergeable per-round partial sums (`absorb` /
 //!   `merge`), so reports can arrive in chunks from many ingestion shards
 //!   and combine associatively in any order;
-//! * [`IngestPipeline`] — the one untrusted ingress: sealed frames of
-//!   wire-encoded reports ([`seal_frame`], serde-free), each checked
-//!   whole against the round and then absorbed in the producer's own
-//!   call, one report per user per round, bit-identical to serial
-//!   submission;
+//! * [`IngestPipeline`] — the one untrusted ingress, which every
+//!   [`Session`] round is ([`Session::submit_sealed_frame`]) and an
+//!   ingestion node can stand up alone: sealed frames of wire-encoded
+//!   reports ([`seal_frame`], serde-free), each checked whole against the
+//!   round and then absorbed in the producer's own call, one report per
+//!   user per round, bit-identical to serial submission;
 //! * [`UserClient`] — one user's device: owns that user's series, derives
 //!   its group assignment and all of its randomness locally from
 //!   `(seed, user_id)`, and answers only the rounds addressed to its
@@ -116,4 +117,6 @@ pub use round::{Audience, Chunk, GroupId, Report, RoundSpec};
 pub use session::{Session, SNAPSHOT_VERSION};
 pub use shard::ShardAggregator;
 pub use transform::{transform_batch, transform_series};
-pub use wire::{route_frame, seal_frame, unseal_frame, RoutedFrame, ROUTED_VERSION};
+pub use wire::{
+    put_varint, read_varint, route_frame, seal_frame, unseal_frame, RoutedFrame, ROUTED_VERSION,
+};

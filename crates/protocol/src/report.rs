@@ -34,8 +34,7 @@ pub struct Diagnostics {
     /// Whole wire frames rejected at the sealed-frame ingest boundary
     /// (checksum mismatch or malformed body), summed across rounds. Stays
     /// zero unless the sealed path
-    /// ([`crate::IngestPipeline::submit_sealed_frame`]) was used and fed
-    /// back via [`crate::Session::record_ingest_stats`].
+    /// ([`crate::Session::submit_sealed_frame`]) was used.
     pub rejected_frames: u64,
     /// Reports dropped by per-round user-id deduplication at the sealed
     /// ingest boundary, summed across rounds.

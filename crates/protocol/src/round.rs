@@ -7,9 +7,10 @@
 //! user per mechanism run. Nothing else crosses — in particular no raw
 //! series, no symbol sequences, and no unperturbed statistics.
 
-use crate::config::LengthOracle;
-use privshape_ldp::{OlhReport, OueReport};
-use privshape_timeseries::CandidateTable;
+use crate::config::{length_domain, LengthOracle, MAX_LENGTH_DOMAIN};
+use crate::error::{Error, Result};
+use privshape_ldp::{Epsilon, Grr, OlhReport, OueReport};
+use privshape_timeseries::{CandidateTable, MAX_ALPHABET};
 use std::sync::Arc;
 
 /// The disjoint user groups of the mechanisms, used to address rounds.
@@ -152,6 +153,35 @@ impl RoundSpec {
             RoundSpec::RefineLabeled { .. } => "refine (labeled)",
         }
     }
+}
+
+/// The number of lengths a length round over `(lo, hi)` counts, refused
+/// unless it is 2 to [`MAX_LENGTH_DOMAIN`]. Devices and aggregators run the
+/// same check, so neither takes a range the other refuses.
+pub(crate) fn length_round_domain((lo, hi): (usize, usize)) -> Result<usize> {
+    length_domain(lo, hi).filter(|&d| d > 1).ok_or_else(|| {
+        Error::Protocol(format!(
+            "length round over [{lo}, {hi}] must span 2 to {MAX_LENGTH_DOMAIN} lengths"
+        ))
+    })
+}
+
+/// The GRR oracle of a sub-shape round over `ell_s − 1` levels of bigrams
+/// of `alphabet` symbols (one value per ordered pair of distinct symbols),
+/// refused for a round with no levels or an alphabet outside
+/// `2..=MAX_ALPHABET`.
+pub(crate) fn subshape_grr(ell_s: usize, alphabet: usize, epsilon: Epsilon) -> Result<Grr> {
+    if ell_s <= 1 {
+        return Err(Error::Protocol(format!(
+            "sub-shape round with ell_s = {ell_s} has no levels"
+        )));
+    }
+    if !(2..=MAX_ALPHABET).contains(&alphabet) {
+        return Err(Error::Protocol(format!(
+            "sub-shape round over an alphabet of {alphabet} symbols (must be 2..={MAX_ALPHABET})"
+        )));
+    }
+    Ok(Grr::new(alphabet * (alphabet - 1), epsilon)?)
 }
 
 /// One user's answer to one round — the only thing that ever leaves the

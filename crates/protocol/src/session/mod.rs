@@ -8,7 +8,7 @@
 //! let mut session = Session::privshape(config, n)?;
 //! while let Some(spec) = session.next_round()? {       // server broadcasts
 //!     let reports = /* each addressed client answers `spec` */;
-//!     session.submit(&reports)?;                       // or submit_shard
+//!     session.submit(&reports)?;       // or submit_shard, submit_sealed_frame
 //! }
 //! let extraction = session.finish()?;
 //! ```
@@ -16,7 +16,10 @@
 //! `next_round` finalizes whatever was submitted for the previous round
 //! and emits the next broadcast; reports may arrive over multiple
 //! [`Session::submit`] / [`Session::submit_shard`] calls in any chunking
-//! and order (aggregation is associative — see [`ShardAggregator`]).
+//! and order (aggregation is associative — see [`ShardAggregator`]), and
+//! as sealed frames from any number of producer threads at once
+//! ([`Session::submit_sealed_frame`]). Each open round is one
+//! [`IngestPipeline`], so all three add to the round's one aggregate.
 //!
 //! The same state machine drives both mechanisms and both output modes:
 //!
@@ -37,7 +40,7 @@ pub use snapshot::SNAPSHOT_VERSION;
 use crate::chaos::FaultPlan;
 use crate::config::{BaselineConfig, PrivShapeConfig};
 use crate::error::{Error, Result};
-use crate::ingest::{IngestPipeline, IngestStats};
+use crate::ingest::{IngestPipeline, IngestStats, Round};
 use crate::params::ProtocolParams;
 use crate::population::{chunk_len, split_population, Groups};
 use crate::postprocess::select_distinct_top_k;
@@ -49,22 +52,34 @@ use privshape_trie::{BigramSet, NodeId, ShapeTrie};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Mechanism-specific pruning plan.
-#[derive(Debug, Clone)]
-enum Plan {
-    /// Top-`c·k` pruning, sub-shape constrained expansion, Pd refinement.
-    PrivShape,
-    /// Absolute-threshold pruning, unconstrained expansion.
-    Baseline { prune_threshold: f64 },
-}
-
-/// The validated configuration the session was built from, retained so a
-/// snapshot can serialize it and a restore can rebuild every static field
-/// (params, groups, plan) through the same constructor path.
+/// The validated configuration the session was built from: the mechanism
+/// and every knob its rounds read. A snapshot serializes it, and a restore
+/// rebuilds every static field (params, groups) through the same
+/// constructor.
 #[derive(Debug, Clone)]
 enum Origin {
+    /// Top-`c·k` pruning, sub-shape constrained expansion, Pd refinement.
     PrivShape(PrivShapeConfig),
+    /// Absolute-threshold pruning, unconstrained expansion.
     Baseline(BaselineConfig),
+}
+
+impl Origin {
+    fn k(&self) -> usize {
+        match self {
+            Origin::PrivShape(c) => c.k,
+            Origin::Baseline(c) => c.k,
+        }
+    }
+
+    /// Top-`c·k` bound for sub-shape sets and expansion pruning
+    /// (PrivShape only).
+    fn top_m(&self) -> usize {
+        match self {
+            Origin::PrivShape(c) => c.c * c.k,
+            Origin::Baseline(_) => 0,
+        }
+    }
 }
 
 /// Output mode, fixed at session construction.
@@ -84,12 +99,14 @@ enum Phase {
     Complete,
 }
 
-/// The currently open round: its broadcast, its accumulating aggregate,
-/// and the server-side bookkeeping needed to apply the result.
+/// The currently open round: its broadcast, its ingest boundary, and the
+/// server-side bookkeeping needed to apply the result.
 #[derive(Debug)]
 struct OpenRound {
     spec: RoundSpec,
-    agg: ShardAggregator,
+    /// Holds the round's one aggregate and counters: submits, merged
+    /// shards and sealed frames all add to it.
+    pipeline: IngestPipeline,
     /// Trie node ids behind `spec`'s candidates (expansion rounds only).
     nodes: Vec<NodeId>,
     /// Size of the addressed group/chunk (degenerate-grid fallback).
@@ -108,13 +125,7 @@ enum Output {
 pub struct Session {
     origin: Origin,
     params: ProtocolParams,
-    plan: Plan,
     mode: Mode,
-    k: usize,
-    /// Top-`c·k` bound for sub-shape sets and expansion pruning
-    /// (PrivShape only).
-    top_m: usize,
-    alphabet: usize,
     groups: Groups,
     phase: Phase,
     /// Rounds opened so far (including the currently open one); gives
@@ -129,6 +140,7 @@ pub struct Session {
     trie: Option<ShapeTrie>,
     candidates_per_level: Vec<usize>,
     output: Option<Output>,
+    /// The sealed-frame counters of the closed rounds.
     ingest: IngestStats,
     started: Instant,
 }
@@ -137,91 +149,67 @@ impl Session {
     /// A PrivShape session for clustering-oriented (unlabeled) extraction
     /// over `n` enrolled users.
     pub fn privshape(config: PrivShapeConfig, n: usize) -> Result<Self> {
-        Self::privshape_with_mode(config, n, Mode::Unlabeled)
+        Self::new(Origin::PrivShape(config), n, Mode::Unlabeled)
     }
 
     /// A PrivShape session for classification-oriented (labeled)
     /// extraction with `n_classes` classes.
     pub fn privshape_labeled(config: PrivShapeConfig, n: usize, n_classes: usize) -> Result<Self> {
-        if n_classes == 0 {
-            return Err(Error::BadLabels("n_classes must be >= 1".into()));
-        }
-        Self::privshape_with_mode(config, n, Mode::Labeled { n_classes })
-    }
-
-    fn privshape_with_mode(config: PrivShapeConfig, n: usize, mode: Mode) -> Result<Self> {
-        config.validate()?;
-        if n == 0 {
-            return Err(Error::NotEnoughUsers { needed: 1, got: 0 });
-        }
-        let groups = split_population(n, &config.split, config.seed)?;
-        let alphabet = config.preprocessing.alphabet(&config.sax);
-        Ok(Self {
-            params: ProtocolParams::privshape(&config, n),
-            plan: Plan::PrivShape,
-            mode,
-            k: config.k,
-            top_m: config.c * config.k,
-            alphabet,
-            groups,
-            phase: Phase::Length,
-            round_index: 0,
-            open: None,
-            log: Vec::new(),
-            origin: Origin::PrivShape(config),
-            ell_s: 0,
-            bigram_sets: Vec::new(),
-            trie: None,
-            candidates_per_level: Vec::new(),
-            output: None,
-            ingest: IngestStats::default(),
-            started: Instant::now(),
-        })
+        Self::new(Origin::PrivShape(config), n, Mode::Labeled { n_classes })
     }
 
     /// A baseline session for unlabeled extraction over `n` users.
     pub fn baseline(config: BaselineConfig, n: usize) -> Result<Self> {
-        Self::baseline_with_mode(config, n, Mode::Unlabeled)
+        Self::new(Origin::Baseline(config), n, Mode::Unlabeled)
     }
 
     /// A baseline session for labeled extraction with `n_classes` classes
     /// (reserves one extra user round for the label reports).
     pub fn baseline_labeled(config: BaselineConfig, n: usize, n_classes: usize) -> Result<Self> {
-        if n_classes == 0 {
-            return Err(Error::BadLabels("n_classes must be >= 1".into()));
-        }
-        Self::baseline_with_mode(config, n, Mode::Labeled { n_classes })
+        Self::new(Origin::Baseline(config), n, Mode::Labeled { n_classes })
     }
 
-    fn baseline_with_mode(config: BaselineConfig, n: usize, mode: Mode) -> Result<Self> {
-        config.validate()?;
+    /// The constructor behind the four public ones and
+    /// [`Session::restore`]: it validates the labels, the config and the
+    /// population, then derives the params and the groups, pure functions
+    /// of `(origin, n)`.
+    fn new(origin: Origin, n: usize, mode: Mode) -> Result<Self> {
+        if let Mode::Labeled { n_classes: 0 } = mode {
+            return Err(Error::BadLabels("n_classes must be >= 1".into()));
+        }
+        match &origin {
+            Origin::PrivShape(c) => c.validate()?,
+            Origin::Baseline(c) => c.validate()?,
+        }
         if n == 0 {
             return Err(Error::NotEnoughUsers { needed: 1, got: 0 });
         }
-        let (pa, pb) = crate::client::baseline_split(n, config.pa, config.seed)?;
-        let groups = Groups {
-            pa,
-            pb,
-            pc: Vec::new(),
-            pd: Vec::new(),
-            unassigned: 0,
+        let (params, groups) = match &origin {
+            Origin::PrivShape(c) => (
+                ProtocolParams::privshape(c, n),
+                split_population(n, &c.split, c.seed)?,
+            ),
+            Origin::Baseline(c) => {
+                let (pa, pb) = crate::client::baseline_split(n, c.pa, c.seed)?;
+                let groups = Groups {
+                    pa,
+                    pb,
+                    pc: Vec::new(),
+                    pd: Vec::new(),
+                    unassigned: 0,
+                };
+                (ProtocolParams::baseline(c, n), groups)
+            }
         };
-        let alphabet = config.preprocessing.alphabet(&config.sax);
         Ok(Self {
-            params: ProtocolParams::baseline(&config, n),
-            plan: Plan::Baseline {
-                prune_threshold: config.prune_threshold,
-            },
+            origin,
+            params,
             mode,
-            k: config.k,
-            top_m: 0,
-            alphabet,
             groups,
             phase: Phase::Length,
             round_index: 0,
             open: None,
             log: Vec::new(),
-            origin: Origin::Baseline(config),
             ell_s: 0,
             bigram_sets: Vec::new(),
             trie: None,
@@ -267,60 +255,53 @@ impl Session {
     /// An empty shard aggregate matching the currently open round, for
     /// ingestion nodes that aggregate reports away from the session.
     pub fn shard_aggregator(&self) -> Result<ShardAggregator> {
-        let Some(open) = self.open.as_ref() else {
-            return Err(Error::Protocol(
-                "no open round to build a shard aggregator for".into(),
-            ));
-        };
+        let open = self
+            .open
+            .as_ref()
+            .ok_or_else(|| no_open_round("shard_aggregator"))?;
         ShardAggregator::for_round(&open.spec, self.params.epsilon)
-    }
-
-    /// The sealed-frame ingest boundary of the currently open round:
-    /// sealed frames go in (out of order, from any number of producers),
-    /// and [`IngestPipeline::finish`] hands back the round's aggregate for
-    /// [`Session::submit_shard`] — bit-identical to submitting the reports
-    /// serially. Sealed frames may name the session's users `0..n` only.
-    /// `chaos` installs a [`FaultPlan`] hook (see [`crate::chaos`]);
-    /// production passes `None`.
-    pub fn ingest_pipeline(&self, chaos: Option<Arc<FaultPlan>>) -> Result<IngestPipeline> {
-        let Some(open) = self.open.as_ref() else {
-            return Err(Error::Protocol(
-                "no open round to build an ingest pipeline for".into(),
-            ));
-        };
-        IngestPipeline::for_round(&open.spec, self.params.epsilon, self.params.n, chaos)
     }
 
     /// The client seed this session was configured with — the root of all
     /// per-user randomness. Supervisors derive deterministic retry jitter
     /// from it so a recovery schedule replays exactly under a fixed seed.
     pub fn seed(&self) -> u64 {
-        match &self.origin {
-            Origin::PrivShape(c) => c.seed,
-            Origin::Baseline(c) => c.seed,
-        }
+        self.params.seed
     }
 
-    /// Folds one round's sealed-frame counters ([`IngestPipeline::finish`])
-    /// into the session, so the final [`crate::Diagnostics`] reports how
-    /// much hostile input the run shed at the ingest boundary. Optional:
-    /// sessions fed through [`Session::submit`] or
-    /// [`Session::submit_shard`] alone have nothing to record.
-    pub fn record_ingest_stats(&mut self, stats: &IngestStats) {
-        self.ingest.absorb(stats);
-    }
-
-    /// The sealed-frame validation counters recorded so far.
+    /// The sealed-frame counters so far, of the closed rounds and the open
+    /// one, which the final [`crate::Diagnostics`] report.
     pub fn ingest_stats(&self) -> IngestStats {
-        self.ingest
+        let mut stats = self.ingest;
+        if let Some(open) = &self.open {
+            stats.absorb(&open.pipeline.lock().stats);
+        }
+        stats
+    }
+
+    /// [`Error::PipelinePoisoned`] with its cause once a panic in a
+    /// sealed-frame absorb failed the open round, `Ok` otherwise. A failed
+    /// round is never finalized: it stays open, and
+    /// [`Session::next_round`] refuses it, until the session is dropped —
+    /// a supervisor restores it from a checkpoint instead.
+    pub fn check_round(&self) -> Result<()> {
+        match &self.open {
+            Some(open) => open.pipeline.lock().health(),
+            None => Ok(()),
+        }
     }
 
     /// Finalizes the previous round (if any) and emits the next broadcast;
     /// `None` once the protocol is complete (then call [`Session::finish`]
     /// or [`Session::finish_labeled`]).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::PipelinePoisoned`], leaving the round open, for a round a
+    /// panic failed ([`Session::check_round`]).
     pub fn next_round(&mut self) -> Result<Option<RoundSpec>> {
+        self.check_round()?;
         if let Some(open) = self.open.take() {
-            open.agg.snapshot_state_into(&mut self.log);
             self.finalize(open)?;
         }
         loop {
@@ -356,12 +337,12 @@ impl Session {
                         // No estimation group degrades gracefully to fully
                         // permissive sets (no pruning information ⇒ no
                         // pruning).
-                        self.bigram_sets = vec![BigramSet::full(self.alphabet); self.ell_s - 1];
+                        self.bigram_sets = vec![BigramSet::full(self.alphabet()); self.ell_s - 1];
                         self.enter_expand()?;
                         continue;
                     }
                     let audience_len = self.groups.pb.len();
-                    let (ell_s, alphabet) = (self.ell_s, self.alphabet);
+                    let (ell_s, alphabet) = (self.ell_s, self.alphabet());
                     return self.open_round(
                         RoundSpec::SubShape {
                             audience: Audience::group(GroupId::Pb),
@@ -416,17 +397,12 @@ impl Session {
     ///
     /// [`Error::Protocol`] for a report the round refuses, and, before
     /// absorbing any of the batch, for a batch that would take the round
-    /// past one report per user of the population.
+    /// past one report per user of the population;
+    /// [`Error::PipelinePoisoned`] for a round a panic failed.
     pub fn submit(&mut self, reports: &[Report]) -> Result<()> {
-        let n = self.params.n;
-        let Some(open) = self.open.as_mut() else {
-            return Err(Error::Protocol(
-                "submit with no open round (call next_round first)".into(),
-            ));
-        };
-        check_room(&open.agg, reports.len() as u64, n)?;
+        let round = self.round_with_room("submit", reports.len() as u64)?;
         for report in reports {
-            open.agg.absorb(report)?;
+            round.agg.absorb(report)?;
         }
         Ok(())
     }
@@ -438,16 +414,36 @@ impl Session {
     ///
     /// [`Error::Protocol`], leaving the round unchanged, for a shard built
     /// for another round and for one that would take the round past one
-    /// report per user of the population.
+    /// report per user of the population; [`Error::PipelinePoisoned`] for
+    /// a round a panic failed.
     pub fn submit_shard(&mut self, shard: &ShardAggregator) -> Result<()> {
-        let n = self.params.n;
-        let Some(open) = self.open.as_mut() else {
-            return Err(Error::Protocol(
-                "submit_shard with no open round (call next_round first)".into(),
-            ));
-        };
-        check_room(&open.agg, shard.reports(), n)?;
-        open.agg.merge(shard)
+        self.round_with_room("submit_shard", shard.reports())?
+            .agg
+            .merge(shard)
+    }
+
+    /// Submits one sealed frame ([`crate::seal_frame`]) to the open round
+    /// and absorbs it before returning. Any number of producer threads may
+    /// call it at once: the frame is checked whole against the round and
+    /// the population `0..n`, then the first report of each user this
+    /// round is added to the round's aggregate, bit-identical to
+    /// submitting the reports serially (see
+    /// [`IngestPipeline::submit_sealed_frame`]). A frame the boundary
+    /// refuses, or a user's repeat, only moves a counter of
+    /// [`Session::ingest_stats`]. `chaos` is the round's [`FaultPlan`]
+    /// (see [`crate::chaos`]); production passes `None`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Protocol`] with no round open; [`Error::PipelinePoisoned`]
+    /// once a panic failed the round, and [`Error::FaultInjected`] for a
+    /// frame `chaos` drops in transit.
+    pub fn submit_sealed_frame(&self, frame: &[u8], chaos: Option<&FaultPlan>) -> Result<()> {
+        let open = self
+            .open
+            .as_ref()
+            .ok_or_else(|| no_open_round("submit_sealed_frame"))?;
+        open.pipeline.submit_sealed_frame(frame, chaos)
     }
 
     /// The unlabeled extraction, once [`Session::next_round`] has returned
@@ -488,33 +484,57 @@ impl Session {
 
     // ---- internals ------------------------------------------------------
 
+    /// The open round's state with room for `more` reports, through
+    /// exclusive access (no lock is taken). Each user reports at most once
+    /// a round, so a round holds at most `n` reports:
+    /// [`Session::restore`] refuses a logged round past that, and a live
+    /// round never gets there.
+    fn round_with_room(&mut self, call: &str, more: u64) -> Result<&mut Round> {
+        let n = self.params.n;
+        let open = self.open.as_mut().ok_or_else(|| no_open_round(call))?;
+        let round = open.pipeline.round_mut();
+        round.health()?;
+        let held = round.agg.reports();
+        if held.saturating_add(more) > n as u64 {
+            return Err(Error::Protocol(format!(
+                "{more} more reports would take a round holding {held} past its {n} users"
+            )));
+        }
+        Ok(round)
+    }
+
     fn open_round(
         &mut self,
         spec: RoundSpec,
         nodes: Vec<NodeId>,
         audience_len: usize,
     ) -> Result<Option<RoundSpec>> {
-        let agg = ShardAggregator::for_round(&spec, self.params.epsilon)?;
+        let pipeline = IngestPipeline::for_round(&spec, self.params.epsilon, self.params.n)?;
         self.round_index += 1;
         self.open = Some(OpenRound {
             spec: spec.clone(),
-            agg,
+            pipeline,
             nodes,
             audience_len,
         });
         Ok(Some(spec))
     }
 
+    /// Closes a round [`Session::check_round`] passed: folds its counters
+    /// into the session's, logs its aggregate and applies it.
     fn finalize(&mut self, open: OpenRound) -> Result<()> {
+        let (agg, stats) = open.pipeline.finish();
+        let agg = agg?;
+        self.ingest.absorb(&stats);
+        agg.snapshot_state_into(&mut self.log);
         match open.spec {
             RoundSpec::Length { range: (lo, _), .. } => {
-                let ell_s = open.agg.finalize_length(lo)?;
+                let ell_s = agg.finalize_length(lo)?;
                 self.set_ell_s(ell_s)?;
             }
             RoundSpec::SubShape { alphabet, .. } => {
-                self.bigram_sets = open
-                    .agg
-                    .finalize_subshape(self.top_m)?
+                self.bigram_sets = agg
+                    .finalize_subshape(self.origin.top_m())?
                     .into_iter()
                     .map(|top| {
                         let mut set = BigramSet::new(alphabet);
@@ -529,16 +549,16 @@ impl Session {
                 self.enter_expand()?;
             }
             RoundSpec::Expand { level, .. } => {
-                let counts = open.agg.finalize_selections()?;
+                let counts = agg.finalize_selections()?;
                 self.apply_expand_counts(level, &open.nodes, &counts)?;
             }
             RoundSpec::RefineUnlabeled { candidates, .. } => {
-                let counts = open.agg.finalize_selections()?;
+                let counts = agg.finalize_selections()?;
                 // Cold path (once per session): unpack the table into owned
                 // sequences for the k-medoids suppression step.
                 let scored: Vec<(SymbolSeq, f64)> =
                     candidates.to_seqs().into_iter().zip(counts).collect();
-                let shapes = select_distinct_top_k(&scored, self.k, self.params.distance)
+                let shapes = select_distinct_top_k(&scored, self.origin.k(), self.params.distance)
                     .into_iter()
                     .map(|(shape, frequency)| ExtractedShape { shape, frequency })
                     .collect();
@@ -546,7 +566,7 @@ impl Session {
                 self.phase = Phase::Complete;
             }
             RoundSpec::RefineLabeled { candidates, .. } => {
-                let freqs = open.agg.finalize_labeled(open.audience_len)?;
+                let freqs = agg.finalize_labeled(open.audience_len)?;
                 let classes = self.labeled_classes(&candidates.to_seqs(), freqs);
                 self.output = Some(Output::Labeled(classes));
                 self.phase = Phase::Complete;
@@ -555,20 +575,24 @@ impl Session {
         Ok(())
     }
 
+    fn alphabet(&self) -> usize {
+        self.params.preprocessing.alphabet(&self.params.sax)
+    }
+
     /// Records ℓ_S and moves past the length phase.
     fn set_ell_s(&mut self, ell_s: usize) -> Result<()> {
         self.ell_s = ell_s;
-        match self.plan {
-            Plan::PrivShape => {
+        match self.origin {
+            Origin::PrivShape(_) => {
                 self.phase = Phase::SubShape;
                 Ok(())
             }
-            Plan::Baseline { .. } => self.enter_expand(),
+            Origin::Baseline(_) => self.enter_expand(),
         }
     }
 
     fn enter_expand(&mut self) -> Result<()> {
-        self.trie = Some(ShapeTrie::new(self.alphabet)?);
+        self.trie = Some(ShapeTrie::new(self.alphabet())?);
         self.phase = Phase::Expand { level: 1 };
         Ok(())
     }
@@ -578,7 +602,7 @@ impl Session {
     /// live frontier, expanding with it would dead-end the trie, so fall
     /// back to unconstrained expansion for this level (DESIGN.md §2).
     fn allowed_edges(&self, level: usize) -> Result<Option<BigramSet>> {
-        if !matches!(self.plan, Plan::PrivShape) || level == 1 {
+        if !matches!(self.origin, Origin::PrivShape(_)) || level == 1 {
             return Ok(None);
         }
         let set = &self.bigram_sets[level - 2];
@@ -602,9 +626,9 @@ impl Session {
         for (&id, &count) in nodes.iter().zip(counts) {
             trie.set_freq(id, count);
         }
-        match self.plan {
-            Plan::PrivShape => trie.prune_top_m(level, self.top_m)?,
-            Plan::Baseline { prune_threshold } => trie.prune_threshold(level, prune_threshold)?,
+        match &self.origin {
+            Origin::PrivShape(_) => trie.prune_top_m(level, self.origin.top_m())?,
+            Origin::Baseline(c) => trie.prune_threshold(level, c.prune_threshold)?,
         };
         self.candidates_per_level
             .push(trie.live_nodes(level)?.len());
@@ -620,12 +644,12 @@ impl Session {
     /// expansion group, one chunk per trie level (the baseline's labeled
     /// variant reserves one extra chunk for the label round).
     fn expand_audience(&self, level: usize) -> (Audience, usize) {
-        match self.plan {
-            Plan::PrivShape => {
+        match self.origin {
+            Origin::PrivShape(_) => {
                 let len = chunk_len(self.groups.pc.len(), self.ell_s, level - 1);
                 (Audience::chunk(GroupId::Pc, level - 1, self.ell_s), len)
             }
-            Plan::Baseline { .. } => {
+            Origin::Baseline(_) => {
                 let total = self.baseline_rounds();
                 let len = chunk_len(self.groups.pb.len(), total, level - 1);
                 (Audience::chunk(GroupId::Pb, level - 1, total), len)
@@ -645,19 +669,19 @@ impl Session {
     fn refine_round(&mut self) -> Result<Option<RoundSpec>> {
         let trie = self.trie.as_ref().expect("trie initialized on entry");
         let leaves = trie.leaves_by_freq();
-        match (&self.plan, self.mode) {
-            (Plan::Baseline { .. }, Mode::Unlabeled) => {
+        match (&self.origin, self.mode) {
+            (Origin::Baseline(_), Mode::Unlabeled) => {
                 // Algorithm 1 stops at the trie: top-k most frequent leaves.
                 let shapes = leaves
                     .into_iter()
-                    .take(self.k)
+                    .take(self.origin.k())
                     .map(|(_, shape, frequency)| ExtractedShape { shape, frequency })
                     .collect();
                 self.output = Some(Output::Unlabeled(shapes));
                 self.phase = Phase::Complete;
                 Ok(None)
             }
-            (Plan::PrivShape, Mode::Unlabeled) => {
+            (Origin::PrivShape(_), Mode::Unlabeled) => {
                 let candidates: CandidateTable = leaves.into_iter().map(|(_, s, _)| s).collect();
                 if candidates.is_empty() {
                     self.output = Some(Output::Unlabeled(Vec::new()));
@@ -669,7 +693,7 @@ impl Session {
                     candidates: Arc::new(candidates),
                 }))
             }
-            (Plan::PrivShape, Mode::Labeled { n_classes }) => {
+            (Origin::PrivShape(_), Mode::Labeled { n_classes }) => {
                 let candidates: CandidateTable = leaves.into_iter().map(|(_, s, _)| s).collect();
                 if candidates.is_empty() {
                     self.output = Some(Output::Labeled(empty_classes(n_classes)));
@@ -682,10 +706,10 @@ impl Session {
                     n_classes,
                 }))
             }
-            (Plan::Baseline { .. }, Mode::Labeled { n_classes }) => {
+            (Origin::Baseline(_), Mode::Labeled { n_classes }) => {
                 let candidates: CandidateTable = leaves
                     .into_iter()
-                    .take(self.k.max(n_classes))
+                    .take(self.origin.k().max(n_classes))
                     .map(|(_, s, _)| s)
                     .collect();
                 if candidates.is_empty() {
@@ -726,16 +750,16 @@ impl Session {
             .into_iter()
             .enumerate()
             .map(|(label, class_freqs)| {
-                let shapes = match self.plan {
-                    Plan::PrivShape => {
+                let shapes = match self.origin {
+                    Origin::PrivShape(_) => {
                         let scored: Vec<(SymbolSeq, f64)> =
                             candidates.iter().cloned().zip(class_freqs).collect();
-                        select_distinct_top_k(&scored, self.k, self.params.distance)
+                        select_distinct_top_k(&scored, self.origin.k(), self.params.distance)
                             .into_iter()
                             .map(|(shape, frequency)| ExtractedShape { shape, frequency })
                             .collect()
                     }
-                    Plan::Baseline { .. } => {
+                    Origin::Baseline(_) => {
                         let mut shapes: Vec<ExtractedShape> = candidates
                             .iter()
                             .zip(&class_freqs)
@@ -745,7 +769,7 @@ impl Session {
                             })
                             .collect();
                         shapes.sort_by(|a, b| b.frequency.total_cmp(&a.frequency));
-                        shapes.truncate(self.k);
+                        shapes.truncate(self.origin.k());
                         shapes
                     }
                 };
@@ -799,17 +823,8 @@ fn frontier_has_allowed_edge(trie: &ShapeTrie, level: usize, set: &BigramSet) ->
     Ok(false)
 }
 
-/// Each user reports at most once per round, so a round can hold at most
-/// `n` reports: [`Session::restore`] refuses a logged round past that, and
-/// a live round never gets there.
-fn check_room(agg: &ShardAggregator, more: u64, n: usize) -> Result<()> {
-    let held = agg.reports();
-    if held.saturating_add(more) > n as u64 {
-        return Err(Error::Protocol(format!(
-            "{more} more reports would take a round holding {held} past its {n} users"
-        )));
-    }
-    Ok(())
+fn no_open_round(call: &str) -> Error {
+    Error::Protocol(format!("{call} with no open round (call next_round first)"))
 }
 
 #[cfg(test)]
@@ -1009,7 +1024,8 @@ mod tests {
         while let Some(spec) = s.next_round().unwrap() {
             s.submit(&synthetic_reports(&spec)).unwrap();
             let mut state = Vec::new();
-            s.open.as_ref().unwrap().agg.snapshot_state_into(&mut state);
+            let open = s.open.as_ref().unwrap();
+            open.pipeline.lock().agg.snapshot_state_into(&mut state);
             states.push(state);
         }
         let log: Vec<&[u8]> = states.iter().map(Vec::as_slice).collect();
@@ -1069,14 +1085,15 @@ mod tests {
         }
     }
 
-    /// A round holds at most one report per user: a batch or a shard that
+    /// A round holds at most one report per user, whatever mix of batches,
+    /// shards and sealed frames fed it: a batch, a shard or a frame that
     /// would take it past the population is refused whole, so the live
     /// session never logs a round its own restore would refuse.
     #[test]
     fn rounds_refuse_more_reports_than_users() {
         let mut s = Session::privshape(config(), 100).unwrap();
         s.next_round().unwrap().expect("length round");
-        let held = |s: &Session| s.open.as_ref().unwrap().agg.reports();
+        let held = |s: &Session| s.open.as_ref().unwrap().pipeline.lock().agg.reports();
         let lengths = |n: usize| vec![Report::Length(0); n];
         assert!(matches!(s.submit(&lengths(150)), Err(Error::Protocol(_))));
         assert_eq!(held(&s), 0, "a refused batch absorbed reports");
@@ -1089,15 +1106,26 @@ mod tests {
         // Up to the population is fine, and the snapshot restores.
         s.submit(&lengths(60)).unwrap();
         assert!(s.submit(&lengths(41)).is_err());
-        s.submit(&lengths(40)).unwrap();
+        // Sealed frames claim each user once, but the 60 submitted reports
+        // hold no claim: a frame of 41 users no longer fits, one of 40 does.
+        let frame = |users: std::ops::Range<usize>| {
+            crate::wire::seal_frame(&users.map(|u| (u, Report::Length(0))).collect::<Vec<_>>())
+        };
+        s.submit_sealed_frame(&frame(0..41), None).unwrap();
+        assert_eq!(held(&s), 60, "a frame past the population was absorbed");
+        assert_eq!(s.ingest_stats().rejected_frames, 1);
+        s.submit_sealed_frame(&frame(0..40), None).unwrap();
+        assert_eq!(held(&s), 100);
+        s.submit_sealed_frame(&frame(40..41), None).unwrap();
+        assert!(s.submit(&lengths(1)).is_err());
         assert_eq!(held(&s), 100);
         let restored = Session::restore(&s.snapshot()).unwrap();
         assert_eq!(held(&restored), 100);
     }
 
     /// Restored ingest counters are untrusted input too: a session
-    /// restored with every counter at `u64::MAX` still folds another
-    /// round's stats, saturating.
+    /// restored with every counter at `u64::MAX` still adds its open
+    /// round's counters, and folds them in at `next_round`, saturating.
     #[test]
     fn restored_counters_at_max_still_fold_a_round() {
         let counters = |v: u64| IngestStats {
@@ -1112,7 +1140,12 @@ mod tests {
         s.next_round().unwrap();
         s.ingest = counters(u64::MAX);
         let mut restored = Session::restore(&s.snapshot()).unwrap();
-        restored.record_ingest_stats(&counters(1));
+        // One accepted report, one duplicate and one rejected frame.
+        let frame = crate::wire::seal_frame(&[(0, Report::Length(0)), (0, Report::Length(1))]);
+        restored.submit_sealed_frame(&frame, None).unwrap();
+        restored.submit_sealed_frame(&frame[1..], None).unwrap();
+        assert_eq!(restored.ingest_stats(), counters(u64::MAX));
+        restored.next_round().unwrap();
         assert_eq!(restored.ingest_stats(), counters(u64::MAX));
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Everything a [`Session`] derives (ℓ_S, the sub-shape sets, the trie,
 //! the extraction) is post-processing of its rounds' aggregates, and its
-//! static side (params, groups, plan) is a pure function of `(config, n)`.
+//! static side (params, groups) is a pure function of `(config, n)`.
 //! A snapshot stores only those inputs, and [`Session::restore`] runs the
 //! ordinary constructor, then [`Session::next_round`] once per logged
 //! round, loading each aggregate into the round the replay opens before
@@ -20,7 +20,8 @@
 //! ```
 //!
 //! `rounds` counts the rounds opened so far; an open round's aggregate is
-//! the last. Every round kind stores its counts the same way; the table
+//! the last. The ingest counters are the closed rounds' plus the open
+//! round's. Every round kind stores its counts the same way; the table
 //! generation is present in the candidate-table rounds and the sum in the
 //! piecewise length round. `complete` marks a session whose `next_round`
 //! returned `None`. Length before checksum before body, as in the sealed
@@ -329,20 +330,21 @@ impl Session {
                 wire::put_varint(&mut body, n_classes as u64);
             }
         }
+        let ingest = self.ingest_stats();
         for counter in [
-            self.ingest.accepted_reports,
-            self.ingest.rejected_frames,
-            self.ingest.duplicate_reports,
-            self.ingest.queue_high_water,
-            self.ingest.backpressure_stalls,
-            self.ingest.worker_panics,
+            ingest.accepted_reports,
+            ingest.rejected_frames,
+            ingest.duplicate_reports,
+            ingest.queue_high_water,
+            ingest.backpressure_stalls,
+            ingest.worker_panics,
         ] {
             wire::put_varint(&mut body, counter);
         }
         wire::put_varint(&mut body, self.round_index);
         body.extend_from_slice(&self.log);
         if let Some(open) = &self.open {
-            open.agg.snapshot_state_into(&mut body);
+            open.pipeline.lock().agg.snapshot_state_into(&mut body);
         }
         body.push(u8::from(matches!(self.phase, Phase::Complete)));
         seal(buf, &body);
@@ -372,19 +374,16 @@ impl Session {
         let pos = &mut 0;
         let origin = read_origin(body, pos)?;
         let n = wire::read_usize(body, pos)?;
-        // The constructors re-validate the config and recompute params,
-        // groups and plan, which are pure functions of `(config, n)`.
-        let mut session = match (origin, wire::read_tag(body, pos)?) {
-            (Origin::PrivShape(cfg), 0) => Session::privshape(cfg, n)?,
-            (Origin::PrivShape(cfg), 1) => {
-                Session::privshape_labeled(cfg, n, wire::read_usize(body, pos)?)?
-            }
-            (Origin::Baseline(cfg), 0) => Session::baseline(cfg, n)?,
-            (Origin::Baseline(cfg), 1) => {
-                Session::baseline_labeled(cfg, n, wire::read_usize(body, pos)?)?
-            }
-            (_, t) => return Err(bad(format!("unknown mode tag {t}"))),
+        let mode = match wire::read_tag(body, pos)? {
+            0 => Mode::Unlabeled,
+            1 => Mode::Labeled {
+                n_classes: wire::read_usize(body, pos)?,
+            },
+            t => return Err(bad(format!("unknown mode tag {t}"))),
         };
+        // The constructor re-validates the config and recomputes params
+        // and groups, which are pure functions of `(config, n)`.
+        let mut session = Session::new(origin, n, mode)?;
         session.ingest = IngestStats {
             accepted_reports: wire::read_varint(body, pos)?,
             rejected_frames: wire::read_varint(body, pos)?,
@@ -402,14 +401,15 @@ impl Session {
             let Some(open) = session.open.as_mut() else {
                 return Err(bad("more logged rounds than the protocol opens"));
             };
-            open.agg.restore_state(body, pos)?;
+            let agg = &mut open.pipeline.round_mut().agg;
+            agg.restore_state(body, pos)?;
             // Each user reports at most once per round, so a round holding
             // more reports than the population is forged; refusing it also
             // keeps later absorbs clear of count overflow.
-            if open.agg.reports() > n as u64 {
+            if agg.reports() > n as u64 {
                 return Err(bad(format!(
                     "a logged round holds {} reports from {n} users",
-                    open.agg.reports()
+                    agg.reports()
                 )));
             }
         }

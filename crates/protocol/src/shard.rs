@@ -20,7 +20,7 @@
 
 use crate::config::LengthOracle;
 use crate::error::{Error, Result};
-use crate::round::{Report, RoundSpec};
+use crate::round::{length_round_domain, subshape_grr, Report, RoundSpec};
 use crate::wire;
 use privshape_ldp::{top_m, Epsilon, Grr, LdpError, Olh, OlhReport, Oue, PiecewiseMechanism};
 
@@ -205,16 +205,17 @@ impl ShardAggregator {
     /// Creates the empty aggregation state matching a round broadcast.
     /// Every shard answering the same round builds an identical (hence
     /// mergeable) state from the spec alone.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Protocol`] for a spec no session broadcasts (a length or
+    /// sub-shape domain a device refuses too, a grid whose cell count
+    /// overflows) and for counts that cannot be allocated.
     pub fn for_round(spec: &RoundSpec, epsilon: Epsilon) -> Result<Self> {
+        let too_large = |what: &str| Error::Protocol(format!("{what} round is too large to count"));
         let (round, cells) = match spec {
             RoundSpec::Length { range, oracle, .. } => {
-                let (lo, hi) = *range;
-                if lo >= hi {
-                    return Err(Error::Protocol(format!(
-                        "length round needs a non-degenerate range, got [{lo}, {hi}]"
-                    )));
-                }
-                let domain = hi - lo + 1;
+                let domain = length_round_domain(*range)?;
                 match oracle {
                     LengthOracle::Grr => (Round::LengthGrr(Grr::new(domain, epsilon)?), domain),
                     LengthOracle::Oue => (Round::LengthOue(Oue::new(domain, epsilon)?), domain),
@@ -228,16 +229,11 @@ impl ShardAggregator {
             RoundSpec::SubShape {
                 ell_s, alphabet, ..
             } => {
-                if *ell_s <= 1 {
-                    return Err(Error::Protocol(format!(
-                        "sub-shape round with ell_s = {ell_s} has no levels"
-                    )));
-                }
-                let grr = Grr::new(alphabet * (alphabet - 1), epsilon)?;
+                let grr = subshape_grr(*ell_s, *alphabet, epsilon)?;
                 let levels = ell_s - 1;
-                let cells = levels.checked_mul(grr.domain()).ok_or_else(|| {
-                    Error::Protocol(format!("sub-shape round of {levels} levels is too large"))
-                })?;
+                let cells = levels
+                    .checked_mul(grr.domain())
+                    .ok_or_else(|| too_large("sub-shape"))?;
                 (Round::SubShape { grr, levels }, cells)
             }
             RoundSpec::Expand {
@@ -260,7 +256,10 @@ impl ShardAggregator {
                 n_classes,
                 ..
             } => {
-                let cells = candidates.len() * n_classes;
+                let cells = candidates
+                    .len()
+                    .checked_mul(*n_classes)
+                    .ok_or_else(|| too_large("labeled refinement"))?;
                 let oue = (cells >= 2).then(|| Oue::new(cells, epsilon)).transpose()?;
                 let kept = oue.as_ref().map_or(0, Oue::domain);
                 let round = Round::RefineLabeled {
@@ -272,11 +271,16 @@ impl ShardAggregator {
                 (round, kept)
             }
         };
+        let mut counts = Vec::new();
+        counts
+            .try_reserve_exact(cells)
+            .map_err(|_| too_large(round.kind().1))?;
+        counts.resize(cells, 0);
         Ok(Self {
             reports: 0,
             epsilon,
             round,
-            counts: vec![0; cells],
+            counts,
             sum: 0,
         })
     }
@@ -365,7 +369,7 @@ impl ShardAggregator {
             }
             (Round::RefineLabeled { oue, .. }, wire::TAG_REFINE_LABELED) => {
                 let start = *pos;
-                let last = wire::walk_oue_bits(buf, pos, None)?;
+                let last = wire::walk_oue_bits(buf, pos, |_| {})?;
                 if oue.is_some() {
                     check_bits("labeled", last, cells)?;
                 }
@@ -378,7 +382,7 @@ impl ShardAggregator {
             }
             (Round::LengthOue(_), wire::TAG_LENGTH_OUE) => {
                 let start = *pos;
-                check_bits("length OUE", wire::walk_oue_bits(buf, pos, None)?, cells)?;
+                check_bits("length OUE", wire::walk_oue_bits(buf, pos, |_| {})?, cells)?;
                 WireReport::Bits(&buf[start..*pos])
             }
             (Round::LengthOlh(olh), wire::TAG_LENGTH_OLH) => {
@@ -402,10 +406,10 @@ impl ShardAggregator {
     }
 
     /// Counts a report [`ShardAggregator::check_wire`] accepted for this
-    /// round; `bits` is reused scratch for an OUE bit list. Checks
-    /// nothing: a report checked against another round is refused only
-    /// when its kind differs.
-    pub(crate) fn add_wire(&mut self, report: WireReport<'_>, bits: &mut Vec<usize>) -> Result<()> {
+    /// round, an OUE bit list bit by bit as it is walked. Checks nothing:
+    /// a report checked against another round is refused only when its
+    /// kind differs.
+    pub(crate) fn add_wire(&mut self, report: WireReport<'_>) -> Result<()> {
         let counts = &mut self.counts;
         match (&self.round, report) {
             (Round::Expand { .. } | Round::RefineSelect { .. }, WireReport::Select(sel))
@@ -415,8 +419,7 @@ impl ShardAggregator {
             }
             (Round::RefineLabeled { oue: None, .. }, WireReport::Bits(_)) => {}
             (Round::RefineLabeled { .. } | Round::LengthOue(_), WireReport::Bits(body)) => {
-                wire::read_oue_bits(body, &mut 0, bits)?;
-                count_bits(counts, bits);
+                wire::walk_oue_bits(body, &mut 0, |bit| counts[bit] += 1)?;
             }
             (Round::LengthOlh(olh), WireReport::Olh(r)) => count_support(counts, olh, &r),
             (Round::LengthPiecewise { .. }, WireReport::Piecewise(q)) => {
@@ -681,7 +684,7 @@ impl ShardAggregator {
 mod tests {
     use super::*;
     use crate::round::{Audience, GroupId};
-    use privshape_timeseries::{CandidateTable, SymbolSeq};
+    use privshape_timeseries::{CandidateTable, SymbolSeq, MAX_ALPHABET};
 
     fn eps() -> Epsilon {
         Epsilon::new(2.0).unwrap()
@@ -825,10 +828,10 @@ mod tests {
     /// concatenated reports: each report is checked against the round,
     /// then added.
     fn absorb_wire(agg: &mut ShardAggregator, frame: &[u8]) -> Result<usize> {
-        let (mut pos, mut bits, mut absorbed) = (0, Vec::new(), 0);
+        let (mut pos, mut absorbed) = (0, 0);
         while pos < frame.len() {
             let report = agg.check_wire(frame, &mut pos)?;
-            agg.add_wire(report, &mut bits)?;
+            agg.add_wire(report)?;
             absorbed += 1;
         }
         Ok(absorbed)
@@ -866,7 +869,7 @@ mod tests {
         // A report checked against another kind of round is refused too.
         let length = ShardAggregator::for_round(&length_spec(), eps()).unwrap();
         let checked = length.check_wire(&wrong, &mut 0).unwrap();
-        assert!(via_wire.add_wire(checked, &mut Vec::new()).is_err());
+        assert!(via_wire.add_wire(checked).is_err());
         assert_eq!(via_wire, via_absorb);
     }
 
@@ -968,17 +971,40 @@ mod tests {
         }
     }
 
+    /// Specs a public caller can build but no session broadcasts are
+    /// refused with a typed error, never an overflow or an aborting
+    /// allocation.
     #[test]
-    fn degenerate_length_round_is_rejected() {
-        let spec = RoundSpec::Length {
+    fn for_round_refuses_specs_it_cannot_count() {
+        let length = |range| RoundSpec::Length {
             audience: Audience::group(GroupId::Pa),
-            range: (3, 3),
+            range,
             oracle: LengthOracle::Grr,
         };
-        assert!(matches!(
-            ShardAggregator::for_round(&spec, eps()),
-            Err(Error::Protocol(_))
-        ));
+        let subshape = |ell_s, alphabet| RoundSpec::SubShape {
+            audience: Audience::group(GroupId::Pb),
+            ell_s,
+            alphabet,
+        };
+        let labeled = |n_classes| RoundSpec::RefineLabeled {
+            audience: Audience::group(GroupId::Pd),
+            candidates: std::sync::Arc::new(CandidateTable::parse_rows(&["ab", "ba"]).unwrap()),
+            n_classes,
+        };
+        for spec in [
+            length((3, 3)),
+            length((0, usize::MAX)),
+            length((1, 1 << 40)),
+            subshape(3, 0),
+            subshape(3, 1 << 40),
+            labeled(usize::MAX),
+            // Cell counts that fit a usize but no allocation.
+            subshape(usize::MAX / 1000, MAX_ALPHABET),
+            labeled(1 << 61),
+        ] {
+            let refused = ShardAggregator::for_round(&spec, eps());
+            assert!(matches!(refused, Err(Error::Protocol(_))), "{spec:?}");
+        }
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub const ROUTED_VERSION: u8 = 1;
 
 /// Appends `v` as an LEB128 varint (7 value bits per byte, high bit =
 /// continuation).
-pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -91,7 +91,12 @@ pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Reads one LEB128 varint starting at `*pos`, advancing `*pos` past it.
-pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
+///
+/// # Errors
+///
+/// [`Error::Protocol`] when the buffer ends inside the varint or its value
+/// runs past 64 bits.
+pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
     let mut out = 0u64;
     let mut shift = 0u32;
     loop {
@@ -152,34 +157,24 @@ pub(crate) fn read_tag(buf: &[u8], pos: &mut usize) -> Result<u8> {
     Ok(tag)
 }
 
-/// Decodes the body of an OUE report (everything after the tag) into
-/// `bits`, reusing the buffer's capacity. Shared by [`Report::decode`] and
-/// the aggregator's wire add.
-pub(crate) fn read_oue_bits(buf: &[u8], pos: &mut usize, bits: &mut Vec<usize>) -> Result<()> {
-    bits.clear();
-    walk_oue_bits(buf, pos, Some(bits)).map(drop)
-}
-
-/// Walks an OUE bit-set body (count, then delta-coded bits), collecting
-/// the bits into `bits` when given one, and returns the last (largest)
-/// bit. The one place the bit-set checks live, so decoding and the
-/// aggregator's wire check refuse exactly the same bodies.
+/// Walks an OUE bit-set body (count, then delta-coded bits), handing
+/// each bit to `sink` as it is decoded, and returns the last (largest)
+/// bit. The one place the bit-set checks live, so decoding, the
+/// aggregator's wire check and its wire add refuse exactly the same
+/// bodies.
 pub(crate) fn walk_oue_bits(
     buf: &[u8],
     pos: &mut usize,
-    mut bits: Option<&mut Vec<usize>>,
+    mut sink: impl FnMut(usize),
 ) -> Result<Option<usize>> {
     let n = read_usize(buf, pos)?;
     // Each encoded bit needs at least one byte, so a count beyond the
-    // remaining buffer is a truncation — refuse before reserving memory.
+    // remaining buffer is a truncation.
     if n > buf.len() - *pos {
         return Err(Error::Protocol(format!(
             "truncated report: {n} OUE bits claimed, {} bytes left",
             buf.len() - *pos
         )));
-    }
-    if let Some(bits) = bits.as_deref_mut() {
-        bits.reserve(n);
     }
     let mut last: Option<usize> = None;
     for _ in 0..n {
@@ -196,12 +191,17 @@ pub(crate) fn walk_oue_bits(
                 Error::Protocol("malformed report: OUE bit position overflows usize".into())
             })?,
         };
-        if let Some(bits) = bits.as_deref_mut() {
-            bits.push(bit);
-        }
+        sink(bit);
         last = Some(bit);
     }
     Ok(last)
+}
+
+/// Decodes the body of an OUE report (everything after the tag).
+fn read_oue_report(buf: &[u8], pos: &mut usize) -> Result<OueReport> {
+    let mut bits = Vec::new();
+    walk_oue_bits(buf, pos, |bit| bits.push(bit))?;
+    OueReport::from_set_bits(bits).map_err(Error::Ldp)
 }
 
 /// The error for a tag outside the report tag space.
@@ -292,16 +292,8 @@ impl Report {
             },
             TAG_EXPAND => Report::Expand(read_usize(buf, &mut pos)?),
             TAG_REFINE_SELECT => Report::RefineSelect(read_usize(buf, &mut pos)?),
-            TAG_REFINE_LABELED => {
-                let mut bits = Vec::new();
-                read_oue_bits(buf, &mut pos, &mut bits)?;
-                Report::RefineLabeled(OueReport::from_set_bits(bits).map_err(Error::Ldp)?)
-            }
-            TAG_LENGTH_OUE => {
-                let mut bits = Vec::new();
-                read_oue_bits(buf, &mut pos, &mut bits)?;
-                Report::LengthOue(OueReport::from_set_bits(bits).map_err(Error::Ldp)?)
-            }
+            TAG_REFINE_LABELED => Report::RefineLabeled(read_oue_report(buf, &mut pos)?),
+            TAG_LENGTH_OUE => Report::LengthOue(read_oue_report(buf, &mut pos)?),
             TAG_LENGTH_OLH => Report::LengthOlh(OlhReport {
                 seed: read_varint(buf, &mut pos)?,
                 value: read_usize(buf, &mut pos)?,

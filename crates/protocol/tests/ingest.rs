@@ -74,13 +74,13 @@ fn streamed(
     let entries: Vec<(usize, Report)> = reports.iter().cloned().enumerate().collect();
     let mut frames: Vec<Vec<u8>> = entries.chunks(frame_len.max(1)).map(seal_frame).collect();
     shuffle(&mut frames, seed);
-    let pipeline = IngestPipeline::for_round(spec, eps(), reports.len(), None).unwrap();
+    let pipeline = IngestPipeline::for_round(spec, eps(), reports.len()).unwrap();
     std::thread::scope(|s| {
         for p in 0..producers {
             let (pipeline, frames) = (&pipeline, &frames);
             s.spawn(move || {
                 for frame in frames.iter().skip(p).step_by(producers) {
-                    pipeline.submit_sealed_frame(frame).unwrap();
+                    pipeline.submit_sealed_frame(frame, None).unwrap();
                 }
             });
         }
@@ -156,7 +156,7 @@ proptest! {
         let reference = serial(&spec, &reports);
         let population = entries.len();
 
-        let pipeline = IngestPipeline::for_round(&spec, eps(), population, None).unwrap();
+        let pipeline = IngestPipeline::for_round(&spec, eps(), population).unwrap();
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(attack_seed);
         let mut expected_duplicates = 0u64;
         let mut expected_rejects = 0u64;
@@ -168,7 +168,7 @@ proptest! {
                 let mut forged = chunk.to_vec();
                 let victim = rng.random_range(0..forged.len());
                 forged[victim].0 = population + rng.random_range(0..=usize::from(u16::MAX));
-                pipeline.submit_sealed_frame(&seal_frame(&forged)).unwrap();
+                pipeline.submit_sealed_frame(&seal_frame(&forged), None).unwrap();
                 expected_rejects += 1;
             }
             if rng.random_bool(0.5) {
@@ -183,14 +183,14 @@ proptest! {
                 } else {
                     Report::Expand(6)
                 };
-                pipeline.submit_sealed_frame(&seal_frame(&forged)).unwrap();
+                pipeline.submit_sealed_frame(&seal_frame(&forged), None).unwrap();
                 expected_rejects += 1;
             }
             let frame = seal_frame(chunk);
-            pipeline.submit_sealed_frame(&frame).unwrap();
+            pipeline.submit_sealed_frame(&frame, None).unwrap();
             if rng.random_bool(0.5) {
                 // Replay the frame verbatim: every entry is a duplicate.
-                pipeline.submit_sealed_frame(&frame).unwrap();
+                pipeline.submit_sealed_frame(&frame, None).unwrap();
                 expected_duplicates += chunk.len() as u64;
             }
             if rng.random_bool(0.5) {
@@ -198,7 +198,7 @@ proptest! {
                 let mut bad = frame.clone();
                 let pos = rng.random_range(0..bad.len());
                 bad[pos] ^= 1u8 << rng.random_range(0..8);
-                pipeline.submit_sealed_frame(&bad).unwrap();
+                pipeline.submit_sealed_frame(&bad, None).unwrap();
                 expected_rejects += 1;
             }
         }
@@ -210,9 +210,10 @@ proptest! {
     }
 }
 
-/// A full session driven through the sealed ingest path with hostile input
-/// on every round: the extraction matches the clean drive bit-for-bit, and
-/// the shed input shows up in [`privshape_protocol::Diagnostics`].
+/// A full session driven through its sealed ingest path
+/// ([`Session::submit_sealed_frame`]) with hostile input on every round:
+/// the extraction matches the clean drive bit-for-bit, and the shed input
+/// shows up in [`privshape_protocol::Diagnostics`].
 #[test]
 fn sealed_ingest_counters_surface_in_diagnostics() {
     let series: Vec<TimeSeries> = (0..120)
@@ -252,22 +253,18 @@ fn sealed_ingest_counters_surface_in_diagnostics() {
                 .enumerate()
                 .filter_map(|(u, c)| c.answer(&spec).unwrap().map(|r| (u, r)))
                 .collect();
-            let pipeline = session.ingest_pipeline(None).unwrap();
             for chunk in entries.chunks(7) {
                 let frame = seal_frame(chunk);
-                pipeline.submit_sealed_frame(&frame).unwrap();
+                session.submit_sealed_frame(&frame, None).unwrap();
                 if hostile {
                     // Replay every frame and inject one corrupted copy.
-                    pipeline.submit_sealed_frame(&frame).unwrap();
+                    session.submit_sealed_frame(&frame, None).unwrap();
                     let mut bad = frame.clone();
                     let mid = bad.len() / 2;
                     bad[mid] ^= 0x10;
-                    pipeline.submit_sealed_frame(&bad).unwrap();
+                    session.submit_sealed_frame(&bad, None).unwrap();
                 }
             }
-            let (shard, stats) = pipeline.finish();
-            session.record_ingest_stats(&stats);
-            session.submit_shard(&shard.unwrap()).unwrap();
         }
         (session.finish().unwrap(), rounds)
     };

@@ -15,7 +15,7 @@ pub enum ServiceError {
         capacity: usize,
     },
     /// The routed frame addressed a session that has no round open, so
-    /// there is no pipeline to deliver it to. Distinct from
+    /// there is no round to deliver it to. Distinct from
     /// [`ProtocolError::StaleGeneration`]: the session exists but is
     /// between rounds (or already complete).
     NoOpenRound {

@@ -2,7 +2,8 @@
 //! many concurrent PrivShape extractions over the streaming ingest engine.
 //!
 //! The protocol crate gives one extraction at a time: a [`Session`] state
-//! machine fed by one [`IngestPipeline`] per round. A real deployment
+//! machine whose open round is its sealed-frame ingest boundary, an
+//! [`IngestPipeline`]. A real deployment
 //! runs *many* extractions at once — different tenants, budgets ε, shape
 //! counts k, candidate domains, even different mechanisms — against one
 //! shared frame-ingest boundary. This crate is that boundary:
@@ -79,10 +80,11 @@ mod tests {
     use super::*;
     use privshape_ldp::Epsilon;
     use privshape_protocol::{
-        route_frame, seal_frame, Error as ProtocolError, GroupAssignment, PrivShapeConfig, Report,
-        RoundSpec, Session, UserClient, ROUTED_VERSION,
+        route_frame, seal_frame, Error as ProtocolError, Extraction, FaultKind, FaultPlan,
+        GroupAssignment, PrivShapeConfig, Report, RoundSpec, Session, UserClient, ROUTED_VERSION,
     };
     use privshape_timeseries::{SaxParams, TimeSeries};
+    use std::sync::Arc;
 
     fn config(seed: u64) -> PrivShapeConfig {
         let mut cfg =
@@ -134,25 +136,27 @@ mod tests {
             .collect()
     }
 
+    /// The fault-free twin of a routed session: the plain submit path,
+    /// one session at a time.
+    fn serial(cfg: PrivShapeConfig, data: &[TimeSeries]) -> Extraction {
+        let mut s = Session::privshape(cfg, data.len()).unwrap();
+        let mut cs = clients(&s, data);
+        while let Some(spec) = s.next_round().unwrap() {
+            let mut reports = Vec::new();
+            for c in cs.iter_mut() {
+                if let Some(r) = c.answer(&spec).unwrap() {
+                    reports.push(r);
+                }
+            }
+            s.submit(&reports).unwrap();
+        }
+        s.finish().unwrap()
+    }
+
     #[test]
     fn interleaved_sessions_match_serial_twins() {
         let data_a = series(400);
         let data_b = series(300);
-        // Serial twins: plain submit path, one session at a time.
-        let serial = |cfg: PrivShapeConfig, data: &[TimeSeries]| {
-            let mut s = Session::privshape(cfg, data.len()).unwrap();
-            let mut cs = clients(&s, data);
-            while let Some(spec) = s.next_round().unwrap() {
-                let mut reports = Vec::new();
-                for c in cs.iter_mut() {
-                    if let Some(r) = c.answer(&spec).unwrap() {
-                        reports.push(r);
-                    }
-                }
-                s.submit(&reports).unwrap();
-            }
-            s.finish().unwrap()
-        };
         let expected_a = serial(config(7), &data_a);
         let expected_b = serial(config(8), &data_b);
 
@@ -284,21 +288,7 @@ mod tests {
     #[test]
     fn snapshot_evict_restore_continues_bit_identically() {
         let data = series(500);
-        // Uninterrupted twin.
-        let twin = {
-            let mut s = Session::privshape(config(5), data.len()).unwrap();
-            let mut cs = clients(&s, &data);
-            while let Some(spec) = s.next_round().unwrap() {
-                let mut reports = Vec::new();
-                for c in cs.iter_mut() {
-                    if let Some(r) = c.answer(&spec).unwrap() {
-                        reports.push(r);
-                    }
-                }
-                s.submit(&reports).unwrap();
-            }
-            s.finish().unwrap()
-        };
+        let twin = serial(config(5), &data);
 
         let registry = ServiceRegistry::new(ServiceConfig::default());
         let session = Session::privshape(config(5), data.len()).unwrap();
@@ -358,6 +348,12 @@ mod tests {
         max.push(0x01);
         refused(registry.restore_session(&under(&max)));
         assert_eq!(registry.active_sessions(), 0);
+        // An id varint whose tenth byte runs past bit 63 is refused, not
+        // truncated to the id its low bits spell (here 0).
+        let mut past = vec![0x80; 9];
+        past.push(0x02);
+        refused(registry.restore_session(&under(&past)));
+        assert_eq!(registry.active_sessions(), 0);
         // u64::MAX − 1 restores, and leaves no id for the next admission.
         max[0] = 0xFE;
         assert_eq!(
@@ -366,6 +362,55 @@ mod tests {
         );
         refused(registry.admit(Session::privshape(config(8), 100).unwrap()));
         assert_eq!(registry.active_sessions(), 1);
+    }
+
+    /// A round a panic failed is never finalized: `close_round` returns
+    /// its cause, and `begin_round` and `snapshot_session` refuse the
+    /// session until it is evicted. Restored from its pre-round snapshot,
+    /// it replays the round and finishes equal to its fault-free twin.
+    #[test]
+    fn poisoned_round_is_refused_until_evicted() {
+        let data = series(400);
+        let twin = serial(config(12), &data);
+        let registry = ServiceRegistry::new(ServiceConfig::default());
+        let session = Session::privshape(config(12), data.len()).unwrap();
+        let mut cs = clients(&session, &data);
+        let id = registry.admit(session).unwrap();
+        let before = registry.snapshot_session(id).unwrap();
+        let plan = Arc::new(FaultPlan::new([FaultKind::WorkerPanic { at_absorb: 0 }]));
+        let spec = registry.begin_round_chaos(id, Some(plan)).unwrap();
+        let generation = registry.session_generation(id).unwrap();
+        let mut frames = routed_frames(&mut cs, spec.as_ref().unwrap(), id, generation, 11);
+        let poisoned = |r: Result<()>| {
+            matches!(
+                r,
+                Err(ServiceError::Session(
+                    ProtocolError::PipelinePoisoned { .. }
+                ))
+            )
+        };
+        assert!(frames.iter().all(|f| poisoned(registry.route_frame(f))));
+        assert!(poisoned(registry.close_round(id)));
+        assert!(poisoned(registry.begin_round(id).map(drop)));
+        assert!(poisoned(registry.snapshot_session(id).map(drop)));
+        assert!(poisoned(registry.close_round(id)));
+
+        assert!(registry.evict_session(id));
+        assert_eq!(registry.restore_session(&before).unwrap(), id);
+        assert_eq!(registry.begin_round(id).unwrap(), spec);
+        let extraction = loop {
+            for frame in &frames {
+                registry.route_frame(frame).unwrap();
+            }
+            registry.close_round(id).unwrap();
+            let Some(spec) = registry.begin_round(id).unwrap() else {
+                break registry.finish(id).unwrap();
+            };
+            let generation = registry.session_generation(id).unwrap();
+            frames = routed_frames(&mut cs, &spec, id, generation, 11);
+        };
+        assert_eq!(extraction.shapes, twin.shapes);
+        assert_eq!(extraction.diagnostics.ell_s, twin.diagnostics.ell_s);
     }
 
     #[test]

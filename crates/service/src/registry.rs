@@ -2,11 +2,11 @@
 
 use crate::error::{Result, ServiceError};
 use privshape_protocol::{
-    Error as ProtocolError, Extraction, FaultPlan, IngestConfig, IngestPipeline, IngestStats,
-    LabeledExtraction, RoundSpec, RoutedFrame, Session,
+    put_varint, read_varint, Error as ProtocolError, Extraction, FaultPlan, IngestConfig,
+    IngestStats, LabeledExtraction, RoundSpec, RoutedFrame, Session,
 };
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Tuning knobs for a [`ServiceRegistry`].
 #[derive(Debug, Clone, Copy)]
@@ -14,11 +14,11 @@ pub struct ServiceConfig {
     /// Maximum sessions resident at once; further [`ServiceRegistry::admit`]
     /// calls are refused with [`ServiceError::AdmissionDenied`].
     pub max_sessions: usize,
-    /// Read by nothing: every open round gets its own ingest boundary,
-    /// which absorbs each frame in the routing producer's call, under a
-    /// lock of that round alone, so one session's load never blocks its
-    /// neighbours' producers. Kept only because the benchmark harness
-    /// (`perfbench/`) still sets it; see [`IngestConfig`].
+    /// Read by nothing: every session's open round is its own ingest
+    /// boundary, which absorbs each frame in the routing producer's call,
+    /// under a lock of that round alone, so one session's load never
+    /// blocks its neighbours' producers. Kept only because the benchmark
+    /// harness (`perfbench/`) still sets it; see [`IngestConfig`].
     pub ingest: IngestConfig,
 }
 
@@ -31,22 +31,19 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Routing state of one resident session: the generation tag frames must
-/// carry right now, and the pipeline of the open round (if any).
-#[derive(Debug, Default)]
-struct RouteState {
-    generation: Option<u64>,
-    pipeline: Option<Arc<IngestPipeline>>,
-}
-
-/// One resident session. The two locks split the hot path from the cold
-/// path: `route` is held for nanoseconds per frame (generation check +
-/// `Arc` clone), while `driver` serializes the once-per-round state
-/// machine transitions.
+/// One resident session and its routing state, behind one `RwLock`:
+/// producers check the generation and submit under a read guard (the
+/// session's open round serializes their absorbs under its own lock), and
+/// the round transitions take the write guard, so no frame is absorbed
+/// after [`ServiceRegistry::close_round`] returns.
 #[derive(Debug)]
 struct Slot {
-    driver: Mutex<Session>,
-    route: Mutex<RouteState>,
+    session: Session,
+    /// The generation tag frames must carry right now; `None` while no
+    /// round is open for routing.
+    generation: Option<u64>,
+    /// The open round's fault plan (chaos runs only).
+    chaos: Option<Arc<FaultPlan>>,
 }
 
 /// A long-lived aggregation service multiplexing many concurrent
@@ -67,7 +64,7 @@ struct Slot {
 #[derive(Debug)]
 pub struct ServiceRegistry {
     config: ServiceConfig,
-    sessions: Mutex<HashMap<u64, Arc<Slot>>>,
+    sessions: Mutex<HashMap<u64, Arc<RwLock<Slot>>>>,
     /// Round-robin cursor over resident session ids (fair scheduling).
     rotation: Mutex<VecDeque<u64>>,
     /// Next id to assign; monotone across evictions and restores.
@@ -121,16 +118,17 @@ impl ServiceRegistry {
         }
         sessions.insert(
             id,
-            Arc::new(Slot {
-                driver: Mutex::new(session),
-                route: Mutex::new(RouteState::default()),
-            }),
+            Arc::new(RwLock::new(Slot {
+                session,
+                generation: None,
+                chaos: None,
+            })),
         );
         self.rotation.lock().expect("rotation lock").push_back(id);
         Ok(())
     }
 
-    fn slot(&self, id: u64) -> Result<Arc<Slot>> {
+    fn slot(&self, id: u64) -> Result<Arc<RwLock<Slot>>> {
         self.sessions
             .lock()
             .expect("sessions lock")
@@ -163,50 +161,45 @@ impl ServiceRegistry {
     /// deployment.
     pub fn session_generation(&self, id: u64) -> Result<u64> {
         let slot = self.slot(id)?;
-        let route = slot.route.lock().expect("route lock");
-        route
-            .generation
-            .ok_or(ServiceError::NoOpenRound { session_id: id })
+        let generation = slot.read().expect("slot lock").generation;
+        generation.ok_or(ServiceError::NoOpenRound { session_id: id })
     }
 
-    /// Opens the session's next round and stands up its ingest pipeline.
-    /// Returns the broadcast (to be distributed to that session's users),
-    /// or `None` when the protocol is complete (then call
-    /// [`finish`](Self::finish) / [`finish_labeled`](Self::finish_labeled)).
+    /// Opens the session's next round for routing. Returns the broadcast
+    /// (to be distributed to that session's users), or `None` when the
+    /// protocol is complete (then call [`finish`](Self::finish) /
+    /// [`finish_labeled`](Self::finish_labeled)).
+    ///
+    /// # Errors
+    ///
+    /// Among others, [`ProtocolError::PipelinePoisoned`] while the last
+    /// round is one a panic failed: it is never finalized, and the session
+    /// stays refused until it is evicted.
     pub fn begin_round(&self, id: u64) -> Result<Option<RoundSpec>> {
         self.begin_round_chaos(id, None)
     }
 
     /// [`begin_round`](Self::begin_round) with an optional
-    /// [`FaultPlan`] chaos hook installed on the round's ingest pipeline
-    /// (see [`privshape_protocol::chaos`]). `None` is exactly
-    /// `begin_round`; the registry itself stores no chaos state — a
-    /// supervisor re-passes the session's plan each round.
+    /// [`FaultPlan`] chaos hook consulted by every frame routed into the
+    /// round (see [`privshape_protocol::chaos`]). `None` is exactly
+    /// `begin_round`; a supervisor re-passes the session's plan each
+    /// round.
     pub fn begin_round_chaos(
         &self,
         id: u64,
         chaos: Option<Arc<FaultPlan>>,
     ) -> Result<Option<RoundSpec>> {
         let slot = self.slot(id)?;
-        let mut session = slot.driver.lock().expect("driver lock");
-        let spec = session.next_round()?;
-        let mut route = slot.route.lock().expect("route lock");
-        match &spec {
-            Some(_) => {
-                route.generation = session.round_generation();
-                route.pipeline = Some(Arc::new(session.ingest_pipeline(chaos)?));
-            }
-            None => {
-                route.generation = None;
-                route.pipeline = None;
-            }
-        }
+        let mut slot = slot.write().expect("slot lock");
+        let spec = slot.session.next_round()?;
+        slot.generation = slot.session.round_generation();
+        slot.chaos = chaos;
         Ok(spec)
     }
 
     /// Routes one wire envelope ([`privshape_protocol::route_frame`]) to
     /// the session it addresses and submits its payload — a sealed report
-    /// frame — to that session's open pipeline.
+    /// frame — to that session's open round.
     ///
     /// Envelope and addressing problems are *rejected with typed errors*,
     /// never silently absorbed:
@@ -221,78 +214,49 @@ impl ServiceRegistry {
     /// * a known session with no round open — [`ServiceError::NoOpenRound`].
     ///
     /// Payload-level problems (bit-flips, duplicate users, reports the
-    /// round refuses) stay the pipeline's business: they move the
-    /// session's rejection counters and the call still returns `Ok(())`,
-    /// exactly like direct sealed submission.
+    /// round refuses) stay the session's business: they move its
+    /// rejection counters and the call still returns `Ok(())`, exactly
+    /// like [`Session::submit_sealed_frame`].
     ///
-    /// The frame is absorbed before the call returns, under the open
-    /// round's own lock; frames for other sessions are unaffected.
+    /// The frame is absorbed into the session's open round before the
+    /// call returns, under that round's own lock; frames for other
+    /// sessions are unaffected.
     pub fn route_frame(&self, envelope: &[u8]) -> Result<()> {
         let routed = RoutedFrame::decode(envelope)?;
-        let slot = {
-            let sessions = self.sessions.lock().expect("sessions lock");
-            sessions.get(&routed.session_id).cloned()
-        };
-        let Some(slot) = slot else {
-            return Err(ServiceError::Session(ProtocolError::UnknownSession {
+        let slot = self.slot(routed.session_id)?;
+        let slot = slot.read().expect("slot lock");
+        let Some(generation) = slot.generation else {
+            return Err(ServiceError::NoOpenRound {
                 session_id: routed.session_id,
-            }));
+            });
         };
-        let pipeline = {
-            let route = slot.route.lock().expect("route lock");
-            let (Some(generation), Some(pipeline)) = (route.generation, &route.pipeline) else {
-                return Err(ServiceError::NoOpenRound {
-                    session_id: routed.session_id,
-                });
-            };
-            routed.check_session(Some(generation))?;
-            Arc::clone(pipeline)
-        };
-        // Submit outside every registry lock: the round's own lock
-        // serializes only this session's producers.
-        pipeline.submit_sealed_frame(routed.payload)?;
+        routed.check_session(Some(generation))?;
+        slot.session
+            .submit_sealed_frame(routed.payload, slot.chaos.as_deref())?;
         Ok(())
     }
 
-    /// Closes the session's open round: merges the round's aggregate into
-    /// the session and folds the round's ingest counters into the session
-    /// diagnostics.
+    /// Closes the session's open round to routing. The round's reports are
+    /// already in the session; [`begin_round`](Self::begin_round)
+    /// finalizes them.
     ///
     /// Producers must have stopped submitting for this round (the round's
     /// generation is retired here; late frames get
     /// [`ProtocolError::StaleGeneration`] on their next
     /// [`route_frame`](Self::route_frame)).
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::PipelinePoisoned`] with its cause for a round a
+    /// panic failed (and on every later call until the session is
+    /// evicted); [`ServiceError::NoOpenRound`] when no round is open.
     pub fn close_round(&self, id: u64) -> Result<()> {
         let slot = self.slot(id)?;
-        let mut session = slot.driver.lock().expect("driver lock");
-        let mut pipeline = {
-            let mut route = slot.route.lock().expect("route lock");
-            route.generation = None;
-            match route.pipeline.take() {
-                Some(p) => p,
-                None => return Err(ServiceError::NoOpenRound { session_id: id }),
-            }
-        };
-        // Producers only briefly hold clones (between the route-lock
-        // release and submit); with the generation retired no new clone
-        // can appear, so uniqueness is moments away.
-        let pipeline = loop {
-            match Arc::try_unwrap(pipeline) {
-                Ok(p) => break p,
-                Err(shared) => {
-                    pipeline = shared;
-                    std::thread::yield_now();
-                }
-            }
-        };
-        let (result, stats) = pipeline.finish();
-        // Fold the round's counters in even when it failed: the session's
-        // health metrics (panics above all) must survive a crashed round
-        // so supervisors and diagnostics see *why* it died.
-        session.record_ingest_stats(&stats);
-        let shard = result?;
-        if shard.reports() > 0 {
-            session.submit_shard(&shard)?;
+        let mut slot = slot.write().expect("slot lock");
+        let open = slot.generation.take().is_some();
+        slot.session.check_round()?;
+        if !open {
+            return Err(ServiceError::NoOpenRound { session_id: id });
         }
         Ok(())
     }
@@ -322,46 +286,40 @@ impl ServiceRegistry {
             // must quiesce producers before finishing it.
             session_id: id,
         })?;
-        Ok(slot.driver.into_inner().expect("driver lock"))
+        Ok(slot.into_inner().expect("slot lock").session)
     }
 
     /// The session's accumulated ingest counters (accepted, rejected and
-    /// duplicate reports, caught panics), summed over its closed rounds —
-    /// the service's per-tenant health metrics.
+    /// duplicate reports, caught panics), summed over its rounds — the
+    /// service's per-tenant health metrics.
     pub fn session_ingest_stats(&self, id: u64) -> Result<IngestStats> {
         let slot = self.slot(id)?;
-        let session = slot.driver.lock().expect("driver lock");
-        Ok(session.ingest_stats())
-    }
-
-    /// The client seed the session was configured with
-    /// ([`Session::seed`]) — supervisors derive deterministic retry
-    /// jitter from it.
-    pub fn session_seed(&self, id: u64) -> Result<u64> {
-        let slot = self.slot(id)?;
-        let session = slot.driver.lock().expect("driver lock");
-        Ok(session.seed())
+        let stats = slot.read().expect("slot lock").session.ingest_stats();
+        Ok(stats)
     }
 
     /// Serializes one resident session into a crash-safe snapshot frame
     /// (`varint(session_id)` + the session's own checksummed snapshot).
-    /// Only allowed between rounds — an open round's partial aggregate
-    /// and claims are not part of a snapshot; close the round first.
+    /// Only allowed between rounds — an open round's claims are not part
+    /// of a snapshot; close the round first.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::PipelinePoisoned`] for a session whose last round
+    /// a panic failed: its checkpoint would log that round, so it is
+    /// refused until the session is evicted.
     pub fn snapshot_session(&self, id: u64) -> Result<Vec<u8>> {
         let slot = self.slot(id)?;
-        let session = slot.driver.lock().expect("driver lock");
-        {
-            let route = slot.route.lock().expect("route lock");
-            if route.pipeline.is_some() {
-                return Err(ServiceError::Session(ProtocolError::Protocol(format!(
-                    "session {id} has an open ingest pipeline; close the round before \
-                     snapshotting"
-                ))));
-            }
+        let slot = slot.read().expect("slot lock");
+        slot.session.check_round()?;
+        if slot.generation.is_some() {
+            return Err(ServiceError::Session(ProtocolError::Protocol(format!(
+                "session {id} has an open round; close the round before snapshotting"
+            ))));
         }
         let mut buf = Vec::new();
         put_varint(&mut buf, id);
-        session.snapshot_into(&mut buf);
+        slot.session.snapshot_into(&mut buf);
         Ok(buf)
     }
 
@@ -385,15 +343,12 @@ impl ServiceRegistry {
     /// # Errors
     ///
     /// [`ServiceError::SessionCollision`] when the id is still resident;
-    /// [`ServiceError::Session`] for `u64::MAX`, which no session holds;
+    /// [`ServiceError::Session`] for an id varint that is truncated or runs
+    /// past 64 bits, and for `u64::MAX`, which no session holds;
     /// admission and snapshot-validation errors as usual.
     pub fn restore_session(&self, bytes: &[u8]) -> Result<u64> {
         let mut pos = 0;
-        let id = read_varint(bytes, &mut pos).ok_or_else(|| {
-            ServiceError::Session(ProtocolError::Protocol(
-                "service snapshot too short for a session id".into(),
-            ))
-        })?;
+        let id = read_varint(bytes, &mut pos)?;
         let after = successor(id)?;
         let session = Session::restore(&bytes[pos..])?;
         self.insert(id, session)?;
@@ -412,32 +367,4 @@ fn successor(id: u64) -> Result<u64> {
             "session id space exhausted: {id} has no successor"
         )))
     })
-}
-
-/// LEB128 varint append (the registry frames only the id; the session
-/// snapshot body has its own codec inside the protocol crate).
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            break;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// LEB128 varint read; `None` on truncation or overlong encoding.
-fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v: u64 = 0;
-    for shift in (0..64).step_by(7) {
-        let byte = *buf.get(*pos)?;
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-    }
-    None
 }

@@ -1,8 +1,8 @@
 //! Supervised session recovery: checkpoint, journal, retry, quarantine.
 //!
-//! The [`ServiceRegistry`] detects failures — a poisoned pipeline fails
-//! its round with a typed cause — but does nothing about them: the
-//! session is dead and its partial round is lost. The [`Supervisor`]
+//! The [`ServiceRegistry`] detects failures — a round a panic poisoned
+//! fails with a typed cause — but does nothing about them: the session
+//! refuses every later round and its partial round is lost. The [`Supervisor`]
 //! closes that gap with the classic supervision loop, built entirely from
 //! the crash-safety primitives the registry already exposes:
 //!
@@ -29,7 +29,7 @@
 //!   checkpoint (storage rot) falls back to the previous one and re-drives
 //!   two rounds instead of one.
 //! * **Journal** — every frame successfully routed (or rejected only
-//!   because the pipeline was already poisoned) is appended to a bounded
+//!   because the round was already poisoned) is appended to a bounded
 //!   in-memory journal for its round. Frames rejected for addressing
 //!   reasons — above all [`privshape_protocol::Error::StaleGeneration`] —
 //!   are **never journaled**, so a re-drive replays exactly the frames the
@@ -178,8 +178,8 @@ impl Supervisor {
     }
 
     /// Admits a session with an optional [`FaultPlan`] that will be
-    /// installed on every round's ingest pipeline and consulted when
-    /// storing checkpoints — the chaos entry point. Admission shares the
+    /// consulted by every frame routed into its rounds and when storing
+    /// checkpoints — the chaos entry point. Admission shares the
     /// registry's capacity cap, so overload is shed here with the usual
     /// typed [`ServiceError::AdmissionDenied`].
     pub fn admit_with_chaos(&self, session: Session, chaos: Option<Arc<FaultPlan>>) -> Result<u64> {
@@ -279,7 +279,7 @@ impl Supervisor {
     /// Routes one envelope, journaling it for possible re-drive.
     ///
     /// * Accepted frames are journaled after delivery.
-    /// * Frames rejected only because the pipeline is already poisoned
+    /// * Frames rejected only because the round is already poisoned
     ///   are journaled and reported as `Ok` — the round is already doomed
     ///   and will be recovered wholesale at [`Supervisor::close_round`];
     ///   the producer should keep streaming, not crash.

@@ -167,6 +167,7 @@ fn streaming_ingest_loop_matches_facade() {
     let mut shuffle_rng = rand_chacha::ChaCha12Rng::seed_from_u64(7);
     let mut ws = privshape_distance::DistanceWorkspace::new();
     const PRODUCERS: usize = 4;
+    let mut sent = 0;
     while let Some(spec) = session.next_round().unwrap() {
         // Devices answer; the tier sees only sealed bytes.
         let mut entries = Vec::new();
@@ -181,20 +182,18 @@ fn streaming_ingest_loop_matches_facade() {
             let j = shuffle_rng.random_range(0..=i);
             frames.swap(i, j);
         }
-        let pipeline = session.ingest_pipeline(None).unwrap();
+        sent += entries.len() as u64;
         std::thread::scope(|s| {
             for p in 0..PRODUCERS {
-                let (pipeline, frames) = (&pipeline, &frames);
+                let (session, frames) = (&session, &frames);
                 s.spawn(move || {
                     for frame in frames.iter().skip(p).step_by(PRODUCERS) {
-                        pipeline.submit_sealed_frame(frame).unwrap();
+                        session.submit_sealed_frame(frame, None).unwrap();
                     }
                 });
             }
         });
-        let (shard, stats) = pipeline.finish();
-        assert_eq!(stats.accepted_reports as usize, entries.len());
-        session.submit_shard(&shard.unwrap()).unwrap();
+        assert_eq!(session.ingest_stats().accepted_reports, sent);
     }
     let streamed = session.finish().unwrap();
 
