@@ -1,8 +1,7 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (§V). Each binary in `src/bin/` reproduces one artifact and
 //! prints the same rows/series the paper reports (plus CSV under
-//! `results/`); the Criterion benches cover Table V and the complexity
-//! claims of §IV-F.
+//! `results/`); `table5_execution_time` covers Table V.
 //!
 //! Scale note: the paper runs 40 000 users and 500 trials on a Xeon server.
 //! Defaults here are laptop-sized (`--users 8000 --trials 3`); pass

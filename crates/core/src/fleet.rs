@@ -101,23 +101,20 @@ impl SimulatedFleet {
 
     /// Where the devices `audience` addresses lie in `clients`. A chunk's
     /// members are a run of the group's rank-ordered devices, since
-    /// [`chunk_of_rank`] grows with the rank; a zero-chunk audience
-    /// addresses no one.
+    /// [`chunk_of_rank`] grows with the rank; a zero-chunk audience puts
+    /// every device in no chunk, so it addresses no one.
     fn addressed(&self, audience: Audience) -> Range<usize> {
         let run = self.groups[slot(audience.group)].clone();
         let Some(Chunk { index, of }) = audience.chunk else {
             return run;
         };
-        if of == 0 {
-            return 0..0;
-        }
         let devices = &self.clients[run.clone()];
         let chunk = |device: &UserClient| {
             let a = device.assignment();
             chunk_of_rank(a.rank, a.group_len, of)
         };
-        let start = devices.partition_point(|d| chunk(d) < index);
-        let end = devices.partition_point(|d| chunk(d) <= index);
+        let start = devices.partition_point(|d| chunk(d).is_some_and(|c| c < index));
+        let end = devices.partition_point(|d| chunk(d).is_some_and(|c| c <= index));
         run.start + start..run.start + end
     }
 
@@ -192,11 +189,14 @@ impl SimulatedFleet {
         let clients = &mut self.clients[run];
         let outcomes = par::map_slice_mut_scratch(clients, &mut self.workers, |client, worker| {
             match client.answer_with(spec, &mut worker.ws)? {
-                Some(report) => worker
-                    .shard
-                    .as_mut()
-                    .expect("shard installed for this round")
-                    .absorb(&report),
+                Some(report) => {
+                    #[allow(clippy::expect_used)] // installed above, taken back after the map
+                    let shard = worker
+                        .shard
+                        .as_mut()
+                        .expect("shard installed for this round");
+                    shard.absorb(&report)
+                }
                 None => Ok(()),
             }
         });

@@ -68,6 +68,12 @@
 //! [`privshape_ldp`] (GRR / OUE / EM / PM), and [`privshape_trie`]
 //! (the candidate trie).
 
+// Library code returns no panicking shortcuts; tests may.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod baseline;
 mod fleet;
 mod par;
@@ -85,9 +91,9 @@ pub use transform::transform_population;
 // per-series preprocessing; re-exported so `privshape`'s public API is a
 // superset of what it was before the protocol crate existed.
 pub use privshape_protocol::{
-    select_distinct_top_k, split_population, split_rounds, transform_batch, transform_series,
-    BaselineConfig, ClassShapes, Diagnostics, Error, ExtractedShape, Extraction, Groups,
-    LabeledExtraction, PopulationSplit, Preprocessing, PrivShapeConfig, Result,
+    select_distinct_top_k, split_population, transform_batch, transform_series, BaselineConfig,
+    ClassShapes, Diagnostics, Error, ExtractedShape, Extraction, Groups, LabeledExtraction,
+    PopulationSplit, Preprocessing, PrivShapeConfig, Result,
 };
 
 // Substrate re-exports so `privshape` is a one-stop dependency.

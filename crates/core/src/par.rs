@@ -1,9 +1,11 @@
-//! Deterministic fork/join over user populations (crossbeam scoped
-//! threads). Outputs land in per-run vectors joined in run order, or in
-//! per-item slots, so results are identical for any thread count.
+//! Deterministic fork/join over user populations on scoped threads
+//! (`std::thread::scope`). Each worker's outputs land in its own vector,
+//! and the vectors are joined in run order, so results are identical for
+//! any thread count.
 
 use privshape_protocol::MAX_THREADS;
 use std::ops::Range;
+use std::thread::ScopedJoinHandle;
 
 /// Applies `f` to each index in `0..n` using up to `threads` workers.
 pub(crate) fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
@@ -27,25 +29,13 @@ where
         return f(0..n);
     }
     let run = n.div_ceil(threads);
-    let parts: Vec<Vec<T>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .step_by(run)
-            .map(|lo| {
-                let f = &f;
-                scope.spawn(move |_| f(lo..n.min(lo + run)))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("worker panicked"))
-            .collect()
+    std::thread::scope(|scope| {
+        let workers = (0..n).step_by(run).map(|lo| {
+            let f = &f;
+            scope.spawn(move || f(lo..n.min(lo + run)))
+        });
+        join_in_order(workers.collect(), n)
     })
-    .expect("worker panicked");
-    let mut out = Vec::with_capacity(n);
-    for part in parts {
-        out.extend(part);
-    }
-    out
 }
 
 /// The mutable-access counterpart of [`map_indexed`], used to drive
@@ -70,26 +60,31 @@ where
         let ws = &mut scratch[0];
         return items.iter_mut().map(|item| f(item, ws)).collect();
     }
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        for ((items, slots), ws) in items
+    std::thread::scope(|scope| {
+        let workers = items
             .chunks_mut(chunk)
-            .zip(out.chunks_mut(chunk))
             .zip(scratch.iter_mut())
-        {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (item, slot) in items.iter_mut().zip(slots.iter_mut()) {
-                    *slot = Some(f(item, ws));
-                }
+            .map(|(items, ws)| {
+                let f = &f;
+                scope.spawn(move || items.iter_mut().map(|item| f(item, ws)).collect())
             });
-        }
+        join_in_order(workers.collect(), n)
     })
-    .expect("worker panicked");
-    out.into_iter()
-        .map(|slot| slot.expect("all slots filled"))
-        .collect()
+}
+
+/// Joins the workers in spawn order and concatenates their outputs. A
+/// worker's panic is re-raised with the worker's own payload, so the
+/// caller sees its message rather than a generic join failure.
+fn join_in_order<T>(workers: Vec<ScopedJoinHandle<'_, Vec<T>>>, n: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(n);
+    for worker in workers {
+        match worker.join() {
+            Ok(part) => out.extend(part),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+    out
 }
 
 /// Default worker count: available parallelism, capped.
@@ -158,6 +153,29 @@ mod tests {
         for configured in [MAX_THREADS + 1, 50_000, usize::MAX] {
             assert_eq!(resolve_threads(configured), MAX_THREADS, "{configured}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "user 70 has no series")]
+    fn a_run_worker_panic_reaches_the_caller_with_its_own_message() {
+        map_runs(200, 4, |run| {
+            if run.contains(&70) {
+                panic!("user 70 has no series");
+            }
+            run.collect::<Vec<_>>()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "item 130 is poisoned")]
+    fn a_scratch_worker_panic_reaches_the_caller_with_its_own_message() {
+        let mut items: Vec<usize> = (0..200).collect();
+        let mut scratch = vec![(); 4];
+        map_slice_mut_scratch(&mut items, &mut scratch, |x, ()| {
+            if *x == 130 {
+                panic!("item {x} is poisoned");
+            }
+        });
     }
 
     #[test]

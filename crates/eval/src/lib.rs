@@ -5,7 +5,7 @@
 //! tslearn's KShape; this crate implements the same algorithms from scratch:
 //!
 //! * [`KMeans`] — Lloyd's algorithm with k-means++ seeding and multiple
-//!   restarts (assignment step parallelized with crossbeam);
+//!   restarts (assignment step parallelized on scoped threads);
 //! * [`KShape`] — shape-based distance (normalized cross-correlation) with
 //!   Rayleigh-quotient shape extraction by power iteration;
 //! * [`RandomForest`] — CART/Gini bagging ensemble with √d feature sampling;

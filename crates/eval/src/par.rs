@@ -1,6 +1,7 @@
-//! Minimal fork/join helper over immutable inputs, built on crossbeam's
-//! scoped threads. Results are written into per-index slots, so the output
-//! is identical regardless of thread count or scheduling.
+//! Minimal fork/join helper over immutable inputs, built on scoped
+//! threads (`std::thread::scope`). Each worker maps one contiguous run of
+//! indices and the runs are joined in order, so the output is identical
+//! regardless of thread count or scheduling.
 
 /// The most threads [`map_indexed`] starts, whatever count it is given:
 /// the ceiling the protocol crate's `MAX_THREADS` sets for the drivers,
@@ -20,24 +21,25 @@ where
     if threads == 1 || n < 64 {
         return (0..n).map(f).collect();
     }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        for slice in out.chunks_mut(chunk).enumerate() {
-            let (chunk_idx, slots) = slice;
-            let f = &f;
-            scope.spawn(move |_| {
-                let base = chunk_idx * chunk;
-                for (offset, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(f(base + offset));
-                }
-            });
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|lo| {
+                let f = &f;
+                scope.spawn(move || (lo..n.min(lo + chunk)).map(f).collect::<Vec<T>>())
+            })
+            .collect();
+        let mut out = Vec::with_capacity(n);
+        for worker in workers {
+            // Re-raise a worker's panic with its own payload.
+            match worker.join() {
+                Ok(part) => out.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
+        out
     })
-    .expect("worker panicked");
-    out.into_iter()
-        .map(|slot| slot.expect("all slots filled"))
-        .collect()
 }
 
 /// Number of worker threads to use by default: the machine's available

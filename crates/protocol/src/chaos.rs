@@ -11,22 +11,21 @@
 //! so every chaos run is replayable bit-for-bit from a single integer.
 //!
 //! The plan is a **runtime hook**, not a cargo feature: pass
-//! `Some(&plan)` to each [`crate::Session::submit_sealed_frame`] (or
-//! [`crate::IngestPipeline::submit_sealed_frame`]) call of a round and the
-//! boundary consults it at each sequence point; pass `None` and the hook
-//! costs one branch on an absent `Option`. Production code paths
-//! therefore carry no chaos machinery at all. The service registry keeps
-//! a round's plan beside its session and passes it with every routed
-//! frame.
+//! `Some(&plan)` to each [`crate::Session::submit_sealed_frame`] call of a
+//! round and the boundary consults it at each sequence point; pass `None`
+//! and the hook costs one branch on an absent `Option`. Production code
+//! paths therefore carry no chaos machinery at all. The service registry
+//! keeps a round's plan beside its session and passes it with every
+//! routed frame.
 //!
 //! The ingest boundary has two sequence points. The **submit** point is
-//! consulted first on every [`crate::IngestPipeline::submit_sealed_frame`]
-//! call, before the frame is checked. The **absorb** point is consulted
-//! once per frame that claimed at least one user, after its reports are
-//! added, under the round lock — so it counts the frames that reach the
-//! aggregate, and a panic there fails the round the frame was absorbed
-//! into. [`FaultKind::WorkerPanic`] and [`FaultKind::AbsorbStall`] fire
-//! there, in the call of the producer that absorbs the frame.
+//! consulted first on every sealed-frame submission, before the frame is
+//! checked. The **absorb** point is consulted once per frame that claimed
+//! at least one user, after its reports are added, under the round lock —
+//! so it counts the frames that reach the aggregate, and a panic there
+//! fails the round the frame was absorbed into. [`FaultKind::WorkerPanic`]
+//! and [`FaultKind::AbsorbStall`] fire there, in the call of the producer
+//! that absorbs the frame.
 //!
 //! Every fault point fires **exactly once**. Sequence counters are global
 //! to the plan and monotone across rounds, so a recovery that replays
@@ -100,7 +99,7 @@ pub enum FaultKind {
 
 /// What the chaos plane decided for one sealed-frame submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitAction {
+pub(crate) enum SubmitAction {
     /// No fault: deliver the frame normally.
     Deliver,
     /// Sleep, then deliver.
@@ -113,7 +112,7 @@ pub enum SubmitAction {
 
 /// What the chaos plane decided for one frame absorb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AbsorbAction {
+pub(crate) enum AbsorbAction {
     /// No fault: absorb normally.
     Absorb,
     /// Sleep, then absorb.
@@ -287,7 +286,7 @@ impl FaultPlan {
     /// Advances the submit counter and returns what to do with this
     /// sealed-frame submission. Called by the pipeline's sealed submit
     /// path; one call per frame.
-    pub fn next_submit(&self) -> SubmitAction {
+    pub(crate) fn next_submit(&self) -> SubmitAction {
         let idx = self.submit_seq.fetch_add(1, Ordering::AcqRel);
         let hit = self.claim(|k| {
             matches!(
@@ -311,7 +310,7 @@ impl FaultPlan {
     /// Advances the absorb counter and returns what the absorbing call
     /// must do. Called by the pipeline once per absorbed frame that
     /// claimed at least one user.
-    pub fn next_absorb(&self) -> AbsorbAction {
+    pub(crate) fn next_absorb(&self) -> AbsorbAction {
         let idx = self.absorb_seq.fetch_add(1, Ordering::AcqRel);
         let hit = self.claim(|k| {
             matches!(

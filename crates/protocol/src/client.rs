@@ -19,7 +19,9 @@ use crate::error::{Error, Result};
 use crate::params::{MechanismKind, ProtocolParams};
 use crate::population::{chunk_of_rank, shuffled_users, split_population};
 use crate::rng::{user_rng, Stage};
-use crate::round::{length_round_domain, subshape_grr, Audience, GroupId, Report, RoundSpec};
+use crate::round::{
+    labeled_grid_cells, length_round_domain, subshape_grr, Audience, GroupId, Report, RoundSpec,
+};
 use crate::transform::transform_series;
 use privshape_distance::{em_score, DistanceKind, DistanceWorkspace};
 use privshape_ldp::{Epsilon, ExpMech, Grr, Olh, Oue, PiecewiseMechanism};
@@ -102,7 +104,9 @@ impl GroupAssignment {
     }
 
     /// Whether a round addressed to `audience` is addressed to this user.
-    pub fn addressed_by(&self, audience: Audience) -> bool {
+    /// A zero-chunk audience, or a rank outside the group, addresses no
+    /// one: the client must survive bad broadcasts.
+    pub(crate) fn addressed_by(&self, audience: Audience) -> bool {
         let Some(group) = self.group else {
             return false;
         };
@@ -111,13 +115,7 @@ impl GroupAssignment {
         }
         match audience.chunk {
             None => true,
-            // A zero-chunk audience is malformed: addressed to no one
-            // rather than a panic — the client must survive bad broadcasts.
-            Some(chunk) => {
-                chunk.of >= 1
-                    && self.rank < self.group_len
-                    && chunk_of_rank(self.rank, self.group_len, chunk.of) == chunk.index
-            }
+            Some(chunk) => chunk_of_rank(self.rank, self.group_len, chunk.of) == Some(chunk.index),
         }
     }
 }
@@ -211,11 +209,6 @@ impl UserClient {
     /// The locally derived group assignment.
     pub fn assignment(&self) -> GroupAssignment {
         self.assignment
-    }
-
-    /// Whether this client has already spent its one report.
-    pub fn has_answered(&self) -> bool {
-        self.answered
     }
 
     /// Answers a round if (and only if) it is addressed to this user.
@@ -401,6 +394,7 @@ impl UserClient {
                 self.user
             )));
         }
+        let cells = labeled_grid_cells(candidates.len(), n_classes)?;
         // Nearest candidate under the configured distance (ties toward the
         // earlier candidate — deterministic): the first minimum of the
         // distance row the workspace memoizes per sequence. An empty table
@@ -412,7 +406,6 @@ impl UserClient {
             .map_or(0, |(c, _)| c);
         let cell = best_c * n_classes + label;
         let mut rng = user_rng(self.seed, Stage::Refine, self.user);
-        let cells = candidates.len() * n_classes;
         let report = if cells >= 2 {
             Oue::new(cells, self.epsilon)?.perturb(&mut rng, cell)
         } else {
@@ -599,7 +592,7 @@ mod tests {
             candidates: table(&["ab"]),
         };
         assert!(c.answer(&spec).unwrap().is_none());
-        assert!(!c.has_answered());
+        assert!(!c.answered);
     }
 
     #[test]
@@ -651,7 +644,7 @@ mod tests {
                 matches!(got, Err(Error::Protocol(_))),
                 "{range:?} under {oracle:?}: {got:?}"
             );
-            assert!(!c.has_answered());
+            assert!(!c.answered);
         }
         // Zero-chunk audience: addressed to no one, not an assert failure.
         let a = GroupAssignment {
@@ -660,6 +653,24 @@ mod tests {
             group_len: 4,
         };
         assert!(!a.addressed_by(Audience::chunk(GroupId::Pc, 0, 0)));
+        // A labeled grid whose candidate × class product overflows: refused
+        // by the device as by the aggregator, not an overflow panic.
+        let spec = RoundSpec::RefineLabeled {
+            audience: Audience::group(GroupId::Pa),
+            candidates: table(&["ab", "ba"]),
+            n_classes: usize::MAX,
+        };
+        for (seq, label) in [("ab", 0), ("ba", 1)] {
+            let mut c = seq_client(0, seq, &p);
+            c.label = Some(label);
+            let got = c.answer(&spec);
+            assert!(matches!(got, Err(Error::Protocol(_))), "{seq:?}: {got:?}");
+            assert!(!c.answered);
+        }
+        assert!(matches!(
+            crate::ShardAggregator::for_round(&spec, p.epsilon),
+            Err(Error::Protocol(_))
+        ));
         // Sub-shape alphabets whose bigram domain `t(t − 1)` underflows
         // (0) or overflows (2^33), and an own symbol outside the alphabet:
         // refused, and the device can still answer a well-formed round.
@@ -670,7 +681,7 @@ mod tests {
                 ell_s: 3,
                 alphabet,
             };
-            (c.answer(&spec), c.has_answered())
+            (c.answer(&spec), c.answered)
         };
         for (seq, alphabet) in [("ab", 0), ("ab", 1), ("ab", 1 << 33), ("ce", 2), ("ab", 27)] {
             let (got, answered) = subshape(seq, alphabet);

@@ -148,11 +148,6 @@ impl EpochPlan {
             })
             .collect()
     }
-
-    /// Number of sampled participants.
-    pub fn sampled_users(&self) -> usize {
-        self.series.len()
-    }
 }
 
 /// The continual extraction driver: owns the sliding window, the epoch
@@ -273,13 +268,8 @@ impl ContinualDriver {
     }
 
     /// Series currently resident in the window.
-    pub fn window_users(&self) -> usize {
+    fn window_users(&self) -> usize {
         self.window.iter().map(|b| b.series.len()).sum()
-    }
-
-    /// Arrival batches currently resident in the window.
-    pub fn window_batches(&self) -> usize {
-        self.window.len()
     }
 
     /// The driver's configuration.
@@ -348,7 +338,7 @@ mod tests {
         d.observe(step_series(100));
         // window_epochs = 2: the first batch fell out.
         assert_eq!(d.window_users(), 200);
-        assert_eq!(d.window_batches(), 2);
+        assert_eq!(d.window.len(), 2);
         let plan = d.begin_epoch().unwrap();
         // Global ids of the resident batches start at 100.
         assert_eq!(plan.users.first(), Some(&100));
@@ -364,7 +354,7 @@ mod tests {
         assert!((plan.amplified.value() - want).abs() < 1e-12);
         assert!((plan.spent - want).abs() < 1e-12);
         assert_eq!(d.ledger().epochs(), 1);
-        assert!(plan.sampled_users() > 100 && plan.sampled_users() < 300);
+        assert!(plan.series.len() > 100 && plan.series.len() < 300);
         assert_eq!(plan.users.len(), plan.series.len());
 
         // The plan materializes identical sessions every time: drive two

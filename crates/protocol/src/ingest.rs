@@ -1,14 +1,12 @@
-//! Streaming report ingestion for one round.
+//! The sealed-frame ingest boundary of one open round.
 //!
 //! A production aggregator does not see a round's reports as one slice:
 //! they stream in from many untrusted devices as sealed frames
 //! ([`crate::wire::seal_frame`]), out of order, from any number of
-//! producer threads. [`IngestPipeline`] is that boundary as a library:
-//! each [`IngestPipeline::submit_sealed_frame`] call absorbs its frame in
-//! place, in the producer's own call, in two passes over the frame body.
-//! A [`crate::Session`]'s open round is one such pipeline, fed through
-//! [`crate::Session::submit_sealed_frame`]; a standalone pipeline is the
-//! boundary of an ingestion node that ships its aggregate upstream.
+//! producer threads. A [`crate::Session`]'s open round is one
+//! [`IngestPipeline`], fed through [`crate::Session::submit_sealed_frame`]:
+//! each call absorbs its frame in place, in the producer's own call, in
+//! two passes over the frame body.
 //!
 //! ```text
 //!  producers (any thread, each in its own submit call)
@@ -39,7 +37,7 @@
 //! **Chaos.** [`IngestPipeline::submit_sealed_frame`] takes an optional
 //! [`FaultPlan`], consulted at two sequence points (the submit, and the
 //! absorb of a frame that claimed a user) to fire deterministic injected
-//! faults; see [`crate::chaos`].
+//! faults.
 
 use crate::chaos::{AbsorbAction, FaultPlan, SubmitAction};
 use crate::error::{Error, Result};
@@ -50,8 +48,9 @@ use privshape_ldp::Epsilon;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Counters from the sealed-frame boundary of an [`IngestPipeline`],
-/// surfaced per session in [`crate::Diagnostics`].
+/// Counters from a session's sealed-frame boundary
+/// ([`crate::Session::submit_sealed_frame`]), surfaced per session in
+/// [`crate::Diagnostics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Reports whose user had not reported yet this round, added to the
@@ -74,9 +73,11 @@ pub struct IngestStats {
     pub backpressure_stalls: u64,
     /// Panics caught at the absorb and converted into a poisoned round.
     /// Every panic also fails the round, so a nonzero count always pairs
-    /// with a failed round — the counter tells a
-    /// supervisor *how often* a session crashes, which its failure budget
-    /// is priced in.
+    /// with a failed round. It does not survive recovery: a supervisor
+    /// restores the session from its pre-round checkpoint, whose counters
+    /// predate the panic, so a recovered session reads as if the round
+    /// never failed. How often a supervised session crashed is
+    /// `privshape_service::RecoveryStats::recoveries`.
     pub worker_panics: u64,
 }
 
@@ -171,45 +172,12 @@ impl Round {
     }
 }
 
-/// The ingest boundary of one open round.
-///
-/// Create one per round ([`IngestPipeline::for_round`]), feed it sealed
-/// frames from any number of producer threads, then
-/// [`IngestPipeline::finish`] it into the round's aggregate, for example
-/// to hand to [`crate::Session::submit_shard`]. A session builds its own
-/// for each round it opens ([`crate::Session::submit_sealed_frame`]).
-///
-/// # Example
-///
-/// ```
-/// use privshape_protocol::{seal_frame, IngestPipeline, Report, RoundSpec, Audience, GroupId};
-/// use privshape_ldp::Epsilon;
-/// use privshape_timeseries::CandidateTable;
-/// use std::sync::Arc;
-///
-/// let spec = RoundSpec::Expand {
-///     audience: Audience::chunk(GroupId::Pc, 0, 1),
-///     level: 1,
-///     candidates: Arc::new(CandidateTable::parse_rows(&["a", "b", "c"]).unwrap()),
-/// };
-/// let eps = Epsilon::new(2.0).unwrap();
-/// let pipeline = IngestPipeline::for_round(&spec, eps, 100).unwrap();
-/// // Frames arrive in any order, from any producer.
-/// for users in [[0usize, 1], [2, 3], [4, 5]] {
-///     let entries = users.map(|u| (u, Report::Expand(u % 3)));
-///     pipeline.submit_sealed_frame(&seal_frame(&entries), None).unwrap();
-/// }
-/// // A replayed frame and a report outside the 3-row table are shed.
-/// pipeline.submit_sealed_frame(&seal_frame(&[(0, Report::Expand(0))]), None).unwrap();
-/// pipeline.submit_sealed_frame(&seal_frame(&[(6, Report::Expand(3))]), None).unwrap();
-/// let (merged, stats) = pipeline.finish();
-/// let merged = merged.unwrap();
-/// assert_eq!(merged.reports(), 6);
-/// assert_eq!(merged.finalize_selections().unwrap(), vec![2.0, 2.0, 2.0]);
-/// assert_eq!((stats.duplicate_reports, stats.rejected_frames), (1, 1));
-/// ```
+/// The ingest boundary of one open round: a session builds one for each
+/// round it opens ([`IngestPipeline::for_round`]), producers feed it
+/// sealed frames from any number of threads, and closing the round
+/// [`IngestPipeline::finish`]es it into the round's aggregate.
 #[derive(Debug)]
-pub struct IngestPipeline {
+pub(crate) struct IngestPipeline {
     /// The round's empty aggregator: both passes check reports against it,
     /// so pass 1 needs no lock.
     shape: ShardAggregator,
@@ -232,7 +200,7 @@ impl IngestPipeline {
     ///
     /// [`Error::Protocol`] for a population whose bitset cannot be
     /// allocated; the aggregator's error for a spec it rejects.
-    pub fn for_round(spec: &RoundSpec, epsilon: Epsilon, population: usize) -> Result<Self> {
+    pub(crate) fn for_round(spec: &RoundSpec, epsilon: Epsilon, population: usize) -> Result<Self> {
         let words = population.div_ceil(64);
         let mut claimed = Vec::new();
         claimed.try_reserve_exact(words).map_err(|_| {
@@ -277,13 +245,16 @@ impl IngestPipeline {
     /// Hostile input therefore never poisons the round: a bad frame
     /// returns `Ok(())` and only moves a counter. Errors are
     /// [`Error::PipelinePoisoned`] once a panic failed the round, and, on
-    /// a chaos run (`chaos` is the round's [`FaultPlan`], see
-    /// [`crate::chaos`]), a typed [`Error::FaultInjected`] when it drops
-    /// this frame in transit (the caller retries, modeling a
-    /// retransmission). Drops become producer-visible typed errors and
-    /// duplicates go through the dedup, so no injected fault can silently
-    /// change the aggregate.
-    pub fn submit_sealed_frame(&self, frame: &[u8], chaos: Option<&FaultPlan>) -> Result<()> {
+    /// a chaos run (`chaos` is the round's [`FaultPlan`]), a typed
+    /// [`Error::FaultInjected`] when it drops this frame in transit (the
+    /// caller retries, modeling a retransmission). Drops become
+    /// producer-visible typed errors and duplicates go through the dedup,
+    /// so no injected fault can silently change the aggregate.
+    pub(crate) fn submit_sealed_frame(
+        &self,
+        frame: &[u8],
+        chaos: Option<&FaultPlan>,
+    ) -> Result<()> {
         if let Some(plan) = chaos {
             match plan.next_submit() {
                 SubmitAction::Deliver => {}
@@ -400,7 +371,7 @@ impl IngestPipeline {
     /// [`Error::PipelinePoisoned`] with the cause of the panic that failed
     /// it, and the final counters in both arms — a failed round still
     /// reports how it failed.
-    pub fn finish(self) -> (Result<ShardAggregator>, IngestStats) {
+    pub(crate) fn finish(self) -> (Result<ShardAggregator>, IngestStats) {
         let round = self
             .round
             .into_inner()
@@ -414,7 +385,11 @@ mod tests {
     use super::*;
     use crate::chaos::FaultKind;
     use crate::round::{Audience, GroupId, Report};
+    use privshape_ldp::Oue;
     use privshape_timeseries::CandidateTable;
+    use proptest::prelude::*;
+    use rand::{RngExt, SeedableRng};
+    use rand_chacha::ChaCha12Rng;
     use std::sync::Arc;
 
     /// The population of most test rounds: each sealed user id is below it.
@@ -449,10 +424,7 @@ mod tests {
     fn pipeline_matches_serial_absorb() {
         let spec = spec(4);
         let reports: Vec<Report> = (0..997).map(|i| Report::Expand(i * 7 % 4)).collect();
-        let mut serial = ShardAggregator::for_round(&spec, eps()).unwrap();
-        for r in &reports {
-            serial.absorb(r).unwrap();
-        }
+        let serial = serial(&spec, &reports);
         let entries: Vec<(usize, Report)> = reports.into_iter().enumerate().collect();
         let pipeline = IngestPipeline::for_round(&spec, eps(), entries.len()).unwrap();
         for chunk in entries.chunks(13) {
@@ -561,10 +533,7 @@ mod tests {
     fn injected_drop_and_duplicate_keep_the_aggregate_exact() {
         let spec = spec(3);
         let reports: Vec<(usize, Report)> = (0..60).map(|u| (u, Report::Expand(u % 3))).collect();
-        let mut serial = ShardAggregator::for_round(&spec, eps()).unwrap();
-        for (_, r) in &reports {
-            serial.absorb(r).unwrap();
-        }
+        let serial = serial(&spec, reports.iter().map(|(_, r)| r));
         let plan = FaultPlan::new([
             FaultKind::FrameDrop { at_submit: 1 },
             FaultKind::FrameDuplicate { at_submit: 3 },
@@ -606,10 +575,7 @@ mod tests {
     fn sealed_path_drops_corruption_and_duplicates() {
         let spec = spec(3);
         let reports: Vec<(usize, Report)> = (0..90).map(|u| (u, Report::Expand(u % 3))).collect();
-        let mut serial = ShardAggregator::for_round(&spec, eps()).unwrap();
-        for (_, r) in &reports {
-            serial.absorb(r).unwrap();
-        }
+        let serial = serial(&spec, reports.iter().map(|(_, r)| r));
 
         let pipeline = IngestPipeline::for_round(&spec, eps(), USERS).unwrap();
         for chunk in reports.chunks(10) {
@@ -737,5 +703,197 @@ mod tests {
             worker_panics: 1,
         };
         assert_eq!(acc, expected);
+    }
+
+    /// A labeled refine round, so OUE reports (the only heap-carrying
+    /// variant) go through the pipeline too.
+    fn labeled_spec(candidates: usize, n_classes: usize) -> RoundSpec {
+        let rows: Vec<String> = (0..candidates)
+            .map(|i| ["ab", "ba"][i % 2].into())
+            .collect();
+        RoundSpec::RefineLabeled {
+            audience: Audience::group(GroupId::Pd),
+            candidates: Arc::new(CandidateTable::parse_rows(&rows).unwrap()),
+            n_classes,
+        }
+    }
+
+    /// Deterministic Fisher–Yates over the frames.
+    fn shuffle<T>(items: &mut [T], seed: u64) {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        for i in (1..items.len()).rev() {
+            let j = rng.random_range(0..=i);
+            items.swap(i, j);
+        }
+    }
+
+    /// Serial reference: one aggregator, reports absorbed in order.
+    fn serial<'a>(
+        spec: &RoundSpec,
+        reports: impl IntoIterator<Item = &'a Report>,
+    ) -> ShardAggregator {
+        let mut agg = ShardAggregator::for_round(spec, eps()).unwrap();
+        for r in reports {
+            agg.absorb(r).unwrap();
+        }
+        agg
+    }
+
+    /// Streaming path: report `i` sealed as user `i`, chunked into frames,
+    /// shuffled, and submitted from `producers` threads racing on the
+    /// round.
+    fn streamed(
+        spec: &RoundSpec,
+        reports: &[Report],
+        frame_len: usize,
+        producers: usize,
+        seed: u64,
+    ) -> ShardAggregator {
+        let entries: Vec<(usize, Report)> = reports.iter().cloned().enumerate().collect();
+        let mut frames: Vec<Vec<u8>> = entries
+            .chunks(frame_len.max(1))
+            .map(wire::seal_frame)
+            .collect();
+        shuffle(&mut frames, seed);
+        let pipeline = IngestPipeline::for_round(spec, eps(), reports.len()).unwrap();
+        std::thread::scope(|s| {
+            for p in 0..producers {
+                let (pipeline, frames) = (&pipeline, &frames);
+                s.spawn(move || {
+                    for frame in frames.iter().skip(p).step_by(producers) {
+                        pipeline.submit_sealed_frame(frame, None).unwrap();
+                    }
+                });
+            }
+        });
+        let (merged, stats) = pipeline.finish();
+        assert_eq!(stats.accepted_reports as usize, reports.len());
+        merged.unwrap()
+    }
+
+    // Streaming-ingest exactness: a round's reports chunked into arbitrary
+    // frames, submitted in an arbitrary (shuffled) order from racing
+    // producer threads, aggregate bit-identically to one serial absorb of
+    // the same reports.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Selection rounds: arbitrary report streams, frame sizes,
+        /// producer counts, and submission orders all converge to the
+        /// serial aggregate.
+        #[test]
+        fn shuffled_streaming_equals_serial_absorb(
+            selections in prop::collection::vec(0usize..6, 1..400),
+            frame_len in 1usize..40,
+            producers in 1usize..6,
+            seed in 0u64..1 << 32,
+        ) {
+            let spec = spec(6);
+            let reports: Vec<Report> = selections.into_iter().map(Report::Expand).collect();
+            let reference = serial(&spec, &reports);
+            let merged = streamed(&spec, &reports, frame_len, producers, seed);
+            prop_assert_eq!(merged, reference);
+        }
+
+        /// Labeled refinement (OUE) rounds: same invariant for the
+        /// heap-carrying report kind, exercising the OUE bit walk of the
+        /// wire check and add.
+        #[test]
+        fn shuffled_streaming_equals_serial_for_oue(
+            values in prop::collection::vec(0usize..8, 1..120),
+            frame_len in 1usize..16,
+            producers in 1usize..6,
+            seed in 0u64..1 << 32,
+        ) {
+            let spec = labeled_spec(4, 2);
+            let oue = Oue::new(8, eps()).unwrap();
+            let reports: Vec<Report> = values
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| {
+                    let mut rng = ChaCha12Rng::seed_from_u64(i as u64);
+                    Report::RefineLabeled(oue.perturb(&mut rng, v))
+                })
+                .collect();
+            let reference = serial(&spec, &reports);
+            let merged = streamed(&spec, &reports, frame_len, producers, seed);
+            prop_assert_eq!(merged, reference);
+        }
+
+        /// Adversarial sealed-frame streams: replayed frames (every report
+        /// a user-id duplicate), bit-flipped frames (checksum breaks), and
+        /// frames re-sealed with a user id outside the population or a
+        /// report the round refuses (checksum holds) are shed at the ingest
+        /// boundary, so the final aggregate is bit-identical to the clean
+        /// stream's — and the [`IngestStats`] counters account for exactly
+        /// what was dropped.
+        #[test]
+        fn hostile_sealed_stream_equals_clean_stream(
+            selections in prop::collection::vec(0usize..6, 1..200),
+            frame_len in 1usize..20,
+            attack_seed in 0u64..1 << 32,
+        ) {
+            let spec = spec(6);
+            let entries: Vec<(usize, Report)> = selections
+                .iter()
+                .enumerate()
+                .map(|(user, &s)| (user, Report::Expand(s)))
+                .collect();
+            let reports: Vec<Report> = entries.iter().map(|(_, r)| r.clone()).collect();
+            let reference = serial(&spec, &reports);
+            let population = entries.len();
+
+            let pipeline = IngestPipeline::for_round(&spec, eps(), population).unwrap();
+            let mut rng = ChaCha12Rng::seed_from_u64(attack_seed);
+            let mut expected_duplicates = 0u64;
+            let mut expected_rejects = 0u64;
+            for chunk in entries.chunks(frame_len) {
+                if rng.random_bool(0.5) {
+                    // The frame re-sealed with one user id at or past the
+                    // end of the population, ahead of the genuine frame: it
+                    // is rejected whole and claims none of its users.
+                    let mut forged = chunk.to_vec();
+                    let victim = rng.random_range(0..forged.len());
+                    forged[victim].0 = population + rng.random_range(0..=usize::from(u16::MAX));
+                    pipeline.submit_sealed_frame(&wire::seal_frame(&forged), None).unwrap();
+                    expected_rejects += 1;
+                }
+                if rng.random_bool(0.5) {
+                    // The frame re-sealed with one report the round refuses
+                    // — another round's kind, or a selection past the 6-row
+                    // table — ahead of the genuine frame: it is rejected
+                    // whole and claims none of its users.
+                    let mut forged = chunk.to_vec();
+                    let victim = rng.random_range(0..forged.len());
+                    forged[victim].1 = if rng.random_bool(0.5) {
+                        Report::Length(0)
+                    } else {
+                        Report::Expand(6)
+                    };
+                    pipeline.submit_sealed_frame(&wire::seal_frame(&forged), None).unwrap();
+                    expected_rejects += 1;
+                }
+                let frame = wire::seal_frame(chunk);
+                pipeline.submit_sealed_frame(&frame, None).unwrap();
+                if rng.random_bool(0.5) {
+                    // Replay the frame verbatim: every entry is a duplicate.
+                    pipeline.submit_sealed_frame(&frame, None).unwrap();
+                    expected_duplicates += chunk.len() as u64;
+                }
+                if rng.random_bool(0.5) {
+                    // One bit flipped anywhere breaks the envelope.
+                    let mut bad = frame.clone();
+                    let pos = rng.random_range(0..bad.len());
+                    bad[pos] ^= 1u8 << rng.random_range(0..8);
+                    pipeline.submit_sealed_frame(&bad, None).unwrap();
+                    expected_rejects += 1;
+                }
+            }
+            let (merged, stats) = pipeline.finish();
+            prop_assert_eq!(merged.unwrap(), reference);
+            prop_assert_eq!(stats.accepted_reports as usize, reports.len());
+            prop_assert_eq!(stats.duplicate_reports, expected_duplicates);
+            prop_assert_eq!(stats.rejected_frames, expected_rejects);
+        }
     }
 }

@@ -13,14 +13,14 @@
 //!   two-level refinement, emitting a [`RoundSpec`] per round and
 //!   consuming [`Report`]s;
 //! * [`ShardAggregator`] — mergeable per-round partial sums (`absorb` /
-//!   `merge`), so reports can arrive in chunks from many ingestion shards
-//!   and combine associatively in any order;
-//! * [`IngestPipeline`] — the one untrusted ingress, which every
-//!   [`Session`] round is ([`Session::submit_sealed_frame`]) and an
-//!   ingestion node can stand up alone: sealed frames of wire-encoded
-//!   reports ([`seal_frame`], serde-free), each checked whole against the
-//!   round and then absorbed in the producer's own call, one report per
-//!   user per round, bit-identical to serial submission;
+//!   `merge`), so a round's reports can be aggregated in chunks (one per
+//!   worker thread of a simulated fleet) that combine associatively in
+//!   any order;
+//! * [`Session::submit_sealed_frame`] — the one untrusted ingress: each
+//!   open round takes sealed frames of wire-encoded reports
+//!   ([`seal_frame`], serde-free), checks each whole against the round and
+//!   absorbs it in the producer's own call, one report per user per
+//!   round, bit-identical to serial submission;
 //! * [`UserClient`] — one user's device: owns that user's series, derives
 //!   its group assignment and all of its randomness locally from
 //!   `(seed, user_id)`, and answers only the rounds addressed to its
@@ -80,43 +80,45 @@
 //! assert_eq!(extraction.shapes[0].shape.to_string(), "ac");
 //! ```
 
-// Redundant with the workspace-level lint, but explicit: the protocol
-// boundary is the workspace's main public API and must stay documented.
-#![warn(missing_docs)]
+// `missing_docs` is redundant with the workspace-level lint, but
+// explicit: the protocol boundary is the workspace's main public API and
+// must stay documented. `unreachable_pub` keeps an item of a private
+// module from staying `pub` when nothing re-exports it.
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod chaos;
+mod chaos;
 mod client;
 mod config;
 pub mod continual;
 mod error;
-pub mod ingest;
+mod ingest;
 mod params;
 mod population;
 mod postprocess;
 mod report;
-pub mod rng;
+mod rng;
 mod round;
+#[cfg(test)]
+mod rounds;
 mod session;
 mod shard;
 mod transform;
 mod wire;
 
-pub use chaos::{AbsorbAction, FaultKind, FaultPlan, FiredCounts, SubmitAction};
+pub use chaos::{FaultKind, FaultPlan, FiredCounts};
 pub use client::{GroupAssignment, UserClient};
 pub use config::{
     BaselineConfig, LengthOracle, PopulationSplit, Preprocessing, PrivShapeConfig, MAX_THREADS,
 };
 pub use continual::{subsampled, ContinualConfig, ContinualDriver, EpochPlan};
 pub use error::{Error, Result};
-pub use ingest::{IngestConfig, IngestPipeline, IngestStats};
+pub use ingest::{IngestConfig, IngestStats};
 pub use params::{MechanismKind, ProtocolParams};
-pub use population::{chunk_of_rank, split_population, split_rounds, Groups};
+pub use population::{chunk_of_rank, split_population, Groups};
 pub use postprocess::select_distinct_top_k;
 pub use report::{ClassShapes, Diagnostics, ExtractedShape, Extraction, LabeledExtraction};
 pub use round::{Audience, Chunk, GroupId, Report, RoundSpec};
 pub use session::{Session, SNAPSHOT_VERSION};
 pub use shard::ShardAggregator;
 pub use transform::{transform_batch, transform_series};
-pub use wire::{
-    put_varint, read_varint, route_frame, seal_frame, unseal_frame, RoutedFrame, ROUTED_VERSION,
-};
+pub use wire::{put_varint, read_varint, route_frame, seal_frame, RoutedFrame, ROUTED_VERSION};

@@ -106,45 +106,34 @@ fn groups_disjoint_within(groups: &Groups, n: usize) -> bool {
     groups.assigned() + groups.unassigned == n
 }
 
-/// Splits a group into `rounds` near-equal chunks (one per trie level); the
-/// paper's `|P|/ℓ_S` users per level. Earlier chunks get the remainder.
-pub fn split_rounds(group: &[usize], rounds: usize) -> Vec<Vec<usize>> {
-    assert!(rounds >= 1, "need at least one round");
-    let base = group.len() / rounds;
-    let extra = group.len() % rounds;
-    let mut out = Vec::with_capacity(rounds);
-    let mut at = 0;
-    for r in 0..rounds {
-        let take = base + usize::from(r < extra);
-        out.push(group[at..at + take].to_vec());
-        at += take;
-    }
-    out
-}
-
 /// The chunk a member of a `len`-sized group falls into when the group is
-/// split into `chunks` rounds by [`split_rounds`], given the member's rank
-/// (position) inside the group. This is the client-side inverse of
-/// [`split_rounds`]: a [`crate::UserClient`] uses it to recognize which
-/// expansion round is addressed to it without seeing the group roster.
-pub fn chunk_of_rank(rank: usize, len: usize, chunks: usize) -> usize {
-    assert!(chunks >= 1, "need at least one chunk");
-    assert!(rank < len, "rank {rank} outside group of {len}");
+/// split into `chunks` near-equal rounds (one per trie level, the paper's
+/// `|P|/ℓ_S` users per level, earlier chunks taking the remainder), given
+/// the member's rank (position) inside the group. A
+/// [`crate::UserClient`] uses it to recognize which expansion round is
+/// addressed to it without seeing the group roster.
+///
+/// `None` for a rank outside the group or a split into zero chunks: such
+/// a member is in no chunk.
+pub fn chunk_of_rank(rank: usize, len: usize, chunks: usize) -> Option<usize> {
+    if chunks == 0 || rank >= len {
+        return None;
+    }
     let base = len / chunks;
     let extra = len % chunks;
     // The first `extra` chunks have `base + 1` members.
     let fat = extra * (base + 1);
-    if rank < fat {
+    Some(if rank < fat {
         rank / (base + 1)
     } else {
         extra + (rank - fat) / base
-    }
+    })
 }
 
 /// Size of chunk `index` when `len` users are split into `chunks` rounds —
-/// the server-side counterpart of [`chunk_of_rank`], kept next to it (and
-/// to [`split_rounds`]) because round addressing depends on all three
-/// agreeing on the same "earlier chunks take the remainder" rule.
+/// the server-side counterpart of [`chunk_of_rank`], kept next to it
+/// because round addressing depends on both agreeing on the same
+/// "earlier chunks take the remainder" rule.
 pub(crate) fn chunk_len(len: usize, chunks: usize, index: usize) -> usize {
     let base = len / chunks;
     let extra = len % chunks;
@@ -154,6 +143,22 @@ pub(crate) fn chunk_len(len: usize, chunks: usize, index: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference split [`chunk_of_rank`] and [`chunk_len`] must agree
+    /// with: `rounds` near-equal chunks of the group, in order, earlier
+    /// chunks taking the remainder.
+    fn split_rounds(group: &[usize], rounds: usize) -> Vec<Vec<usize>> {
+        let base = group.len() / rounds;
+        let extra = group.len() % rounds;
+        let mut out = Vec::with_capacity(rounds);
+        let mut at = 0;
+        for r in 0..rounds {
+            let take = base + usize::from(r < extra);
+            out.push(group[at..at + take].to_vec());
+            at += take;
+        }
+        out
+    }
 
     #[test]
     fn groups_are_disjoint_and_sized() {
@@ -253,12 +258,21 @@ mod tests {
                     for &rank in members {
                         assert_eq!(
                             chunk_of_rank(rank, len, chunks),
-                            chunk,
+                            Some(chunk),
                             "rank {rank} len {len} chunks {chunks}"
                         );
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn ranks_outside_the_group_fall_in_no_chunk() {
+        assert_eq!(chunk_of_rank(0, 0, 1), None);
+        assert_eq!(chunk_of_rank(0, 4, 0), None);
+        assert_eq!(chunk_of_rank(4, 4, 2), None);
+        assert_eq!(chunk_of_rank(usize::MAX, usize::MAX, usize::MAX), None);
+        assert_eq!(chunk_of_rank(3, 4, 2), Some(1));
     }
 }

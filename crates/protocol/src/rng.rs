@@ -6,17 +6,16 @@
 //! stream reuse across mechanism stages (a user participating in stage A
 //! never shares randomness with stage B).
 //!
-//! The derivation is public API: a [`crate::UserClient`] running on a real
-//! device derives exactly the same stream from `(seed, stage, user_id)`
-//! that the simulation harness uses, so a federated deployment and a
-//! single-process simulation are bit-identical.
+//! A [`crate::UserClient`] draws every coin from the stream of its own
+//! `(seed, stage, user_id)`, so a device answers the same wherever it is
+//! simulated, and a sharded run is bit-identical to a serial one.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 /// Mechanism stages, used as domain separators for RNG derivation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
+pub(crate) enum Stage {
     /// Frequent-length estimation (population Pa).
     Length,
     /// Sub-shape estimation (population Pb).
@@ -52,7 +51,7 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// Derives the RNG stream for `(seed, stage, user)`.
-pub fn user_rng(seed: u64, stage: Stage, user: usize) -> ChaCha12Rng {
+pub(crate) fn user_rng(seed: u64, stage: Stage, user: usize) -> ChaCha12Rng {
     let derived = mix(seed ^ mix(stage.tag()) ^ mix(user as u64));
     ChaCha12Rng::seed_from_u64(derived)
 }

@@ -47,8 +47,8 @@ pub struct Chunk {
 pub struct Audience {
     /// The addressed group.
     pub group: GroupId,
-    /// `Some` when only one [`split_rounds`](crate::split_rounds)-style
-    /// chunk of the group should answer (per-level expansion rounds).
+    /// `Some` when only one chunk of the group should answer (per-level
+    /// expansion rounds; [`crate::chunk_of_rank`] places each member).
     pub chunk: Option<Chunk>,
 }
 
@@ -182,6 +182,18 @@ pub(crate) fn subshape_grr(ell_s: usize, alphabet: usize, epsilon: Epsilon) -> R
         )));
     }
     Ok(Grr::new(alphabet * (alphabet - 1), epsilon)?)
+}
+
+/// The number of cells of a labeled refinement round's candidate × class
+/// grid, refused when the product overflows. Devices and aggregators run
+/// the same check, so neither takes a grid the other refuses.
+pub(crate) fn labeled_grid_cells(candidates: usize, n_classes: usize) -> Result<usize> {
+    candidates.checked_mul(n_classes).ok_or_else(|| {
+        Error::Protocol(format!(
+            "labeled refinement round over {candidates} candidates × {n_classes} classes \
+             is too large to count"
+        ))
+    })
 }
 
 /// One user's answer to one round — the only thing that ever leaves the

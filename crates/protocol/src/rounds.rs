@@ -3,13 +3,14 @@
 //! recover the planted signal. These port the stage-level guarantees that
 //! used to be tested inside the monolithic mechanism (length clipping,
 //! sub-shape recovery, EM concentration, labeled-grid unbiasing) onto the
-//! client/aggregator API.
+//! client/aggregator API. They live in the crate because the estimators
+//! (`ShardAggregator::finalize_*`) are the session's, not public API.
 
-use privshape_ldp::Epsilon;
-use privshape_protocol::{
+use crate::{
     Audience, GroupAssignment, GroupId, LengthOracle, PrivShapeConfig, ProtocolParams, RoundSpec,
     ShardAggregator, UserClient,
 };
+use privshape_ldp::Epsilon;
 use privshape_timeseries::{CandidateTable, SaxParams, SymbolSeq};
 use std::sync::Arc;
 

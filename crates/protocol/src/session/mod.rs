@@ -225,12 +225,6 @@ impl Session {
         &self.params
     }
 
-    /// The broadcast of the currently open round, if one is awaiting
-    /// reports.
-    pub fn current_round(&self) -> Option<&RoundSpec> {
-        self.open.as_ref().map(|o| &o.spec)
-    }
-
     /// The generation tag routed wire frames must carry to be absorbed
     /// into the currently open round (`None` when no round is open).
     ///
@@ -252,8 +246,9 @@ impl Session {
         })
     }
 
-    /// An empty shard aggregate matching the currently open round, for
-    /// ingestion nodes that aggregate reports away from the session.
+    /// An empty shard aggregate matching the currently open round, to
+    /// fill away from the session (a simulated fleet fills one per worker
+    /// thread) and hand back with [`Session::submit_shard`].
     pub fn shard_aggregator(&self) -> Result<ShardAggregator> {
         let open = self
             .open
@@ -427,11 +422,9 @@ impl Session {
     /// call it at once: the frame is checked whole against the round and
     /// the population `0..n`, then the first report of each user this
     /// round is added to the round's aggregate, bit-identical to
-    /// submitting the reports serially (see
-    /// [`IngestPipeline::submit_sealed_frame`]). A frame the boundary
-    /// refuses, or a user's repeat, only moves a counter of
-    /// [`Session::ingest_stats`]. `chaos` is the round's [`FaultPlan`]
-    /// (see [`crate::chaos`]); production passes `None`.
+    /// submitting the reports serially. A frame the boundary refuses, or
+    /// a user's repeat, only moves a counter of [`Session::ingest_stats`].
+    /// `chaos` is the round's [`FaultPlan`]; production passes `None`.
     ///
     /// # Errors
     ///
@@ -893,7 +886,13 @@ mod tests {
             }
             other => panic!("expected length round, got {other:?}"),
         }
-        assert!(s.current_round().is_some());
+        assert!(open_spec(&s).is_some());
+    }
+
+    /// The broadcast of the session's open round, if one is awaiting
+    /// reports.
+    fn open_spec(s: &Session) -> Option<&RoundSpec> {
+        s.open.as_ref().map(|o| &o.spec)
     }
 
     /// Deterministic synthetic reports for `spec`, enough to exercise
@@ -954,7 +953,7 @@ mod tests {
 
         // Kill mid-round: half the reports are already aggregated.
         let mut restored = Session::restore(&original.snapshot()).unwrap();
-        assert_eq!(restored.current_round(), original.current_round());
+        assert_eq!(open_spec(&restored), open_spec(&original));
         assert_eq!(restored.round_generation(), original.round_generation());
 
         // Both sessions keep running on identical inputs and stay in
@@ -967,7 +966,7 @@ mod tests {
             assert_eq!(a, b, "broadcasts diverged after restore");
             // Snapshotting at every round boundary must also round-trip.
             restored = Session::restore(&restored.snapshot()).unwrap();
-            assert_eq!(restored.current_round(), original.current_round());
+            assert_eq!(open_spec(&restored), open_spec(&original));
             let Some(spec) = a else { break };
             let reports = synthetic_reports(&spec);
             original.submit(&reports).unwrap();

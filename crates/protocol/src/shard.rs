@@ -1,8 +1,8 @@
 //! Mergeable per-round aggregation state.
 //!
-//! Reports from millions of users do not arrive as one slice: ingestion
-//! nodes (shards) each absorb their stream of reports into a local
-//! [`ShardAggregator`] and periodically ship the partial sums upstream.
+//! A round's reports need not arrive as one slice: a simulated fleet's
+//! worker threads each absorb their share into a local
+//! [`ShardAggregator`], and the session merges the partial sums.
 //!
 //! Every aggregate in the protocol is a vector of integer counts: GRR hits
 //! per length value or per level × bigram, OUE bits per length value or
@@ -20,15 +20,15 @@
 
 use crate::config::LengthOracle;
 use crate::error::{Error, Result};
-use crate::round::{length_round_domain, subshape_grr, Report, RoundSpec};
+use crate::round::{labeled_grid_cells, length_round_domain, subshape_grr, Report, RoundSpec};
 use crate::wire;
 use privshape_ldp::{top_m, Epsilon, Grr, LdpError, Olh, OlhReport, Oue, PiecewiseMechanism};
 
 /// Partial aggregation state for one round, mergeable across shards.
 ///
-/// `PartialEq` compares the raw counts, so two ingestion pipelines (e.g.
-/// serial absorb vs the streaming [`crate::ingest`] engine) can be
-/// asserted bit-identical.
+/// `PartialEq` compares the raw counts, so two ways of aggregating a
+/// round (e.g. serial absorb vs sealed frames streamed into a session)
+/// can be asserted bit-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardAggregator {
     reports: u64,
@@ -211,7 +211,7 @@ impl ShardAggregator {
     /// [`Error::Protocol`] for a spec no session broadcasts (a length or
     /// sub-shape domain a device refuses too, a grid whose cell count
     /// overflows) and for counts that cannot be allocated.
-    pub fn for_round(spec: &RoundSpec, epsilon: Epsilon) -> Result<Self> {
+    pub(crate) fn for_round(spec: &RoundSpec, epsilon: Epsilon) -> Result<Self> {
         let too_large = |what: &str| Error::Protocol(format!("{what} round is too large to count"));
         let (round, cells) = match spec {
             RoundSpec::Length { range, oracle, .. } => {
@@ -256,10 +256,7 @@ impl ShardAggregator {
                 n_classes,
                 ..
             } => {
-                let cells = candidates
-                    .len()
-                    .checked_mul(*n_classes)
-                    .ok_or_else(|| too_large("labeled refinement"))?;
+                let cells = labeled_grid_cells(candidates.len(), *n_classes)?;
                 let oue = (cells >= 2).then(|| Oue::new(cells, epsilon)).transpose()?;
                 let kept = oue.as_ref().map_or(0, Oue::domain);
                 let round = Round::RefineLabeled {
@@ -472,7 +469,7 @@ impl ShardAggregator {
     /// of the oracle's frequency estimates, except under the piecewise
     /// oracle, where the mean estimate is mapped back from `[−1, 1]` onto
     /// the length range, rounded, and clamped.
-    pub fn finalize_length(&self, lo: usize) -> Result<usize> {
+    pub(crate) fn finalize_length(&self, lo: usize) -> Result<usize> {
         let (counts, total) = (&self.counts, self.reports);
         let estimates = match &self.round {
             Round::LengthGrr(grr) => estimates(counts, total, |c, t| grr.estimate(c, t)),
@@ -494,7 +491,7 @@ impl ShardAggregator {
     /// The indices of each level's `m` most frequent bigrams in a
     /// sub-shape round, each level's GRR estimates read against its own
     /// report count.
-    pub fn finalize_subshape(&self, m: usize) -> Result<Vec<Vec<usize>>> {
+    pub(crate) fn finalize_subshape(&self, m: usize) -> Result<Vec<Vec<usize>>> {
         let Round::SubShape { grr, .. } = &self.round else {
             return Err(wrong_finalize("sub-shape", &self.round));
         };
@@ -510,7 +507,7 @@ impl ShardAggregator {
 
     /// The per-candidate selection counts of an expand / unlabeled-refine
     /// round, as the f64 counts the trie and post-processing consume.
-    pub fn finalize_selections(&self) -> Result<Vec<f64>> {
+    pub(crate) fn finalize_selections(&self) -> Result<Vec<f64>> {
         match &self.round {
             Round::Expand { .. } | Round::RefineSelect { .. } => {
                 Ok(self.counts.iter().map(|&c| c as f64).collect())
@@ -523,7 +520,7 @@ impl ShardAggregator {
     /// refinement round. `group_len` is the size of the addressed group,
     /// used verbatim for the degenerate single-cell grid (whose reports
     /// carry no information).
-    pub fn finalize_labeled(&self, group_len: usize) -> Result<Vec<Vec<f64>>> {
+    pub(crate) fn finalize_labeled(&self, group_len: usize) -> Result<Vec<Vec<f64>>> {
         let Round::RefineLabeled {
             oue,
             n_candidates,

@@ -2,8 +2,8 @@
 //!
 //! A deployment's ingestion tier does not receive Rust enums: devices
 //! upload bytes. This module gives [`Report`] a serde-free flat encoding —
-//! one tag byte plus LEB128 varints — so the boundary the benchmarks and
-//! the streaming ingest pipeline exercise is a realistic serialized one:
+//! one tag byte plus LEB128 varints — so the ingest boundary is a
+//! realistic serialized one:
 //!
 //! ```text
 //! Length          := 0x01 varint(value)
@@ -24,9 +24,10 @@
 //! # Sealed frames
 //!
 //! A bare report carries no provenance. The one ingress that accepts
-//! reports from untrusted devices, [`crate::IngestPipeline`], takes
-//! *sealed* frames only: a body of `(varint(user_id) report)*` entries in
-//! a tamper-evident envelope:
+//! reports from untrusted devices, a session's open round
+//! ([`crate::Session::submit_sealed_frame`]), takes *sealed* frames only:
+//! a body of `(varint(user_id) report)*` entries in a tamper-evident
+//! envelope:
 //!
 //! ```text
 //! SealedFrame := 0xF5 varint(body_len) u64_le(fnv1a64(body)) body
@@ -38,7 +39,7 @@
 //! report is checked against the open round as it is decoded, so a frame
 //! carrying a report the round would refuse is rejected whole. See
 //! [`seal_frame`] / [`unseal_frame`] and
-//! [`crate::IngestPipeline::submit_sealed_frame`].
+//! [`crate::Session::submit_sealed_frame`].
 //!
 //! Decoding never panics on hostile input: truncated buffers, unknown
 //! tags, overlong varints, and non-ascending bit sets all come back as
@@ -225,7 +226,7 @@ fn put_oue_bits(buf: &mut Vec<u8>, r: &OueReport) {
 impl Report {
     /// Appends this report's wire encoding to `buf` (self-delimiting, so
     /// encoding many reports into one buffer forms a valid frame).
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Report::Length(v) => {
                 buf.push(TAG_LENGTH);
@@ -264,8 +265,8 @@ impl Report {
         }
     }
 
-    /// This report's wire encoding as a fresh buffer (convenience over
-    /// [`Report::encode_into`]).
+    /// This report's wire encoding as a fresh buffer. Encodings are
+    /// self-delimiting, so concatenated reports form a valid frame body.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         self.encode_into(&mut buf);
@@ -303,17 +304,6 @@ impl Report {
         };
         Ok((report, pos))
     }
-
-    /// Decodes a whole frame of concatenated reports.
-    pub fn decode_frame(mut buf: &[u8]) -> Result<Vec<Report>> {
-        let mut out = Vec::new();
-        while !buf.is_empty() {
-            let (report, used) = Report::decode(buf)?;
-            out.push(report);
-            buf = &buf[used..];
-        }
-        Ok(out)
-    }
 }
 
 /// Seals `(user_id, report)` entries into a tamper-evident frame:
@@ -321,8 +311,8 @@ impl Report {
 /// the concatenation of `varint(user_id) report` per entry.
 ///
 /// The envelope is what a real ingest boundary would receive from the
-/// transport tier: the checksum lets [`unseal_frame`] reject frames
-/// corrupted in transit, and the user ids let the aggregator enforce the
+/// transport tier: the checksum lets the session's open round reject
+/// frames corrupted in transit, and the user ids let it enforce the
 /// one-report-per-user-per-round invariant.
 pub fn seal_frame(entries: &[(usize, Report)]) -> Vec<u8> {
     let mut body = Vec::new();
@@ -347,7 +337,7 @@ pub fn seal_frame(entries: &[(usize, Report)]) -> Vec<u8> {
 /// length does not match the bytes present, or the checksum disagrees
 /// with the body (a bit flipped in transit). Validation is structural
 /// only — the body's reports are decoded later, at absorb time.
-pub fn unseal_frame(frame: &[u8]) -> Result<&[u8]> {
+pub(crate) fn unseal_frame(frame: &[u8]) -> Result<&[u8]> {
     let mut pos = 0usize;
     match frame.first() {
         Some(&FRAME_MAGIC) => pos += 1,
@@ -490,6 +480,7 @@ pub fn route_frame(session_id: u64, generation: u64, payload: &[u8]) -> Vec<u8> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn varints_round_trip() {
@@ -518,6 +509,17 @@ mod tests {
         assert!(read_varint(&buf, &mut pos).is_err());
     }
 
+    /// Decodes a buffer of concatenated reports.
+    fn decode_all(mut buf: &[u8]) -> Vec<Report> {
+        let mut out = Vec::new();
+        while !buf.is_empty() {
+            let (report, used) = Report::decode(buf).unwrap();
+            out.push(report);
+            buf = &buf[used..];
+        }
+        out
+    }
+
     #[test]
     fn frame_round_trips_mixed_reports() {
         let reports = vec![
@@ -532,7 +534,7 @@ mod tests {
         for r in &reports {
             r.encode_into(&mut frame);
         }
-        assert_eq!(Report::decode_frame(&frame).unwrap(), reports);
+        assert_eq!(decode_all(&frame), reports);
     }
 
     #[test]
@@ -576,7 +578,7 @@ mod tests {
         for r in &reports {
             r.encode_into(&mut frame);
         }
-        assert_eq!(Report::decode_frame(&frame).unwrap(), reports);
+        assert_eq!(decode_all(&frame), reports);
     }
 
     #[test]
@@ -679,5 +681,55 @@ mod tests {
                 got: 100,
             })
         ));
+    }
+
+    /// Arbitrary valid reports, covering every variant. OUE bit sets are
+    /// built from positive gaps so they are strictly ascending by
+    /// construction (the invariant `Oue::perturb` guarantees).
+    fn report_strategy() -> impl Strategy<Value = Report> {
+        prop_oneof![
+            (0usize..1 << 20).prop_map(Report::Length),
+            ((1usize..64), (0usize..1 << 16))
+                .prop_map(|(level, value)| Report::SubShape { level, value }),
+            (0usize..1 << 20).prop_map(Report::Expand),
+            (0usize..1 << 20).prop_map(Report::RefineSelect),
+            prop::collection::vec((0usize..2, 1usize..300), 0..24).prop_map(|gaps| {
+                let mut bits = Vec::with_capacity(gaps.len());
+                let mut cur = 0usize;
+                for (i, (first_offset, gap)) in gaps.into_iter().enumerate() {
+                    cur = if i == 0 { first_offset } else { cur + gap };
+                    bits.push(cur);
+                }
+                Report::RefineLabeled(OueReport::from_set_bits(bits).expect("ascending bits"))
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every strict prefix of a routed envelope is rejected somewhere
+        /// in the stack: header truncations fail `RoutedFrame::decode`,
+        /// and payload truncations survive routing (the payload is the
+        /// remainder of the buffer) only to fail the sealed frame's
+        /// declared length or checksum — a shortened frame can never
+        /// reach the aggregator.
+        #[test]
+        fn routed_truncations_are_rejected(
+            session_id in any::<u64>(),
+            generation in any::<u64>(),
+            reports in prop::collection::vec(report_strategy(), 1..8),
+        ) {
+            let entries: Vec<(usize, Report)> =
+                reports.into_iter().enumerate().collect();
+            let envelope = route_frame(session_id, generation, &seal_frame(&entries));
+            for cut in 0..envelope.len() {
+                let rejected = match RoutedFrame::decode(&envelope[..cut]) {
+                    Err(_) => true,
+                    Ok(routed) => unseal_frame(routed.payload).is_err(),
+                };
+                prop_assert!(rejected, "prefix of {} bytes accepted", cut);
+            }
+        }
     }
 }

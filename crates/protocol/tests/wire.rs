@@ -4,9 +4,7 @@
 //! silently wrong report.
 
 use privshape_ldp::OueReport;
-use privshape_protocol::{
-    route_frame, seal_frame, unseal_frame, Error, Report, RoutedFrame, ROUTED_VERSION,
-};
+use privshape_protocol::{route_frame, Error, Report, RoutedFrame, ROUTED_VERSION};
 use proptest::prelude::*;
 
 /// Arbitrary valid reports, covering every variant. OUE bit sets are built
@@ -44,14 +42,19 @@ proptest! {
         prop_assert_eq!(used, bytes.len());
     }
 
-    /// Frames of many reports round trip as a whole.
+    /// Frames of many reports round trip as a whole: each encoding is
+    /// self-delimiting, so concatenated reports decode back one by one.
     #[test]
     fn frames_round_trip(reports in prop::collection::vec(report_strategy(), 0..12)) {
-        let mut frame = Vec::new();
-        for r in &reports {
-            r.encode_into(&mut frame);
+        let frame: Vec<u8> = reports.iter().flat_map(Report::encode).collect();
+        let mut decoded = Vec::new();
+        let mut rest = &frame[..];
+        while !rest.is_empty() {
+            let (report, used) = Report::decode(rest).unwrap();
+            decoded.push(report);
+            rest = &rest[used..];
         }
-        prop_assert_eq!(Report::decode_frame(&frame).unwrap(), reports);
+        prop_assert_eq!(decoded, reports);
     }
 
     /// Every strict prefix of one report's encoding is an error (a report
@@ -108,29 +111,6 @@ proptest! {
         prop_assert_eq!(routed.session_id, session_id);
         prop_assert_eq!(routed.generation, generation);
         prop_assert_eq!(routed.payload, &payload[..]);
-    }
-
-    /// Every strict prefix of a routed envelope is rejected somewhere in
-    /// the stack: header truncations fail `RoutedFrame::decode`, and
-    /// payload truncations survive routing (the payload is the remainder
-    /// of the buffer) only to fail the sealed frame's declared length or
-    /// checksum — a shortened frame can never reach the aggregator.
-    #[test]
-    fn routed_truncations_are_rejected(
-        session_id in any::<u64>(),
-        generation in any::<u64>(),
-        reports in prop::collection::vec(report_strategy(), 1..8),
-    ) {
-        let entries: Vec<(usize, Report)> =
-            reports.into_iter().enumerate().collect();
-        let envelope = route_frame(session_id, generation, &seal_frame(&entries));
-        for cut in 0..envelope.len() {
-            let rejected = match RoutedFrame::decode(&envelope[..cut]) {
-                Err(_) => true,
-                Ok(routed) => unseal_frame(routed.payload).is_err(),
-            };
-            prop_assert!(rejected, "prefix of {} bytes accepted", cut);
-        }
     }
 
     /// Any version byte this build does not speak is a typed
@@ -190,5 +170,4 @@ fn unknown_tags_are_rejected() {
 #[test]
 fn empty_buffer_is_rejected() {
     assert!(Report::decode(&[]).is_err());
-    assert_eq!(Report::decode_frame(&[]).unwrap(), Vec::<Report>::new());
 }

@@ -2,9 +2,9 @@
 //! many concurrent PrivShape extractions over the streaming ingest engine.
 //!
 //! The protocol crate gives one extraction at a time: a [`Session`] state
-//! machine whose open round is its sealed-frame ingest boundary, an
-//! [`IngestPipeline`]. A real deployment
-//! runs *many* extractions at once — different tenants, budgets ε, shape
+//! machine whose open round is its sealed-frame ingest boundary
+//! ([`Session::submit_sealed_frame`]). A real deployment runs *many*
+//! extractions at once — different tenants, budgets ε, shape
 //! counts k, candidate domains, even different mechanisms — against one
 //! shared frame-ingest boundary. This crate is that boundary:
 //!
@@ -57,11 +57,13 @@
 //! recovery guarantees.
 //!
 //! [`Session`]: privshape_protocol::Session
-//! [`IngestPipeline`]: privshape_protocol::IngestPipeline
+//! [`Session::submit_sealed_frame`]: privshape_protocol::Session::submit_sealed_frame
 
-// Redundant with the workspace-level lint, but explicit: operators read
-// these docs (see docs/OPERATIONS.md), so gaps are operational debt.
-#![warn(missing_docs)]
+// `missing_docs` is redundant with the workspace-level lint, but
+// explicit: operators read these docs (see docs/OPERATIONS.md), so gaps
+// are operational debt. `unreachable_pub` keeps an item of a private
+// module from staying `pub` when nothing re-exports it.
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod continual;
 mod error;

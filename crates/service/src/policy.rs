@@ -50,7 +50,7 @@ impl RetryPolicy {
     /// `(jitter_seed, attempt)` by FNV-1a. Jitter decorrelates the retry
     /// herds of sessions that fail together; deriving it from the session
     /// RNG seed instead of a clock keeps every chaos run replayable.
-    pub fn backoff(&self, attempt: u32, jitter_seed: u64) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32, jitter_seed: u64) -> Duration {
         let exp = attempt.saturating_sub(1).min(20);
         let raw = self
             .base_backoff

@@ -181,10 +181,9 @@ impl ServiceRegistry {
 
     /// [`begin_round`](Self::begin_round) with an optional
     /// [`FaultPlan`] chaos hook consulted by every frame routed into the
-    /// round (see [`privshape_protocol::chaos`]). `None` is exactly
-    /// `begin_round`; a supervisor re-passes the session's plan each
-    /// round.
-    pub fn begin_round_chaos(
+    /// round. `None` is exactly `begin_round`; a supervisor re-passes the
+    /// session's plan each round.
+    pub(crate) fn begin_round_chaos(
         &self,
         id: u64,
         chaos: Option<Arc<FaultPlan>>,

@@ -237,19 +237,6 @@ impl Supervisor {
             .cloned()
     }
 
-    /// Ids of all quarantined sessions, ascending.
-    pub fn quarantined_sessions(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .quarantine
-            .lock()
-            .expect("quarantine lock")
-            .keys()
-            .copied()
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Opens the session's next round: takes the boundary checkpoint
     /// (applying any scheduled chaos corruption to the *stored* copy —
     /// the resident session is untouched), rolls the journal window, and
