@@ -73,16 +73,23 @@ where
     })
 }
 
-/// Joins the workers in spawn order and concatenates their outputs. A
-/// worker's panic is re-raised with the worker's own payload, so the
-/// caller sees its message rather than a generic join failure.
+/// Joins the workers in spawn order and concatenates their outputs: the
+/// first worker's vector is kept and grown to `n`, so only the later
+/// runs are copied. A worker's panic is re-raised with the worker's own
+/// payload, so the caller sees its message rather than a generic join
+/// failure.
 fn join_in_order<T>(workers: Vec<ScopedJoinHandle<'_, Vec<T>>>, n: usize) -> Vec<T> {
-    let mut out = Vec::with_capacity(n);
-    for worker in workers {
-        match worker.join() {
-            Ok(part) => out.extend(part),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
+    let mut parts = workers.into_iter().map(|worker| {
+        worker
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    });
+    let Some(mut out) = parts.next() else {
+        return Vec::new();
+    };
+    out.reserve(n.saturating_sub(out.len()));
+    for part in parts {
+        out.extend(part);
     }
     out
 }

@@ -144,22 +144,6 @@ pub enum PrivacyLevel {
     User,
 }
 
-impl PrivacyLevel {
-    /// Whether `self` is at least as strong as `other` (user ≥ ω-event ≥
-    /// event; larger windows are stronger within ω-event).
-    pub fn at_least(self, other: PrivacyLevel) -> bool {
-        use PrivacyLevel::*;
-        match (self, other) {
-            (User, _) => true,
-            (WEvent(_), User) => false,
-            (WEvent(a), WEvent(b)) => a >= b,
-            (WEvent(_), Event) => true,
-            (Event, Event) => true,
-            (Event, _) => false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,18 +170,6 @@ mod tests {
         assert_eq!(a.parallel(b).value(), 2.5);
         assert_eq!(b.fraction(0.4).unwrap().value(), 1.0);
         assert!(b.fraction(0.0).is_err());
-    }
-
-    #[test]
-    fn privacy_level_ordering() {
-        use PrivacyLevel::*;
-        assert!(User.at_least(Event));
-        assert!(User.at_least(WEvent(100)));
-        assert!(WEvent(10).at_least(WEvent(5)));
-        assert!(!WEvent(5).at_least(WEvent(10)));
-        assert!(!Event.at_least(WEvent(1)));
-        assert!(WEvent(1).at_least(Event));
-        assert!(!WEvent(1_000_000).at_least(User));
     }
 
     #[test]

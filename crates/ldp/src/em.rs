@@ -4,36 +4,28 @@
 //! Each user selects among the server's candidate shapes with probability
 //! `Pr[Ψ(x) = F_j] ∝ exp(ε · S(x, F_j) / (2Δ))`. With the score normalized
 //! to `[0, 1]` the sensitivity is `Δ = 1`.
+//!
+//! A device samples by Gumbel-max and decides its coins in bulk: it draws
+//! its uniforms 64 at a time and evaluates, in two passes, only the keys
+//! that can still win. The index, and the stream position after the
+//! draw, are those of evaluating every key one draw at a time.
 
 use crate::budget::{Epsilon, LdpError, Result};
-use rand::{Rng, RngExt};
+use rand::Rng;
 
-/// Exponential Mechanism with a fixed budget and sensitivity.
+/// Draws per chunk of [`ExpMech::select_prepared`].
+const CHUNK: usize = 64;
+
+/// Exponential Mechanism with a fixed budget and sensitivity `Δ = 1`.
 #[derive(Debug, Clone, Copy)]
 pub struct ExpMech {
     eps: Epsilon,
-    sensitivity: f64,
 }
 
 impl ExpMech {
     /// Mechanism with sensitivity 1 (scores normalized to `[0, 1]`).
     pub fn new(eps: Epsilon) -> Self {
-        Self {
-            eps,
-            sensitivity: 1.0,
-        }
-    }
-
-    /// Mechanism with explicit sensitivity `Δ > 0`.
-    pub fn with_sensitivity(eps: Epsilon, sensitivity: f64) -> Result<Self> {
-        if !(sensitivity.is_finite() && sensitivity > 0.0) {
-            return Err(LdpError::ValueOutOfRange {
-                value: sensitivity,
-                lo: f64::MIN_POSITIVE,
-                hi: f64::INFINITY,
-            });
-        }
-        Ok(Self { eps, sensitivity })
+        Self { eps }
     }
 
     /// Budget this instance satisfies.
@@ -41,10 +33,16 @@ impl ExpMech {
         self.eps
     }
 
-    /// Selection probabilities for a score vector (useful for tests and for
-    /// the utility analysis of §IV-E).
-    pub fn probabilities(&self, scores: &[f64]) -> Vec<f64> {
-        let scale = self.eps.value() / (2.0 * self.sensitivity);
+    /// `ε / (2Δ)`, the factor scores are scaled by.
+    fn scale(&self) -> f64 {
+        self.eps.value() / 2.0
+    }
+
+    /// Selection probabilities for a score vector: the softmax that
+    /// [`ExpMech::select`] samples, which the tests check it against.
+    #[cfg(test)]
+    pub(crate) fn probabilities(&self, scores: &[f64]) -> Vec<f64> {
+        let scale = self.scale();
         // Subtract the max for numerical stability.
         let m = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let weights: Vec<f64> = scores.iter().map(|&s| ((s - m) * scale).exp()).collect();
@@ -75,7 +73,7 @@ impl ExpMech {
     /// Taylor polynomial of `e^y`. The row depends only on the scores and
     /// the mechanism, never on a stream.
     pub fn prepare(&self, scores: &[f64], row: &mut Vec<f64>) {
-        let scale = self.eps.value() / (2.0 * self.sensitivity);
+        let scale = self.scale();
         // No candidate's scaled score exceeds this one.
         let top = scale * scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         row.clear();
@@ -91,13 +89,15 @@ impl ExpMech {
     /// Samples a candidate index from a row written by
     /// [`ExpMech::prepare`] (the Gumbel-max trick of [`ExpMech::select`]).
     ///
-    /// One uniform `u` is drawn per candidate, in order, but the two
-    /// logarithms of `G = −ln(−ln u)` are skipped for any draw that
-    /// provably cannot beat the running best. With
-    /// `K = exp(top − best_key + 1e-6)`, recomputed only when the best
-    /// changes, draw `j` is skipped when
-    /// `(1 − u) · p(top − a_j) > K · (1 + 1e-9)`. No transcendental call is
-    /// made for a skipped draw, and the test is exact:
+    /// Candidate `j` gets the `j`-th nonzero uniform `u_j` of the stream
+    /// and the key `a_j + G_j` with `G_j = −ln(−ln u_j)`; the first
+    /// strictly largest key wins. The draws come in bulk, in chunks of up
+    /// to 64 candidates, and the two logarithms of a key are skipped when
+    /// its draw provably cannot win. With `K = exp(top − best_key + 1e-6)`
+    /// for the best key so far, draw `j` is skipped when its cut-off
+    /// product `(1 − u_j) · p(top − a_j)` exceeds `K · (1 + 1e-9)`. No
+    /// transcendental call is made for a skipped draw, and the test is
+    /// exact:
     ///
     /// - The key `a_j + G` beats `best_key − 1e-6` only if
     ///   `E = −ln u < exp(a_j − best_key + 1e-6) = K · e^{−(top − a_j)}`.
@@ -110,16 +110,25 @@ impl ExpMech {
     ///   `(1 − u)/K`, about 1e-324.
     /// - For `u ∈ [2^-53, 1)` the computed Gumbel value is within about
     ///   1e-14 of exact, far inside the 1e-6 margin, so a skipped key would
-    ///   have been computed at most `best_key` and lost the strict
-    ///   comparison anyway.
+    ///   have been computed below the final best and lost to it anyway.
     /// - Before a finite best exists `K` is infinite, and a `K` that
-    ///   overflows is too, so nothing is skipped then; a NaN left side
-    ///   (NaN or infinite scores) never skips either. Such draws are
-    ///   evaluated exactly as the full loop evaluates them.
+    ///   overflows is too, so nothing is skipped then; a NaN product (NaN
+    ///   or infinite scores) never skips either. Such draws are evaluated
+    ///   exactly as the full loop evaluates them.
+    ///
+    /// Each chunk takes two passes. The first computes every cut-off
+    /// product and finds the first smallest, the draw likeliest to win.
+    /// The second evaluates that draw's key first, so its `K` screens the
+    /// rest of the chunk, then, in index order, every other draw the cut
+    /// cannot skip. A key equal to the best wins when its index is lower,
+    /// which makes the order of evaluation irrelevant: the result is the
+    /// lowest index among the largest evaluated keys, and every skipped key
+    /// lies below the final best. The cut carries across chunks.
     ///
     /// The result, ties included, and the stream position after the call
-    /// are those of evaluating every key. A row holding no candidate is
-    /// refused with [`LdpError::NoCandidates`] before any draw.
+    /// are those of evaluating every key in order. A row holding no
+    /// candidate is refused with [`LdpError::NoCandidates`] before any
+    /// draw.
     pub fn select_prepared<R: Rng + ?Sized>(&self, rng: &mut R, row: &[f64]) -> Result<usize> {
         let Some((&top, candidates)) = row.split_first() else {
             return Err(LdpError::NoCandidates);
@@ -127,31 +136,82 @@ impl ExpMech {
         if candidates.len() < 2 {
             return Err(LdpError::NoCandidates);
         }
+        // A trailing half pair is no candidate.
+        let candidates = &candidates[..candidates.len() & !1];
         let mut best = 0usize;
         let mut best_key = f64::NEG_INFINITY;
         // `K · (1 + 1e-9)`, infinite until a finite key is in.
         let mut cut = f64::INFINITY;
-        for (j, pair) in candidates.chunks_exact(2).enumerate() {
-            // Standard Gumbel via inverse CDF; u ∈ (0, 1) is guaranteed by
-            // sampling the open interval.
-            let u: f64 = loop {
-                let u = rng.random::<f64>();
-                if u > 0.0 {
-                    break u;
+        let mut words = [0u64; CHUNK];
+        let mut products = [0.0f64; CHUNK];
+        for (base, chunk) in (0..).step_by(CHUNK).zip(candidates.chunks(2 * CHUNK)) {
+            let n = chunk.len() / 2;
+            let words = &mut words[..n];
+            fill_nonzero(rng, words);
+            // Pass 1: every cut-off product, then the first smallest.
+            for ((product, &word), pair) in
+                products.iter_mut().zip(&*words).zip(chunk.chunks_exact(2))
+            {
+                *product = (1.0 - uniform(word)) * pair[0];
+            }
+            let (mut first, mut least) = (0, f64::INFINITY);
+            for (i, &product) in products[..n].iter().enumerate() {
+                if product < least {
+                    (first, least) = (i, product);
+                }
+            }
+            // Pass 2: the first smallest, then, in index order, every
+            // other draw the cut cannot skip. The cut only shrinks, so a
+            // draw past the mask's test is tested again when its turn
+            // comes.
+            let mut evaluate = |i: usize, cut: &mut f64| {
+                if products[i] > *cut {
+                    return;
+                }
+                let key = chunk[2 * i + 1] + -(-uniform(words[i]).ln()).ln();
+                let j = base + i;
+                if key > best_key || (key == best_key && j < best) {
+                    best_key = key;
+                    best = j;
+                    *cut = (top - best_key + 1e-6).exp() * (1.0 + 1e-9);
                 }
             };
-            let (bound, a) = (pair[0], pair[1]);
-            if (1.0 - u) * bound > cut {
-                continue;
+            evaluate(first, &mut cut);
+            let mut skipped = 0u64;
+            for (i, &product) in products[..n].iter().enumerate() {
+                skipped |= u64::from(product > cut) << i;
             }
-            let key = a + -(-u.ln()).ln();
-            if key > best_key {
-                best_key = key;
-                best = j;
-                cut = (top - best_key + 1e-6).exp() * (1.0 + 1e-9);
+            let mut open = !skipped & (u64::MAX >> (CHUNK - n)) & !(1 << first);
+            while open != 0 {
+                evaluate(open.trailing_zeros() as usize, &mut cut);
+                open &= open - 1;
             }
         }
         Ok(best)
+    }
+}
+
+/// The uniform on `[0, 1)` that `random::<f64>()` makes of `word`: its
+/// top 53 bits scaled by `2^-53`.
+#[inline]
+fn uniform(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Fills `words` with the stream's next words whose [`uniform`] is
+/// nonzero, in order, and leaves the stream just past the last of them:
+/// the words a loop that redraws each zero uniform would use. A zero has
+/// probability 2^-53 per draw, so the repair almost never runs.
+fn fill_nonzero<R: Rng + ?Sized>(rng: &mut R, words: &mut [u64]) {
+    rng.fill_u64(words);
+    // One branch-free scan, which almost always finds no zero.
+    if !words.iter().fold(false, |zero, &w| zero | (w >> 11 == 0)) {
+        return;
+    }
+    while let Some(zero) = words.iter().position(|&w| w >> 11 == 0) {
+        words.copy_within(zero + 1.., zero);
+        let last = words.len() - 1;
+        rng.fill_u64(&mut words[last..]);
     }
 }
 
@@ -165,6 +225,7 @@ fn exp_lower_bound(y: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
 
@@ -242,22 +303,29 @@ mod tests {
     }
 
     #[test]
-    fn custom_sensitivity_scales_sharpness() {
-        let sharp = ExpMech::new(eps(4.0));
-        let flat = ExpMech::with_sensitivity(eps(4.0), 10.0).unwrap();
-        let ps = sharp.probabilities(&[1.0, 0.0]);
-        let pf = flat.probabilities(&[1.0, 0.0]);
-        assert!(ps[0] > pf[0]); // larger Δ flattens the distribution
-        assert!(ExpMech::with_sensitivity(eps(1.0), 0.0).is_err());
-        assert!(ExpMech::with_sensitivity(eps(1.0), f64::NAN).is_err());
+    fn huge_scores_do_not_overflow() {
+        // The max-subtraction keeps exp() finite even where the scaled
+        // scores alone would overflow it (ε / 2Δ · 2000 = 1000 here).
+        let em = ExpMech::new(eps(1.0));
+        let p = em.probabilities(&[2000.0, 0.0]);
+        assert!(p[0] > 0.999 && p[0].is_finite());
     }
 
-    #[test]
-    fn huge_scores_do_not_overflow() {
-        // The max-subtraction keeps exp() finite even for wild score scales
-        // (ε / 2Δ = 500 here).
-        let em = ExpMech::with_sensitivity(eps(1.0), 1e-3).unwrap();
-        let p = em.probabilities(&[1.0, 0.0]);
-        assert!(p[0] > 0.999 && p[0].is_finite());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn em_probabilities_form_distribution_and_bound_ratio(
+            scores in prop::collection::vec(0.0f64..1.0, 1..20),
+            eps in 0.05f64..8.0,
+        ) {
+            let em = ExpMech::new(Epsilon::new(eps).unwrap());
+            let probs = em.probabilities(&scores);
+            prop_assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+            let max = probs.iter().copied().fold(0.0f64, f64::max);
+            let min = probs.iter().copied().fold(1.0f64, f64::min);
+            // Scores live in [0,1] with Δ=1 ⇒ ratio bounded by e^{ε/2}.
+            prop_assert!(max / min <= (eps / 2.0).exp() * (1.0 + 1e-9));
+        }
     }
 }

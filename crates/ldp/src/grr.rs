@@ -53,13 +53,10 @@ impl Grr {
         self.q
     }
 
-    /// Perturbs one value.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `value ≥ d` — perturbing out-of-domain data
-    /// would silently void the privacy accounting.
-    pub fn try_perturb<R: Rng + ?Sized>(&self, rng: &mut R, value: usize) -> Result<usize> {
+    /// [`Grr::perturb`], refusing `value ≥ d` with a typed error:
+    /// perturbing out-of-domain data would silently void the privacy
+    /// accounting.
+    pub(crate) fn try_perturb<R: Rng + ?Sized>(&self, rng: &mut R, value: usize) -> Result<usize> {
         if value >= self.domain {
             return Err(LdpError::ValueOutOfDomain {
                 value,
@@ -78,8 +75,11 @@ impl Grr {
         }
     }
 
-    /// Perturbs one value, panicking on out-of-domain input. Use in inner
-    /// loops where the domain is enforced upstream.
+    /// Perturbs one value.
+    ///
+    /// # Panics
+    ///
+    /// When `value ≥ d`; callers check the domain first.
     #[allow(clippy::expect_used)] // the caller vouches for the domain
     pub fn perturb<R: Rng + ?Sized>(&self, rng: &mut R, value: usize) -> usize {
         self.try_perturb(rng, value)

@@ -9,7 +9,8 @@
 //!   length estimation and sub-shape estimation);
 //! * [`Oue`] / [`OueAggregator`] — Optimized Unary Encoding and its
 //!   estimator [`Oue::estimate`] (used by the labeled two-level refinement
-//!   in §V-E);
+//!   in §V-E); [`Oue::perturb`] draws its `d` words in bulk and compares
+//!   each with an integer threshold;
 //! * [`Olh`] / [`OlhAggregator`] — Optimized Local Hashing, whose reports
 //!   count as support for the values they hash to ([`Olh::supports`],
 //!   [`Olh::estimate`]);
@@ -17,7 +18,8 @@
 //!   (used for candidate selection, Eq. (2)), in two steps:
 //!   [`ExpMech::prepare`] turns the scores into a selection row that does
 //!   not depend on the stream, and [`ExpMech::select_prepared`] draws from
-//!   it, so a row can be kept and drawn from on many streams;
+//!   it in bulk, two passes per chunk of 64 draws, so a row can be kept and
+//!   drawn from on many streams;
 //! * [`PiecewiseMechanism`] / [`PiecewiseAggregator`] — Wang et al.'s
 //!   Piecewise Mechanism for bounded numeric values (used by the
 //!   PatternLDP baseline), with its report check
@@ -25,10 +27,10 @@
 //!   [`PiecewiseMechanism::mean`];
 //! * [`top_m`] — the indices of the largest estimates, the one ranking
 //!   every frequency oracle uses;
-//! * [`theory`] — closed-form estimator variances used in tests and docs,
-//!   plus [`theory::amplification`]: the subsampled-ε bound and the
-//!   cumulative [`BudgetLedger`] the continual extraction mode spends
-//!   against.
+//! * [`theory`] — [`theory::amplification`]: the subsampled-ε bound and
+//!   the cumulative [`BudgetLedger`] the continual extraction mode spends
+//!   against (the closed-form estimator variances beside it are compiled
+//!   for tests only).
 //!
 //! The estimators live on the mechanisms and read plain counts, so a
 //! server that keeps its own count vectors estimates exactly what the

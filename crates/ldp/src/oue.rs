@@ -5,9 +5,25 @@
 //! which minimizes estimator variance for large domains. The paper uses it
 //! for the labeled two-level refinement where the domain is the `c·k`
 //! candidates × `k` classes grid (§V-E).
+//!
+//! A device decides its `d` coins in bulk: it draws `d` words at once and
+//! sets bit `i` iff the word's top 53 bits fall below the bit's integer
+//! threshold, which is exactly `random_bool(p_i)` on the same word.
 
 use crate::budget::{Epsilon, LdpError, Result};
-use rand::{Rng, RngExt};
+use rand::Rng;
+
+/// Words drawn per bulk draw of [`Oue::perturb`].
+const CHUNK: usize = 64;
+
+/// `⌈prob · 2^53⌉`: a 53-bit sample `x` satisfies `x < ⌈prob · 2^53⌉` iff
+/// `x · 2^-53 < prob`, the test `random_bool(prob)` makes. Both sides are
+/// exact: `x` converts to `f64` exactly and scaling by a power of two
+/// rounds nothing, and an integer lies below the real `prob · 2^53` iff it
+/// lies below its ceiling.
+fn threshold(prob: f64) -> u64 {
+    (prob * (1u64 << 53) as f64).ceil() as u64
+}
 
 /// One perturbed OUE report: the set bit positions of the noisy unary
 /// vector. Sparse storage — with `q = 1/(e^ε+1)` the expected number of set
@@ -44,6 +60,10 @@ pub struct Oue {
     domain: usize,
     eps: Epsilon,
     q: f64,
+    /// [`threshold`] of [`Oue::P`], for the truth bit.
+    keep_p: u64,
+    /// [`threshold`] of `q`, for every other bit.
+    keep_q: u64,
 }
 
 impl Oue {
@@ -55,10 +75,13 @@ impl Oue {
         if domain < 2 {
             return Err(LdpError::InvalidDomain(domain));
         }
+        let q = 1.0 / (eps.exp() + 1.0);
         Ok(Self {
             domain,
             eps,
-            q: 1.0 / (eps.exp() + 1.0),
+            q,
+            keep_p: threshold(Self::P),
+            keep_q: threshold(q),
         })
     }
 
@@ -77,8 +100,12 @@ impl Oue {
         self.q
     }
 
-    /// Perturbs the one-hot encoding of `value`.
-    pub fn try_perturb<R: Rng + ?Sized>(&self, rng: &mut R, value: usize) -> Result<OueReport> {
+    /// [`Oue::perturb`], refusing `value ≥ d` with a typed error.
+    pub(crate) fn try_perturb<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        value: usize,
+    ) -> Result<OueReport> {
         if value >= self.domain {
             return Err(LdpError::ValueOutOfDomain {
                 value,
@@ -86,20 +113,32 @@ impl Oue {
             });
         }
         let mut set_bits = Vec::new();
-        for bit in 0..self.domain {
-            let keep = if bit == value {
-                rng.random_bool(Self::P)
-            } else {
-                rng.random_bool(self.q)
-            };
-            if keep {
-                set_bits.push(bit);
+        let mut words = [0u64; CHUNK];
+        for start in (0..self.domain).step_by(CHUNK) {
+            let words = &mut words[..CHUNK.min(self.domain - start)];
+            rng.fill_u64(words);
+            for (bit, &word) in (start..).zip(words.iter()) {
+                let keep = if bit == value {
+                    self.keep_p
+                } else {
+                    self.keep_q
+                };
+                if word >> 11 < keep {
+                    set_bits.push(bit);
+                }
             }
         }
         Ok(OueReport { set_bits })
     }
 
-    /// Panicking variant of [`Oue::try_perturb`] for validated inner loops.
+    /// Perturbs the one-hot encoding of `value`: one word per bit, drawn
+    /// in bulk, bit `i` set with probability `P` at `value` and `q`
+    /// elsewhere. The set bits and the stream position after the call are
+    /// those of `random_bool(P or q)` for bits `0..d` in order.
+    ///
+    /// # Panics
+    ///
+    /// When `value ≥ d`; callers check the domain first.
     #[allow(clippy::expect_used)] // the caller vouches for the domain
     pub fn perturb<R: Rng + ?Sized>(&self, rng: &mut R, value: usize) -> OueReport {
         self.try_perturb(rng, value)

@@ -1,10 +1,11 @@
-//! Closed-form estimator variances for the frequency oracles.
+//! Closed-form estimator variances for the frequency oracles, and the
+//! [`amplification`] bound the continual extraction mode spends against.
 //!
-//! These formulas (Wang et al. 2017) justify the paper's design choices:
+//! The variances (Wang et al. 2017) justify the paper's design choices:
 //! GRR's variance grows linearly in the domain size `d`, so for the large
 //! `c·k·L` refinement grid OUE — whose variance is domain-independent — is
-//! the better oracle (§V-E). They also power sanity tests on the empirical
-//! estimators.
+//! the better oracle (§V-E). No code path needs them, so they are compiled
+//! for tests only, where they check the empirical estimators.
 //!
 //! The [`amplification`] submodule carries the second body of theory this
 //! workspace leans on: privacy amplification by subsampling and the
@@ -15,7 +16,8 @@ pub mod amplification;
 /// Variance of the GRR unbiased count estimator for one item, with `n`
 /// reports, domain `d`, budget `eps`, in the low-frequency regime
 /// (`f ≈ 0`): `n · q(1−q) / (p−q)²`.
-pub fn grr_variance(d: usize, eps: f64, n: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn grr_variance(d: usize, eps: f64, n: f64) -> f64 {
     let e = eps.exp();
     let p = e / (e + d as f64 - 1.0);
     let q = 1.0 / (e + d as f64 - 1.0);
@@ -24,23 +26,10 @@ pub fn grr_variance(d: usize, eps: f64, n: f64) -> f64 {
 
 /// Variance of the OUE unbiased count estimator in the same regime:
 /// `n · 4e^ε / (e^ε − 1)²`, independent of the domain size.
-pub fn oue_variance(eps: f64, n: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn oue_variance(eps: f64, n: f64) -> f64 {
     let e = eps.exp();
     n * 4.0 * e / ((e - 1.0) * (e - 1.0))
-}
-
-/// The domain size above which OUE's variance beats GRR's:
-/// approximately `3e^ε + 2` (OUE wins for `d − 2 > 3e^ε`... the exact
-/// crossover is where the two formulas intersect).
-pub fn grr_oue_crossover(eps: f64) -> usize {
-    // Solve grr_variance(d) = oue_variance numerically by scanning; domains
-    // of interest here are small (≤ a few thousand).
-    for d in 2..100_000 {
-        if grr_variance(d, eps, 1.0) > oue_variance(eps, 1.0) {
-            return d;
-        }
-    }
-    100_000
 }
 
 #[cfg(test)]
@@ -58,18 +47,6 @@ mod tests {
     fn variances_shrink_with_budget() {
         assert!(grr_variance(10, 4.0, 1.0) < grr_variance(10, 1.0, 1.0));
         assert!(oue_variance(4.0, 1.0) < oue_variance(1.0, 1.0));
-    }
-
-    #[test]
-    fn crossover_is_near_3_exp_eps() {
-        for &eps in &[0.5f64, 1.0, 2.0] {
-            let cross = grr_oue_crossover(eps) as f64;
-            let approx = 3.0 * eps.exp() + 2.0;
-            assert!(
-                (cross - approx).abs() <= approx * 0.3 + 3.0,
-                "eps={eps}: {cross} vs {approx}"
-            );
-        }
     }
 
     #[test]

@@ -10,10 +10,10 @@ use proptest::prelude::*;
 use rand::{Rng, RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
-/// The EM sampler written out with both logarithms on every draw, for
-/// sensitivity 1: what `ExpMech::select` must match, index for index and
-/// draw for draw.
-fn select_full_log(eps: f64, rng: &mut ChaCha12Rng, scores: &[f64]) -> usize {
+/// The EM sampler written out with both logarithms on every draw, one
+/// draw at a time, for sensitivity 1: what `ExpMech::select` must match,
+/// index for index and draw for draw.
+fn select_full_log<R: Rng>(eps: f64, rng: &mut R, scores: &[f64]) -> usize {
     let scale = eps / 2.0;
     let mut best = (0, f64::NEG_INFINITY);
     for (j, &s) in scores.iter().enumerate() {
@@ -29,6 +29,34 @@ fn select_full_log(eps: f64, rng: &mut ChaCha12Rng, scores: &[f64]) -> usize {
         }
     }
     best.0
+}
+
+/// OUE's perturbation written out as one `random_bool` per bit: what
+/// `Oue::perturb` must match, bit for bit and draw for draw.
+fn perturb_random_bool<R: Rng>(oue: &Oue, rng: &mut R, value: usize) -> Vec<usize> {
+    (0..oue.domain())
+        .filter(|&bit| rng.random_bool(if bit == value { Oue::P } else { oue.q() }))
+        .collect()
+}
+
+/// An [`Rng`] that plays back a fixed list of words, one per draw.
+#[derive(Clone)]
+struct Scripted {
+    words: Vec<u64>,
+    next: usize,
+}
+
+impl Scripted {
+    fn new(words: Vec<u64>) -> Self {
+        Self { words, next: 0 }
+    }
+}
+
+impl Rng for Scripted {
+    fn next_u64(&mut self) -> u64 {
+        self.next += 1;
+        self.words[self.next - 1]
+    }
 }
 
 proptest! {
@@ -72,20 +100,6 @@ proptest! {
         let q = oue.q();
         let ratio = (p * (1.0 - q)) / (q * (1.0 - p));
         prop_assert!((ratio - eps.exp()).abs() / eps.exp() < 1e-9);
-    }
-
-    #[test]
-    fn em_probabilities_form_distribution_and_bound_ratio(
-        scores in prop::collection::vec(0.0f64..1.0, 1..20),
-        eps in 0.05f64..8.0,
-    ) {
-        let em = ExpMech::new(Epsilon::new(eps).unwrap());
-        let probs = em.probabilities(&scores);
-        prop_assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        let max = probs.iter().copied().fold(0.0f64, f64::max);
-        let min = probs.iter().copied().fold(1.0f64, f64::min);
-        // Scores live in [0,1] with Δ=1 ⇒ ratio bounded by e^{ε/2}.
-        prop_assert!(max / min <= (eps / 2.0).exp() * (1.0 + 1e-9));
     }
 
     #[test]
@@ -141,8 +155,8 @@ proptest! {
                     prop_assert!((0.0..=1.0).contains(&p), "ε = {}: p = {}", eps, p);
                 }
                 let mut rng = ChaCha12Rng::seed_from_u64(seed);
-                prop_assert!(grr.try_perturb(&mut rng, 1).unwrap() < 4);
-                prop_assert!(oue.try_perturb(&mut rng, 1).is_ok());
+                prop_assert!(grr.perturb(&mut rng, 1) < 4);
+                prop_assert!(oue.perturb(&mut rng, 1).set_bits().iter().all(|&b| b < 4));
                 prop_assert!(olh.perturb(&mut rng, 1).value < olh.g());
                 prop_assert!(pm.try_perturb(&mut rng, 0.5).unwrap().abs() <= c);
             }
@@ -206,12 +220,16 @@ proptest! {
 
     /// `select`, which skips the logarithms of draws that cannot win,
     /// picks what the full-log loop picks and leaves the stream at the
-    /// same draw: for the table sizes devices score, random, all-equal,
+    /// same draw: for the table sizes devices score and the sizes around
+    /// the 64-draw chunk edges, random, all-equal,
     /// {0, 1}-valued, device-shaped and all-zero scores, and ε
     /// log-uniform over [0.01, 100].
     #[test]
     fn em_select_equals_full_log_reference(
-        n in prop_oneof![Just(1usize), Just(2), Just(6), Just(18), Just(55), Just(324)],
+        n in prop_oneof![
+            Just(1usize), Just(2), Just(6), Just(18), Just(55),
+            Just(63), Just(64), Just(65), Just(129), Just(324),
+        ],
         shape in 0u8..5,
         raw in prop::collection::vec(0.0f64..1.0, 324),
         log10_eps in -2.0f64..2.0,
@@ -237,7 +255,10 @@ proptest! {
     /// what eight fresh `select`s pick.
     #[test]
     fn em_select_prepared_equals_full_log_reference(
-        n in prop_oneof![Just(1usize), Just(2), Just(6), Just(18), Just(55), Just(324)],
+        n in prop_oneof![
+            Just(1usize), Just(2), Just(6), Just(18), Just(55),
+            Just(63), Just(64), Just(65), Just(129), Just(324),
+        ],
         shape in 0u8..5,
         raw in prop::collection::vec(0.0f64..1.0, 324),
         log10_eps in -2.0f64..2.0,
@@ -271,7 +292,8 @@ proptest! {
 
 /// `select`, and `select_prepared` on the prepared row, match the
 /// full-log loop, index and stream position, on score vectors holding NaN,
-/// ±∞ and ±1e300, alone and scattered through a device-sized table.
+/// ±∞ and ±1e300, alone and scattered through tables of device size and
+/// of the sizes around the 64-draw chunk edges.
 #[test]
 fn em_select_equals_full_log_reference_on_nan_infinite_and_huge_scores() {
     let (nan, inf) = (f64::NAN, f64::INFINITY);
@@ -290,17 +312,19 @@ fn em_select_equals_full_log_reference_on_nan_infinite_and_huge_scores() {
         vec![-1e300, -inf, -1e300],
     ];
     for special in [nan, inf, -inf, 1e300, -1e300] {
-        vectors.push(
-            (0..55)
-                .map(|i| {
-                    if i % 7 == 3 {
-                        special
-                    } else {
-                        1.0 / (1.0 + (i % 11) as f64)
-                    }
-                })
-                .collect(),
-        );
+        for n in [55, 63, 64, 65, 129] {
+            vectors.push(
+                (0..n)
+                    .map(|i| {
+                        if i % 7 == 3 {
+                            special
+                        } else {
+                            1.0 / (1.0 + (i % 11) as f64)
+                        }
+                    })
+                    .collect(),
+            );
+        }
     }
     for eps in [0.01, 1.0, 4.0, 100.0] {
         let em = ExpMech::new(Epsilon::new(eps).unwrap());
@@ -327,6 +351,106 @@ fn em_select_equals_full_log_reference_on_nan_infinite_and_huge_scores() {
                 assert_eq!(prepared.next_u64(), next);
             }
         }
+    }
+}
+
+/// `select_prepared` matches the full-log loop, index and next word, on
+/// streams holding zero uniforms (words below 2^11), which the loop
+/// redraws: at the start, on the last candidate, on both sides of the
+/// 64-draw chunk edge, and as the word after the selection. The scores
+/// are random, all equal, or all 1e300, where every key rounds to the
+/// same value, so the lowest index wins only through the tie rule: the
+/// first smallest cut-off product, evaluated first, is rarely
+/// candidate 0.
+#[test]
+fn em_select_prepared_redraws_zero_uniforms_like_the_full_log_loop() {
+    let mut fresh = ChaCha12Rng::seed_from_u64(0x2E80);
+    let mut row = Vec::new();
+    for n in [2usize, 6, 55, 63, 64, 65, 129] {
+        // (draw, zero words in front of it); draw `n` is the word after.
+        let zeros = [(0, 2), (n - 1, 1), (63, 1), (64, 2), (n, 1)];
+        for shape in 0..3 {
+            let scores: Vec<f64> = match shape {
+                0 => (0..n).map(|_| fresh.random::<f64>()).collect(),
+                1 => vec![0.5; n],
+                _ => vec![1e300; n],
+            };
+            for eps in [0.01, 1.0, 4.0, 100.0] {
+                let em = ExpMech::new(Epsilon::new(eps).unwrap());
+                em.prepare(&scores, &mut row);
+                for trial in 0..16 {
+                    let mut words = Vec::new();
+                    for draw in 0..=n {
+                        for &(_, count) in zeros.iter().filter(|&&(at, _)| at == draw) {
+                            words.extend((0..count).map(|_| fresh.next_u64() & 0x7FF));
+                        }
+                        words.push(fresh.next_u64());
+                    }
+                    let mut rng = Scripted::new(words);
+                    let mut reference = rng.clone();
+                    assert_eq!(
+                        em.select_prepared(&mut rng, &row).unwrap(),
+                        select_full_log(eps, &mut reference, &scores),
+                        "n {n}, shape {shape}, ε {eps}, trial {trial}"
+                    );
+                    assert_eq!(rng.next_u64(), reference.next_u64());
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Oue::perturb`, which compares each word's top 53 bits with an
+    /// integer threshold, sets the bits that one `random_bool` per bit
+    /// sets and leaves the stream at the same draw: on a ChaCha stream
+    /// entered at any buffer offset, and on scripted words just at and
+    /// above `P·2^53` and `q·2^53` or with a zero uniform; for d ∈ 2..300,
+    /// ε log-uniform over [0.01, 60] (so `q·2^53` falls below 1) and the
+    /// value at any position.
+    #[test]
+    fn oue_perturb_equals_random_bool_reference(
+        d in 2usize..300,
+        log10_eps in -2.0f64..60f64.log10(),
+        value_frac in 0.0f64..1.0,
+        seed in any::<u64>(),
+        script in prop::collection::vec((0u8..4, any::<u64>()), 300),
+    ) {
+        let eps = 10f64.powf(log10_eps);
+        let oue = Oue::new(d, Epsilon::new(eps).unwrap()).unwrap();
+        let value = ((value_frac * d as f64) as usize).min(d - 1);
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        for _ in 0..seed % 65 {
+            rng.next_u64();
+        }
+        let mut reference = rng.clone();
+        prop_assert_eq!(
+            oue.perturb(&mut rng, value).set_bits(),
+            &perturb_random_bool(&oue, &mut reference, value)[..]
+        );
+        prop_assert_eq!(rng.next_u64(), reference.next_u64());
+        // The sample `⌊prob·2^53⌋` or one above it, with random low bits.
+        let near = |prob: f64, raw: u64| {
+            (((prob * (1u64 << 53) as f64).floor() as u64 + (raw & 1)) << 11) | (raw >> 53)
+        };
+        let words = script
+            .iter()
+            .map(|&(kind, raw)| match kind {
+                0 => raw,
+                1 => near(oue.q(), raw),
+                2 => near(Oue::P, raw),
+                _ => raw & 0x7FF,
+            })
+            .collect();
+        let mut rng = Scripted::new(words);
+        let mut reference = rng.clone();
+        prop_assert_eq!(
+            oue.perturb(&mut rng, value).set_bits(),
+            &perturb_random_bool(&oue, &mut reference, value)[..]
+        );
+        prop_assert_eq!(rng.next_u64(), reference.next_u64());
     }
 }
 

@@ -42,7 +42,7 @@
 use crate::chaos::{AbsorbAction, FaultPlan, SubmitAction};
 use crate::error::{Error, Result};
 use crate::round::RoundSpec;
-use crate::shard::{ShardAggregator, WireReport};
+use crate::shard::ShardAggregator;
 use crate::wire;
 use privshape_ldp::Epsilon;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -126,27 +126,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The `(user, report)` entries of a sealed-frame body, each report
-/// decoded and checked against `round` ([`ShardAggregator::check_wire`]).
-/// The first malformed entry comes back as an error and ends the walk.
-fn entries<'a>(
-    body: &'a [u8],
-    round: &'a ShardAggregator,
-) -> impl Iterator<Item = Result<(usize, WireReport<'a>)>> + 'a {
-    let mut pos = 0;
-    std::iter::from_fn(move || {
-        if pos >= body.len() {
-            return None;
-        }
-        let entry = wire::read_usize(body, &mut pos)
-            .and_then(|user| Ok((user, round.check_wire(body, &mut pos)?)));
-        if entry.is_err() {
-            pos = body.len();
-        }
-        Some(entry)
-    })
-}
-
 /// What the round lock guards.
 #[derive(Debug)]
 pub(crate) struct Round {
@@ -178,8 +157,8 @@ impl Round {
 /// [`IngestPipeline::finish`]es it into the round's aggregate.
 #[derive(Debug)]
 pub(crate) struct IngestPipeline {
-    /// The round's empty aggregator: both passes check reports against it,
-    /// so pass 1 needs no lock.
+    /// The round's empty aggregator: pass 1 checks reports against it, so
+    /// it needs no lock, and pass 2 skips duplicates through it.
     shape: ShardAggregator,
     /// The session's population: sealed frames may name users
     /// `0..population` only, and the round holds at most that many
@@ -315,31 +294,36 @@ impl IngestPipeline {
     /// its users' one-report-per-round slots.
     fn check<'a>(&self, frame: &'a [u8]) -> Option<(&'a [u8], u64)> {
         let body = wire::unseal_frame(frame).ok()?;
-        let mut count = 0;
-        for entry in entries(body, &self.shape) {
-            if entry.ok()?.0 >= self.population {
+        let (mut pos, mut count) = (0, 0);
+        while pos < body.len() {
+            if wire::read_usize(body, &mut pos).ok()? >= self.population {
                 return None;
             }
+            self.shape.check_wire(body, &mut pos).ok()?;
             count += 1;
         }
         Some((body, count))
     }
 
     /// Pass 2, under the round lock, over a body pass 1 accepted: claims
-    /// each entry's user and adds the report of every first claim, then
-    /// consults the chaos absorb point if the frame claimed anyone.
+    /// each entry's user and decodes and adds the report of every first
+    /// claim in one walk, only skipping over the others (pass 1 checked
+    /// them all), then consults the chaos absorb point if the frame
+    /// claimed anyone.
     fn absorb(&self, round: &mut Round, body: &[u8], chaos: Option<&FaultPlan>) -> Result<()> {
         let (mut accepted, mut duplicates) = (0, 0);
-        for entry in entries(body, &self.shape) {
-            let (user, report) = entry?;
+        let mut pos = 0;
+        while pos < body.len() {
+            let user = wire::read_usize(body, &mut pos)?;
             let (word, mask) = (&mut round.claimed[user / 64], 1u64 << (user % 64));
             if *word & mask != 0 {
                 duplicates += 1;
+                self.shape.skip_wire(body, &mut pos)?;
                 continue;
             }
             *word |= mask;
             accepted += 1;
-            round.agg.add_wire(report)?;
+            round.agg.add_wire(body, &mut pos)?;
         }
         round.stats.accepted_reports += accepted;
         round.stats.duplicate_reports += duplicates;

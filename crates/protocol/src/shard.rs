@@ -182,11 +182,10 @@ fn count_support(counts: &mut [u64], olh: &Olh, report: &OlhReport) {
     }
 }
 
-/// One wire report that [`ShardAggregator::check_wire`] accepted for a
-/// round: what [`ShardAggregator::add_wire`] needs to count it, with an
-/// OUE bit list left in the frame.
+/// One wire report as [`Round::decode_wire`] read it for a round: its
+/// values, with an OUE bit list reduced to its last (largest) bit.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum WireReport<'a> {
+enum WireReport {
     /// An expansion or unlabeled-refinement selection.
     Select(usize),
     /// A sub-shape report.
@@ -197,8 +196,63 @@ pub(crate) enum WireReport<'a> {
     Olh(OlhReport),
     /// A quantized piecewise length report.
     Piecewise(i64),
-    /// The encoded bit list of an OUE length or labeled-refinement report.
-    Bits(&'a [u8]),
+    /// An OUE length or labeled-refinement report's last set bit.
+    Bits(Option<usize>),
+}
+
+impl Round {
+    /// Decodes the wire report ([`Report::encode_into`]) at `*pos` as a
+    /// report of this round's kind, advancing `*pos` past it, and hands
+    /// each OUE bit to `sink` as it is walked (none when the round keeps
+    /// no grid). Checks the structure and the kind, not the domain.
+    fn decode_wire(
+        &self,
+        buf: &[u8],
+        pos: &mut usize,
+        mut sink: impl FnMut(usize),
+    ) -> Result<WireReport> {
+        let tag = wire::read_tag(buf, pos)?;
+        // Hot arms first: expand / refine-select / sub-shape reports are
+        // the per-user-per-level bulk of every session, while each length
+        // arm fires for at most one round.
+        Ok(match (self, tag) {
+            (Round::Expand { .. }, wire::TAG_EXPAND)
+            | (Round::RefineSelect { .. }, wire::TAG_REFINE_SELECT) => {
+                WireReport::Select(wire::read_usize(buf, pos)?)
+            }
+            (Round::SubShape { .. }, wire::TAG_SUB_SHAPE) => WireReport::SubShape {
+                level: wire::read_usize(buf, pos)?,
+                value: wire::read_usize(buf, pos)?,
+            },
+            (Round::RefineLabeled { oue, .. }, wire::TAG_REFINE_LABELED) => {
+                let kept = oue.is_some();
+                WireReport::Bits(wire::walk_oue_bits(buf, pos, |bit| {
+                    if kept {
+                        sink(bit);
+                    }
+                })?)
+            }
+            (Round::LengthGrr(_), wire::TAG_LENGTH) => {
+                WireReport::Length(wire::read_usize(buf, pos)?)
+            }
+            (Round::LengthOue(_), wire::TAG_LENGTH_OUE) => {
+                WireReport::Bits(wire::walk_oue_bits(buf, pos, sink)?)
+            }
+            (Round::LengthOlh(_), wire::TAG_LENGTH_OLH) => WireReport::Olh(OlhReport {
+                seed: wire::read_varint(buf, pos)?,
+                value: wire::read_usize(buf, pos)?,
+            }),
+            (Round::LengthPiecewise { .. }, wire::TAG_LENGTH_PIECEWISE) => {
+                WireReport::Piecewise(wire::unzigzag(wire::read_varint(buf, pos)?))
+            }
+            (round, tag) => {
+                return Err(Error::Protocol(format!(
+                    "report tag 0x{tag:02x} does not match round aggregate {}",
+                    round.kind().1,
+                )));
+            }
+        })
+    }
 }
 
 impl ShardAggregator {
@@ -345,86 +399,59 @@ impl ShardAggregator {
     /// The ingest boundary runs this over a whole sealed frame before it
     /// claims any user, so a report the round would refuse rejects its
     /// frame instead of failing the round.
-    pub(crate) fn check_wire<'a>(&self, buf: &'a [u8], pos: &mut usize) -> Result<WireReport<'a>> {
-        let tag = wire::read_tag(buf, pos)?;
+    pub(crate) fn check_wire(&self, buf: &[u8], pos: &mut usize) -> Result<()> {
         let cells = self.counts.len();
-        // Hot arms first: expand / refine-select / sub-shape reports are
-        // the per-user-per-level bulk of every session, while each length
-        // arm fires for at most one round.
-        Ok(match (&self.round, tag) {
-            (Round::Expand { .. }, wire::TAG_EXPAND)
-            | (Round::RefineSelect { .. }, wire::TAG_REFINE_SELECT) => {
-                let sel = wire::read_usize(buf, pos)?;
-                check_select(sel, cells)?;
-                WireReport::Select(sel)
+        match (&self.round, self.round.decode_wire(buf, pos, |_| {})?) {
+            (_, WireReport::Select(sel)) => check_select(sel, cells),
+            (Round::SubShape { grr, levels }, WireReport::SubShape { level, value }) => {
+                check_subshape(level, value, *levels, grr.domain())
             }
-            (Round::SubShape { grr, levels }, wire::TAG_SUB_SHAPE) => {
-                let level = wire::read_usize(buf, pos)?;
-                let value = wire::read_usize(buf, pos)?;
-                check_subshape(level, value, *levels, grr.domain())?;
-                WireReport::SubShape { level, value }
+            (Round::RefineLabeled { oue: None, .. }, WireReport::Bits(_)) => Ok(()),
+            (Round::RefineLabeled { .. }, WireReport::Bits(last)) => {
+                check_bits("labeled", last, cells)
             }
-            (Round::RefineLabeled { oue, .. }, wire::TAG_REFINE_LABELED) => {
-                let start = *pos;
-                let last = wire::walk_oue_bits(buf, pos, |_| {})?;
-                if oue.is_some() {
-                    check_bits("labeled", last, cells)?;
-                }
-                WireReport::Bits(&buf[start..*pos])
+            (_, WireReport::Bits(last)) => check_bits("length OUE", last, cells),
+            (_, WireReport::Length(v)) => check_length(v, cells),
+            (Round::LengthOlh(olh), WireReport::Olh(r)) => check_olh(r.value, olh),
+            (Round::LengthPiecewise { pm, .. }, WireReport::Piecewise(q)) => {
+                pm.check(q).map_err(piecewise_err)
             }
-            (Round::LengthGrr(_), wire::TAG_LENGTH) => {
-                let v = wire::read_usize(buf, pos)?;
-                check_length(v, cells)?;
-                WireReport::Length(v)
-            }
-            (Round::LengthOue(_), wire::TAG_LENGTH_OUE) => {
-                let start = *pos;
-                check_bits("length OUE", wire::walk_oue_bits(buf, pos, |_| {})?, cells)?;
-                WireReport::Bits(&buf[start..*pos])
-            }
-            (Round::LengthOlh(olh), wire::TAG_LENGTH_OLH) => {
-                let seed = wire::read_varint(buf, pos)?;
-                let value = wire::read_usize(buf, pos)?;
-                check_olh(value, olh)?;
-                WireReport::Olh(OlhReport { seed, value })
-            }
-            (Round::LengthPiecewise { pm, .. }, wire::TAG_LENGTH_PIECEWISE) => {
-                let q = wire::unzigzag(wire::read_varint(buf, pos)?);
-                pm.check(q).map_err(piecewise_err)?;
-                WireReport::Piecewise(q)
-            }
-            (round, tag) => {
-                return Err(Error::Protocol(format!(
-                    "report tag 0x{tag:02x} does not match round aggregate {}",
-                    round.kind().1,
-                )));
-            }
-        })
+            (round, _) => Err(Error::Protocol(format!(
+                "wire report decoded as another kind than this {} round",
+                round.kind().1
+            ))),
+        }
     }
 
-    /// Counts a report [`ShardAggregator::check_wire`] accepted for this
-    /// round, an OUE bit list bit by bit as it is walked. Checks nothing:
-    /// a report checked against another round is refused only when its
-    /// kind differs.
-    pub(crate) fn add_wire(&mut self, report: WireReport<'_>) -> Result<()> {
-        let counts = &mut self.counts;
-        match (&self.round, report) {
-            (Round::Expand { .. } | Round::RefineSelect { .. }, WireReport::Select(sel))
-            | (Round::LengthGrr(_), WireReport::Length(sel)) => counts[sel] += 1,
+    /// Skips the wire report at `*pos`, decoding it as
+    /// [`ShardAggregator::check_wire`] does but checking no domain.
+    pub(crate) fn skip_wire(&self, buf: &[u8], pos: &mut usize) -> Result<()> {
+        self.round.decode_wire(buf, pos, |_| {}).map(drop)
+    }
+
+    /// Decodes and counts the wire report at `*pos`, which
+    /// [`ShardAggregator::check_wire`] accepted for this round, in one
+    /// walk: an OUE bit list is counted bit by bit as it is decoded.
+    /// Checks no domain, so a report checked only against another round of
+    /// the same kind is refused only if it is malformed.
+    pub(crate) fn add_wire(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
+        let Self {
+            round, counts, sum, ..
+        } = self;
+        match (
+            &*round,
+            round.decode_wire(buf, pos, |bit| counts[bit] += 1)?,
+        ) {
+            (_, WireReport::Select(sel) | WireReport::Length(sel)) => counts[sel] += 1,
             (Round::SubShape { grr, .. }, WireReport::SubShape { level, value }) => {
                 counts[(level - 1) * grr.domain() + value] += 1;
             }
-            (Round::RefineLabeled { oue: None, .. }, WireReport::Bits(_)) => {}
-            (Round::RefineLabeled { .. } | Round::LengthOue(_), WireReport::Bits(body)) => {
-                wire::walk_oue_bits(body, &mut 0, |bit| counts[bit] += 1)?;
-            }
+            (_, WireReport::Bits(_)) => {}
             (Round::LengthOlh(olh), WireReport::Olh(r)) => count_support(counts, olh, &r),
-            (Round::LengthPiecewise { .. }, WireReport::Piecewise(q)) => {
-                self.sum += i128::from(q);
-            }
+            (_, WireReport::Piecewise(q)) => *sum += i128::from(q),
             (round, _) => {
                 return Err(Error::Protocol(format!(
-                    "wire report was not checked against this {} round",
+                    "wire report decoded as another kind than this {} round",
                     round.kind().1
                 )));
             }
@@ -827,8 +854,10 @@ mod tests {
     fn absorb_wire(agg: &mut ShardAggregator, frame: &[u8]) -> Result<usize> {
         let (mut pos, mut absorbed) = (0, 0);
         while pos < frame.len() {
-            let report = agg.check_wire(frame, &mut pos)?;
-            agg.add_wire(report)?;
+            let mut add = pos;
+            agg.check_wire(frame, &mut pos)?;
+            agg.add_wire(frame, &mut add)?;
+            assert_eq!(add, pos);
             absorbed += 1;
         }
         Ok(absorbed)
@@ -865,8 +894,8 @@ mod tests {
         ));
         // A report checked against another kind of round is refused too.
         let length = ShardAggregator::for_round(&length_spec(), eps()).unwrap();
-        let checked = length.check_wire(&wrong, &mut 0).unwrap();
-        assert!(via_wire.add_wire(checked).is_err());
+        assert!(length.check_wire(&wrong, &mut 0).is_ok());
+        assert!(via_wire.add_wire(&wrong, &mut 0).is_err());
         assert_eq!(via_wire, via_absorb);
     }
 
